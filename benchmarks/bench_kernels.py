@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Time the two hot kernels in isolation.
 
 Runs the greedy modularity merge and triangle counting on synthetic graphs
-of increasing size and prints a timing table. Results from both backends are
-compared for exact equality while at it.
+of increasing size and prints a timing table. This is a kernel-only
+microbenchmark; ``perfbench/`` measures the whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -13,19 +13,14 @@ from __future__ import annotations
 import argparse
 import time
 
-from ktmap._kernels import _pure
+from ktmap import _kernels
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
-
-try:
-    from ktmap._kernels import _speedups
-except ImportError:
-    _speedups = None
 
 
 def time_call(fn, *args):
     t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def bench_greedy(n_blocks: int, leaf: int) -> None:
@@ -34,29 +29,15 @@ def bench_greedy(n_blocks: int, leaf: int) -> None:
     net, _ = gen_planted_kt_network(cfg, 42)
     g = net.projection
     eu, ev, ew = g.edge_arrays()
-    label = f"greedy merge  n={g.n_nodes:5d} m={g.n_edges:6d}"
-    t_pure, r_pure = time_call(_pure.greedy_merge_seq, g.n_nodes, eu, ev, ew)
-    if _speedups is None:
-        print(f"{label}  pure {t_pure:8.3f}s  (no compiled backend)")
-        return
-    t_fast, r_fast = time_call(_speedups.greedy_merge_seq, g.n_nodes, eu, ev, ew)
-    match = "ok" if r_pure == r_fast else "MISMATCH"
-    print(f"{label}  pure {t_pure:8.3f}s  compiled {t_fast:8.3f}s  "
-          f"speedup {t_pure / t_fast:6.1f}x  results {match}")
+    t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
+    print(f"greedy merge  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
 
 
 def bench_triangles(n: int, p: float) -> None:
     g = gen_random_graph(n, p, 7).projection
     adj = g.adjacency_sorted()
-    label = f"triangles     n={g.n_nodes:5d} m={g.n_edges:6d}"
-    t_pure, r_pure = time_call(_pure.triangle_counts, adj)
-    if _speedups is None:
-        print(f"{label}  pure {t_pure:8.3f}s  (no compiled backend)")
-        return
-    t_fast, r_fast = time_call(_speedups.triangle_counts, adj)
-    match = "ok" if r_pure == r_fast else "MISMATCH"
-    print(f"{label}  pure {t_pure:8.3f}s  compiled {t_fast:8.3f}s  "
-          f"speedup {t_pure / t_fast:6.1f}x  results {match}")
+    t = time_call(_kernels.triangle_counts, adj)
+    print(f"triangles     n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
 
 
 def main() -> None:
@@ -64,9 +45,6 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="smaller sizes for a fast sanity run")
     args = parser.parse_args()
-
-    if _speedups is None:
-        print("compiled backend unavailable; timing pure Python only\n")
 
     sizes = [(4, 75), (8, 100)] if args.quick else [(4, 75), (8, 100), (8, 250), (10, 400)]
     for blocks, leaf in sizes:

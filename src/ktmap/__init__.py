@@ -7,8 +7,8 @@ generators provide planted ground truth for validation.
 """
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "pure"  # one backend left; kept because perfbench run records read it
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .axis import (Stratum, classify, front_score_summary,
                    homophily_assortativity, score_documents,
                    translational_score)

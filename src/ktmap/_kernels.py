@@ -1,12 +1,13 @@
-"""Pure-Python fallback kernels.
+"""Hot kernels: the greedy modularity merge and triangle counting.
 
-These mirror the compiled kernels in ``_speedups.pyx`` operation for
-operation: both must produce bit-identical floats (the merge sequence is
-part of the deterministic contract), so keep arithmetic expressions in
-sync when editing either one.
+``fronts`` and ``metrics`` call these through the module attribute
+(``_kernels.greedy_merge_seq``), so a wrapper installed on this module sees
+every call.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush, heapreplace
 
 
 def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
@@ -16,6 +17,22 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
     pair with the largest modularity gain; ties broken by the smallest
     (low id, high id) pair. Community labels are the smallest original
     node index in the community.
+
+    The best pair is found with a lazy max-heap (Clauset, Newman and Moore
+    2004; lazy re-keying as in Minoux 1978) holding entries
+    ``(-dq, r, s)``. A merge of s into r only grows the mass ``a[r]``, so
+    the gain of every pair (r, t) can only fall, except for t a former
+    neighbour of s, whose pair weight rises; those pairs get a fresh
+    entry. Every other entry keeps a stale key that is an upper bound on
+    the pair's gain, because float rounding is monotone. A popped entry is
+    recomputed and re-keyed if stale; an entry that is current is the
+    maximum, and the heap order gives the same tie-break as a full scan.
+    The merge sequence and every Q are therefore bit-identical to rescanning
+    all pairs at each step (O(n m) in total), which the tests keep as the
+    reference.
+
+    Precondition: every weight is finite and > 0 (``UGraph`` enforces it).
+    A zero or negative weight breaks the upper-bound argument.
 
     Parameters
     ----------
@@ -56,21 +73,27 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         q -= a[i] * a[i]
     q0 = q
 
+    heap = [(-(w - 2.0 * a[r] * a[s]), r, s) for (r, s), w in wq.items()]
+    heapify(heap)
+
     merges: list[tuple[int, int]] = []
     qs: list[float] = []
     while wq:
-        best_dq = 0.0
-        best_pair = None
-        for (r, s), w in wq.items():
-            dq = w - 2.0 * a[r] * a[s]
-            if best_pair is None or dq > best_dq or (dq == best_dq and (r, s) < best_pair):
-                best_dq = dq
-                best_pair = (r, s)
-        r, s = best_pair
+        neg_dq, r, s = heap[0]
+        w = wq.get((r, s))
+        if w is None:  # pair gone: one of its communities was merged away
+            heappop(heap)
+            continue
+        dq = w - 2.0 * a[r] * a[s]
+        if -dq != neg_dq:  # stale key: re-key and look again
+            heapreplace(heap, (-dq, r, s))
+            continue
+        heappop(heap)
         del wq[(r, s)]
         touch[r].discard(s)
         touch[s].discard(r)
-        for t in sorted(touch[s]):
+        moved = touch[s]
+        for t in moved:
             key_st = (s, t) if s < t else (t, s)
             w_st = wq.pop(key_st)
             key_rt = (r, t) if r < t else (t, r)
@@ -81,10 +104,15 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
                 touch[r].add(t)
             touch[t].discard(s)
             touch[t].add(r)
-        touch[s].clear()
+        touch[s] = set()
         a[r] += a[s]
         a[s] = 0.0
-        q += best_dq
+        for t in moved:
+            # same operand order as the pop-time recomputation, so the
+            # fresh key is exactly the pair's current gain
+            lo, hi = (r, t) if r < t else (t, r)
+            heappush(heap, (-(wq[(lo, hi)] - 2.0 * a[lo] * a[hi]), lo, hi))
+        q += dq
         merges.append((r, s))
         qs.append(q)
     return q0, merges, qs

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,8 +106,9 @@ class UGraph:
     """Undirected simple graph over string node ids, with optional edge weights.
 
     Nodes are indexed 0..n-1 in the order given; edges are stored as an
-    adjacency map of index -> {index: weight}. Instances are treated as
-    immutable once built.
+    adjacency map of index -> {index: weight}. Every weight must be finite
+    and > 0 (ValueError otherwise). Instances are treated as immutable once
+    built.
     """
 
     __slots__ = ("ids", "index", "adj")
@@ -124,6 +126,10 @@ class UGraph:
                 raise SelfLoopError(f"self-loop on {u!r}")
             if iv in self.adj[iu]:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            # the greedy merge is exact only for positive weights
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"edge ({u!r}, {v!r}) weight {w!r} is not "
+                                 "finite and > 0")
             self.adj[iu][iv] = w
             self.adj[iv][iu] = w
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own computation paths:
 modularity is evaluated from the adjacency-matrix definition, search path
-counts by explicit enumeration of every source-to-sink path.
+counts by explicit enumeration of every source-to-sink path, and the greedy
+merge sequence by rescanning every community pair at every step.
 """
 
 from __future__ import annotations
@@ -117,6 +118,71 @@ def enumerate_spc(nodes, edges) -> dict[tuple[str, str], int]:
     for s in sources:
         walk(s, [])
     return counts
+
+
+def scan_merge_seq(n_nodes, edge_u, edge_v, edge_w):
+    """Reference greedy modularity merge: rescans every pair at every merge.
+
+    Same contract as ``ktmap._kernels.greedy_merge_seq`` and the same
+    arithmetic expressions, so the two must agree bit for bit. O(n m).
+    """
+    m = 0.0
+    for w in edge_w:
+        m += w
+    if m <= 0.0:
+        raise ValueError("graph has no edges")
+    two_m = 2.0 * m
+
+    a = [0.0] * n_nodes
+    wq: dict[tuple[int, int], float] = {}
+    touch: list[set[int]] = [set() for _ in range(n_nodes)]
+    for k in range(len(edge_u)):
+        u = edge_u[k]
+        v = edge_v[k]
+        w = edge_w[k]
+        a[u] += w / two_m
+        a[v] += w / two_m
+        wq[(u, v)] = w / m
+        touch[u].add(v)
+        touch[v].add(u)
+
+    q = 0.0
+    for i in range(n_nodes):
+        q -= a[i] * a[i]
+    q0 = q
+
+    merges: list[tuple[int, int]] = []
+    qs: list[float] = []
+    while wq:
+        best_dq = 0.0
+        best_pair = None
+        for (r, s), w in wq.items():
+            dq = w - 2.0 * a[r] * a[s]
+            if best_pair is None or dq > best_dq or (dq == best_dq and (r, s) < best_pair):
+                best_dq = dq
+                best_pair = (r, s)
+        r, s = best_pair
+        del wq[(r, s)]
+        touch[r].discard(s)
+        touch[s].discard(r)
+        for t in sorted(touch[s]):
+            key_st = (s, t) if s < t else (t, s)
+            w_st = wq.pop(key_st)
+            key_rt = (r, t) if r < t else (t, r)
+            if key_rt in wq:
+                wq[key_rt] += w_st
+            else:
+                wq[key_rt] = w_st
+                touch[r].add(t)
+            touch[t].discard(s)
+            touch[t].add(r)
+        touch[s].clear()
+        a[r] += a[s]
+        a[s] = 0.0
+        q += best_dq
+        merges.append((r, s))
+        qs.append(q)
+    return q0, merges, qs
 
 
 def random_dag(n, p, seed):

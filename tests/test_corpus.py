@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktmap.corpus import (Document, Lexicon, co_citation_projection,
+from ktmap.corpus import (Document, Lexicon, UGraph, co_citation_projection,
                           count_terms, load_corpus, parse_corpus,
                           write_corpus)
 from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
@@ -167,6 +167,18 @@ class TestNetworkInvariants:
         write_corpus(net, tmp / "n.jsonl", tmp / "e.csv")
         back = load_corpus(tmp / "n.jsonl", tmp / "e.csv")
         assert back.ids == net.ids and back.edges == net.edges
+
+
+class TestUGraph:
+    @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf"),
+                                   float("-inf")])
+    def test_rejects_weight_not_finite_positive(self, w):
+        with pytest.raises(ValueError, match="weight"):
+            UGraph(["a", "b"], [("a", "b", w)])
+
+    def test_accepts_positive_weights(self):
+        g = UGraph(["a", "b", "c"], [("a", "b", 1e-300), ("b", "c", 7.0)])
+        assert g.total_weight == pytest.approx(7.0)
 
 
 class TestCoCitation:
