@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time the two hot kernels in isolation.
+"""Time the hot kernels in isolation.
 
-Runs the greedy modularity merge and triangle counting on synthetic graphs
-of increasing size and prints a timing table. This is a kernel-only
-microbenchmark; ``perfbench/`` measures the whole ``ktmap report``.
+Runs the greedy modularity merge and triangle counting on synthetic graphs,
+and cycle breaking plus search path counts (SPC) on undated random citation
+digraphs, at increasing sizes, and prints a timing table. This is a
+kernel-only microbenchmark; ``perfbench/`` measures the whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -11,9 +12,13 @@ Usage: python benchmarks/bench_kernels.py [--quick]
 from __future__ import annotations
 
 import argparse
+import logging
 import time
 
-from ktmap import _kernels
+import numpy as np
+
+from ktmap import _kernels, hubs
+from ktmap.corpus import CitationNetwork, Document
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
 
@@ -40,17 +45,47 @@ def bench_triangles(n: int, p: float) -> None:
     print(f"triangles     n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
 
 
+def undated_digraph(n: int, out_degree: int, seed: int) -> CitationNetwork:
+    """n undated docs, each citing out_degree distinct others uniformly."""
+    rng = np.random.default_rng(seed)
+    ids = [f"u{i:05d}" for i in range(n)]
+    edges = set()
+    for i in range(n):
+        cited: set[int] = set()
+        while len(cited) < out_degree:
+            j = int(rng.integers(0, n))
+            if j != i:
+                cited.add(j)
+        edges.update((ids[i], ids[j]) for j in cited)
+    return CitationNetwork([Document(id=v) for v in ids], sorted(edges))
+
+
+def bench_cycles_spc(n: int) -> None:
+    net = undated_digraph(n, 3, 5)
+    t0 = time.perf_counter()
+    edges, removed = hubs.acyclic_reduction(net)
+    t1 = time.perf_counter()
+    hubs._spc_on_edges(net.ids, edges)
+    t2 = time.perf_counter()
+    print(f"cycle break   n={net.n_docs:5d} m={net.n_edges:6d}  {t1 - t0:8.3f}s"
+          f"  ({len(removed)} removed)")
+    print(f"spc           n={net.n_docs:5d} m={len(edges):6d}  {t2 - t1:8.3f}s")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true",
                         help="smaller sizes for a fast sanity run")
     args = parser.parse_args()
+    logging.getLogger("ktmap").setLevel(logging.ERROR)  # no cycle warnings in the table
 
     sizes = [(4, 75), (8, 100)] if args.quick else [(4, 75), (8, 100), (8, 250), (10, 400)]
     for blocks, leaf in sizes:
         bench_greedy(blocks, leaf)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):
         bench_triangles(n, p)
+    for n in [800] if args.quick else [800, 1600, 3200]:
+        bench_cycles_spc(n)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,9 @@ from .axis import classify
 from .corpus import CitationNetwork, Lexicon, load_corpus, write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
-from .hubs import main_path
 from .report import (PipelineConfig, apply_lexicon, run_pipeline, write_json,
-                     _fit_stage, _fronts_stage, _hubs_stage, _metrics_stage,
-                     _score_stage, _select_stage)
+                     _fit_stage, _fronts_stage, _hubs_stage, _mainpath_stage,
+                     _metrics_stage, _score_stage, _select_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -231,10 +230,7 @@ def _dispatch(args) -> int:
 
     if args.command == "mainpath":
         core = _read_stage_corpus(out, "core")
-        path = main_path(core)
-        write_json(out / "main_path.json", {
-            "nodes": list(path.nodes), "spc": list(path.spc),
-            "n_removed_edges": len(path.removed_edges)})
+        path = _mainpath_stage(core, out)
         print(" -> ".join(path.nodes))
         return 0
 

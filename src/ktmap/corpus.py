@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +35,12 @@ from .errors import (
 log = logging.getLogger("ktmap.corpus")
 
 KINDS = ("paper", "patent")
+
+# Ids are written unquoted into edges.csv and the stage CSVs. The edge
+# reader splits on commas or whitespace and skips lines starting with '#';
+# the stage CSVs are split on commas and not unquoted. An id that either
+# would mangle is rejected at parse time.
+_BAD_ID = re.compile(r'[\s,"]|^#')
 
 
 @dataclass(frozen=True)
@@ -345,6 +352,9 @@ def _record_to_document(rec: Mapping) -> Document:
     if raw_id is None:
         raise ValueError("missing required field 'id'")
     doc_id = str(raw_id)
+    if _BAD_ID.search(doc_id):
+        raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
+                         "whitespace, or starts with '#'")
 
     terms = rec.get("terms")
     if terms is not None:

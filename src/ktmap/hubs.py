@@ -14,6 +14,8 @@ the strongest source edge.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Mapping
@@ -171,9 +173,24 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     """Citation edges with cycles removed, plus the removed edges.
 
     Edges pointing from an older to a strictly newer year (anti-chronological
-    citations) are dropped first; any remaining cycle is broken by deleting
+    citations) are dropped first. Each remaining cycle is broken by deleting
     the lexicographically largest (tail, head) edge inside its strongly
-    connected component, repeating until acyclic. Deterministic.
+    connected component (SCC), repeating inside every SCC that still has a
+    cycle until the graph is acyclic. Deterministic.
+
+    Deleting an edge can only split an SCC, and an edge between two SCCs
+    stays between two, so each SCC is reduced on its own. Tarjan runs once
+    over the whole graph; a worklist then holds the cyclic SCCs, each with
+    its internal edges sorted. After the victim (u, v) is deleted, a search
+    from u that reaches v shows the SCC is still strongly connected, and the
+    next victim is taken at once. Otherwise the SCC splits: the nodes u
+    reaches form one SCC, the nodes that reach v another, and Tarjan runs
+    only on the rest. The largest part keeps the sorted edge list and skips
+    the edges that now cross parts.
+
+    Returns the kept edges in input order, and the removed edges: the
+    anti-chronological ones in input order, then the cycle edges in the
+    order they were broken.
     """
     removed = []
     edges = []
@@ -187,73 +204,141 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     if removed:
         log.warning("dropped %d anti-chronological citation edge(s)", len(removed))
 
-    while True:
-        sccs = _strongly_connected(sorted({v for e in edges for v in e}), edges)
-        cyclic = [scc for scc in sccs if len(scc) > 1]
-        if not cyclic:
-            break
-        for scc in cyclic:
-            members = set(scc)
-            inside = [e for e in edges if e[0] in members and e[1] in members]
-            victim = max(inside)
-            edges.remove(victim)
-            removed.append(victim)
-            log.warning("broke citation cycle by removing edge %s", victim)
+    broken = _break_cycles(edges)
+    if broken:
+        log.warning("broke citation cycles by removing %d edge(s), e.g. %s",
+                    len(broken), ", ".join(map(str, broken[:3])))
+        for victim in broken:
+            log.debug("broke citation cycle by removing edge %s", victim)
+        cut = set(broken)
+        edges = [e for e in edges if e not in cut]
+        removed += broken
     return edges, removed
 
 
-def _strongly_connected(nodes: list[str],
-                        edges: list[tuple[str, str]]) -> list[list[str]]:
-    """Tarjan's algorithm, iterative, deterministic order."""
-    succ: dict[str, list[str]] = {v: [] for v in nodes}
-    for u, v in edges:
-        succ[u].append(v)
-    for v in succ:
-        succ[v].sort()
+def _break_cycles(edges: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The cycle edges acyclic_reduction deletes, in the order it deletes them.
 
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
+    Nodes are numbered in sorted id order, so the integer codes u * n + v of
+    two edges compare as their (tail, head) ids do.
+    """
+    ids = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    succ: list[set[int]] = [set() for _ in range(n)]
+    pred: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edges:
+        succ[index[a]].add(index[b])
+        pred[index[b]].add(index[a])
 
+    comp = [0] * n  # SCC label per node; every new part gets a fresh label
+    fresh = itertools.count(1)
+
+    def relabel(part: list[int]) -> None:
+        label = next(fresh)
+        for x in part:
+            comp[x] = label
+
+    def internal_codes(part: list[int]) -> list[int]:
+        label = comp[part[0]]
+        return sorted(x * n + y for x in part for y in succ[x] if comp[y] == label)
+
+    # (label, members, ascending codes of internal edges) per cyclic SCC
+    work: list[tuple[int, list[int], list[int]]] = []
+    for part in _tarjan(range(n), succ, comp, 0):
+        relabel(part)
+        if len(part) > 1:
+            work.append((comp[part[0]], part, internal_codes(part)))
+
+    broken = []
+    while work:
+        label, members, codes = work.pop()
+        u, v = divmod(codes.pop(), n)
+        while comp[u] != label or comp[v] != label:  # crosses an earlier split
+            u, v = divmod(codes.pop(), n)
+        succ[u].discard(v)
+        pred[v].discard(u)
+        broken.append((ids[u], ids[v]))
+        from_u = _reach(u, v, succ, comp, label)
+        if from_u is None:  # u still reaches v: still strongly connected
+            work.append((label, members, codes))
+            continue
+        to_v = _reach(v, None, pred, comp, label)
+        relabel(from_u)
+        relabel(to_v)
+        parts = [from_u, to_v]
+        for part in _tarjan([x for x in members if comp[x] == label],
+                            succ, comp, label):
+            relabel(part)
+            parts.append(part)
+        largest = max(parts, key=len)
+        for part in parts:
+            if len(part) > 1:
+                work.append((comp[part[0]], part,
+                             codes if part is largest else internal_codes(part)))
+    return broken
+
+
+def _reach(start: int, target: int | None, adj: list[set[int]],
+           comp: list[int], label: int) -> list[int] | None:
+    """Nodes labelled `label` reachable from start along adj, or None as soon
+    as target is reached."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for y in adj[todo.pop()]:
+            if y not in seen and comp[y] == label:
+                if y == target:
+                    return None
+                seen.add(y)
+                todo.append(y)
+    return list(seen)
+
+
+def _tarjan(nodes, succ: list[set[int]], comp: list[int],
+            label: int) -> list[list[int]]:
+    """SCCs of the subgraph induced by the nodes labelled `label`, found from
+    the given roots (Tarjan's algorithm, iterative)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     for root in nodes:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for next_i in range(pi, len(succ[v])):
-                w = succ[v][next_i]
+            v, it = work[-1]
+            for w in it:
+                if comp[w] != label:
+                    continue
                 if w not in index:
-                    work[-1] = (v, next_i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    sccs.append(scc)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return sccs
 
 
@@ -287,16 +372,16 @@ def _spc_on_edges(ids, edges) -> dict[tuple[str, str], int]:
 
 def _topo_order(ids, succ, pred) -> list[str]:
     indeg = {v: len(pred[v]) for v in ids}
-    ready = sorted(v for v in ids if indeg[v] == 0)
+    ready = [v for v in ids if indeg[v] == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        for w in sorted(succ[v]):
+        for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
+                heapq.heappush(ready, w)
     if len(order) != len(ids):
         raise AssertionError("graph not acyclic after reduction")
     return order

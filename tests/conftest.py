@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the library's own computation paths:
 modularity is evaluated from the adjacency-matrix definition, search path
-counts by explicit enumeration of every source-to-sink path, and the greedy
-merge sequence by rescanning every community pair at every step.
+counts by explicit enumeration of every source-to-sink path, the greedy
+merge sequence by rescanning every community pair at every step, and cycle
+breaking by recomputing every strongly connected component after each round
+of removals.
 """
 
 from __future__ import annotations
@@ -183,6 +185,85 @@ def scan_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         merges.append((r, s))
         qs.append(q)
     return q0, merges, qs
+
+
+def rounds_acyclic_reduction(net):
+    """Reference cycle breaking: whole-graph Tarjan after every round.
+
+    Same contract as ``ktmap.hubs.acyclic_reduction``: each round drops the
+    largest (tail, head) edge inside every cyclic strongly connected
+    component, until none is left. The removed cycle edges come out round
+    by round, so only their set is comparable with the library's order.
+    """
+    removed = []
+    edges = []
+    for citing, cited in net.edges:
+        y_citing = net.docs[citing].year
+        y_cited = net.docs[cited].year
+        if y_citing is not None and y_cited is not None and y_citing < y_cited:
+            removed.append((citing, cited))
+        else:
+            edges.append((citing, cited))
+
+    while True:
+        sccs = _tarjan_sccs(sorted({v for e in edges for v in e}), edges)
+        cyclic = [scc for scc in sccs if len(scc) > 1]
+        if not cyclic:
+            break
+        for scc in cyclic:
+            members = set(scc)
+            inside = [e for e in edges if e[0] in members and e[1] in members]
+            victim = max(inside)
+            edges.remove(victim)
+            removed.append(victim)
+    return edges, removed
+
+
+def _tarjan_sccs(nodes, edges):
+    """Tarjan's algorithm, iterative, over string ids."""
+    succ = {v: [] for v in nodes}
+    for u, w in edges:
+        succ[u].append(w)
+    for v in succ:
+        succ[v].sort()
+    index, low = {}, {}
+    on_stack, stack, sccs = set(), [], []
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            for next_i in range(pi, len(succ[v])):
+                w = succ[v][next_i]
+                if w not in index:
+                    work[-1] = (v, next_i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return sccs
 
 
 def random_dag(n, p, seed):

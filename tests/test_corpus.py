@@ -128,6 +128,13 @@ class TestParse:
         with pytest.raises(MalformedRecordError, match="year"):
             parse('{"id": "a", "year": "recent"}\n', "")
 
+    @pytest.mark.parametrize("bad", ["x,y", 'x"y', "x y", "x\ty", " x", "x ",
+                                     "#x"])
+    def test_id_unfit_for_edge_file_rejected(self, bad):
+        nodes = '{"id": "a"}\n' + json.dumps({"id": bad}) + "\n"
+        with pytest.raises(MalformedRecordError, match="line 2"):
+            parse(nodes, "")
+
     def test_patent_kind(self):
         net = parse('{"id": "a", "kind": "patent"}\n', "")
         assert net.docs["a"].kind == "patent"

@@ -1,7 +1,10 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ktmap import hubs
 from ktmap.axis import score_documents
 from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy
@@ -10,7 +13,8 @@ from ktmap.hubs import (HubConfig, acyclic_reduction,
                         search_path_counts)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
-from conftest import enumerate_spc, make_net, random_dag
+from conftest import (enumerate_spc, make_net, random_dag,
+                      rounds_acyclic_reduction)
 
 
 def barbell_net():
@@ -140,6 +144,37 @@ class TestHubDetection:
         assert [h for h in hubs2 if not h.startswith("X")] == base
 
 
+def is_acyclic(edges) -> bool:
+    """Kahn's algorithm: every node can be peeled off as a source."""
+    succ, indeg = {}, {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+        indeg[v] = indeg.get(v, 0) + 1
+        indeg.setdefault(u, 0)
+    ready = [v for v, d in indeg.items() if d == 0]
+    seen = 0
+    while ready:
+        u = ready.pop()
+        seen += 1
+        for v in succ.get(u, ()):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return seen == len(indeg)
+
+
+def check_against_oracle(net):
+    """acyclic_reduction agrees with the round-based oracle; returns it."""
+    edges, removed = acyclic_reduction(net)
+    ref_edges, ref_removed = rounds_acyclic_reduction(net)
+    assert edges == ref_edges
+    assert set(removed) == set(ref_removed)
+    assert len(removed) == len(set(removed))
+    assert sorted(edges + removed) == sorted(net.edges)
+    assert is_acyclic(edges)
+    return edges, removed
+
+
 class TestAcyclicReduction:
     def test_anti_chronological_edge_removed(self, caplog):
         net = make_net([("a", "b"), ("b", "c")],
@@ -161,6 +196,75 @@ class TestAcyclicReduction:
         net = make_net([("a", "b")])
         edges, removed = acyclic_reduction(net)
         assert edges == [("a", "b")] and removed == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_round_oracle(self, data):
+        n = data.draw(st.integers(2, 9))
+        ids = [f"p{i}" for i in range(n)]
+        pairs = [(u, v) for u in ids for v in ids if u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=30,
+                                   unique=True))
+        years = {}
+        if data.draw(st.booleans()):  # mixed: undated and a few same years
+            drawn = data.draw(st.lists(
+                st.one_of(st.none(), st.integers(2000, 2002)),
+                min_size=n, max_size=n))
+            years = {v: y for v, y in zip(ids, drawn) if y is not None}
+        net = make_net(edges, nodes=ids, years=years)
+        _, removed = check_against_oracle(net)
+        anti = [(u, v) for u, v in net.edges if u in years and v in years
+                and years[u] < years[v]]
+        assert removed[:len(anti)] == anti
+
+    def test_two_disjoint_cycles(self):
+        net = make_net([("a", "b"), ("b", "c"), ("c", "a"),
+                        ("x", "y"), ("y", "x")])
+        _, removed = check_against_oracle(net)
+        assert set(removed) == {("c", "a"), ("y", "x")}
+
+    def test_figure_eight_sharing_one_node(self):
+        # a->b->c->a and c->d->e->c share c: (e, c) goes first and splits
+        # the SCC into {a, b, c}, {d} and {e}
+        net = make_net([("a", "b"), ("b", "c"), ("c", "a"),
+                        ("c", "d"), ("d", "e"), ("e", "c")])
+        _, removed = check_against_oracle(net)
+        assert removed == [("e", "c"), ("c", "a")]
+
+    def test_complete_digraph(self):
+        net = make_net([(u, v) for u in "abcde" for v in "abcde" if u != v])
+        edges, removed = check_against_oracle(net)
+        assert sorted(edges) == [(u, v) for u in "abcde" for v in "abcde"
+                                 if u < v]
+        assert len(removed) == 10
+
+    def test_scc_survives_removals_before_split(self, monkeypatch):
+        # ring a->b->c->d->e->a with chords e->b, e->c, e->d: deleting the
+        # three chords leaves the ring strongly connected, so only the
+        # fourth deletion (e, a) splits it, and Tarjan runs twice in all
+        calls = []
+        tarjan = hubs._tarjan
+        monkeypatch.setattr(hubs, "_tarjan",
+                            lambda *a: calls.append(a) or tarjan(*a))
+        net = make_net([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                        ("e", "a"), ("e", "b"), ("e", "c"), ("e", "d")])
+        _, removed = check_against_oracle(net)
+        assert removed == [("e", "d"), ("e", "c"), ("e", "b"), ("e", "a")]
+        assert len(calls) == 2
+
+    def test_one_warning_per_reduction(self, caplog):
+        net = make_net([(u, v) for i in range(4)
+                        for u, v in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))])
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            _, removed = acyclic_reduction(net)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "cycle" in warnings[0].getMessage()
+        assert "4 edge(s)" in warnings[0].getMessage()
+        assert str(removed[0]) in warnings[0].getMessage()
+        assert str(removed[3]) not in warnings[0].getMessage()
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(debug) == len(removed) == 4
 
 
 class TestSearchPathCounts:

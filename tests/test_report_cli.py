@@ -186,6 +186,16 @@ class TestCliStages:
                             "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_id_with_comma_exit_2(self, tmp_path, capsys):
+        nodes = (TOY / "nodes.jsonl").read_text()
+        n_lines = len(nodes.splitlines())
+        (tmp_path / "n.jsonl").write_text(nodes + '{"id": "x,y"}\n')
+        code = self.run_cli("parse", "--nodes", str(tmp_path / "n.jsonl"),
+                            "--edges", str(TOY / "edges.csv"),
+                            "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"line {n_lines + 1}" in capsys.readouterr().err
+
     def test_report_command(self, tmp_path):
         code = self.run_cli("report", "--config", str(TOY / "config.cfg"),
                             "--out", str(tmp_path))
