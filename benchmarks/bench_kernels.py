@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time the hot kernels in isolation.
 
-Runs the greedy modularity merge and triangle counting on synthetic graphs,
-and cycle breaking plus search path counts (SPC) on undated random citation
-digraphs, at increasing sizes, and prints a timing table. This is a
-kernel-only microbenchmark; ``perfbench/`` measures the whole ``ktmap report``.
+Runs the greedy modularity merge, front refinement and triangle counting on
+synthetic graphs, and cycle breaking plus search path counts (SPC) on
+undated random citation digraphs, at increasing sizes, and prints a timing
+table. This is a kernel-only microbenchmark; ``perfbench/`` measures the
+whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -17,7 +18,7 @@ import time
 
 import numpy as np
 
-from ktmap import _kernels, hubs
+from ktmap import _kernels, fronts, hubs
 from ktmap.corpus import CitationNetwork, Document
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
@@ -36,6 +37,33 @@ def bench_greedy(n_blocks: int, leaf: int) -> None:
     eu, ev, ew = g.edge_arrays()
     t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
     print(f"greedy merge  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
+
+
+def bench_refine(leaf: int) -> None:
+    """``fast_greedy`` minus its greedy merge (refinement, relabelling and
+    the final Q) on a 4x5 nested planted projection; leaf=500 gives about
+    10k nodes and 55k edges."""
+    scale = 500 / leaf  # same expected degree at every size
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
+                        p_within=(0.002 * scale, 0.01 * scale),
+                        p_between=0.0003 * scale)
+    g = gen_planted_kt_network(cfg, 42)[0].projection
+    kernel = _kernels.greedy_merge_seq
+    merge_s = []
+
+    def timed_merge(*args):
+        t0 = time.perf_counter()
+        out = kernel(*args)
+        merge_s.append(time.perf_counter() - t0)
+        return out
+
+    _kernels.greedy_merge_seq = timed_merge
+    try:
+        t = time_call(fronts.fast_greedy, g)
+    finally:
+        _kernels.greedy_merge_seq = kernel
+    print(f"refinement    n={g.n_nodes:5d} m={g.n_edges:6d}  {t - merge_s[0]:8.3f}s"
+          f"  (merge {merge_s[0]:.3f}s)")
 
 
 def bench_triangles(n: int, p: float) -> None:
@@ -82,6 +110,8 @@ def main() -> None:
     sizes = [(4, 75), (8, 100)] if args.quick else [(4, 75), (8, 100), (8, 250), (10, 400)]
     for blocks, leaf in sizes:
         bench_greedy(blocks, leaf)
+    for leaf in [100] if args.quick else [100, 250, 500]:
+        bench_refine(leaf)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):
         bench_triangles(n, p)
     for n in [800] if args.quick else [800, 1600, 3200]:

@@ -1,6 +1,6 @@
 """Hot kernels: the greedy modularity merge and triangle counting.
 
-``fronts`` and ``metrics`` call these through the module attribute
+``fronts`` and ``corpus`` call these through the module attribute
 (``_kernels.greedy_merge_seq``), so a wrapper installed on this module sees
 every call.
 """

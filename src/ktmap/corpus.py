@@ -9,7 +9,12 @@ nodes file : one JSON object per line with fields
     terms (array of strings, lowercased on load). An optional
     ext_citations int may be supplied to rank by external citation counts.
 edges file : two-column delimited text ``citing,cited`` (tab or whitespace
-    also accepted); optional header line; ``#`` comments ignored.
+    also accepted); ``#`` comments ignored. The first data line is a header,
+    and skipped, when its fields are ``citing`` and ``cited`` in any case,
+    as ``write_corpus`` writes it. That holds even when both fields are also
+    document ids, so an edge between documents with those ids must come
+    after a header line; a WARNING gives the line number when a line is
+    read as a header although both fields name documents.
 lexicon files : one term per line, UTF-8, lowercased on load.
 """
 
@@ -22,8 +27,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
+from . import _kernels
 from .errors import (
     DuplicateIdError,
     LexiconOverlapError,
@@ -115,10 +121,10 @@ class UGraph:
     Nodes are indexed 0..n-1 in the order given; edges are stored as an
     adjacency map of index -> {index: weight}. Every weight must be finite
     and > 0 (ValueError otherwise). Instances are treated as immutable once
-    built.
+    built, which lets them keep derived values such as triangle counts.
     """
 
-    __slots__ = ("ids", "index", "adj")
+    __slots__ = ("ids", "index", "adj", "_triangles")
 
     def __init__(self, ids: Sequence[str],
                  edges: Iterable[tuple[str, str, float]] = ()):
@@ -139,6 +145,7 @@ class UGraph:
                                  "finite and > 0")
             self.adj[iu][iv] = w
             self.adj[iv][iu] = w
+        self._triangles: tuple[int, ...] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -181,6 +188,17 @@ class UGraph:
 
     def adjacency_sorted(self) -> list[list[int]]:
         return [sorted(nbrs) for nbrs in self.adj]
+
+    def triangle_counts(self) -> tuple[int, ...]:
+        """Number of edges among each node's neighbors, by node index.
+
+        Counted on first use and kept, so the metrics table, the C(k) fit
+        and hub detection of one graph share a single count.
+        """
+        if self._triangles is None:
+            self._triangles = tuple(
+                _kernels.triangle_counts(self.adjacency_sorted()))
+        return self._triangles
 
     def subgraph(self, nodes: Iterable[str]) -> "UGraph":
         """Induced subgraph on the given nodes (kept in sorted id order)."""
@@ -320,8 +338,9 @@ def co_citation_projection(net: CitationNetwork) -> UGraph:
 def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
                  lenient: bool = False) -> CitationNetwork:
     """Parse node and edge streams into a validated CitationNetwork."""
-    return CitationNetwork(iter_node_records(nodes_stream),
-                           iter_edge_records(edges_stream), lenient=lenient)
+    docs = list(iter_node_records(nodes_stream))
+    edges = iter_edge_records(edges_stream, {doc.id for doc in docs})
+    return CitationNetwork(docs, edges, lenient=lenient)
 
 
 def load_corpus(nodes_path, edges_path, lenient: bool = False) -> CitationNetwork:
@@ -381,7 +400,13 @@ def _record_to_document(rec: Mapping) -> Document:
                     raw_terms=terms, ext_citations=ext)
 
 
-def iter_edge_records(stream: Iterable[str]) -> Iterator[tuple[str, str]]:
+def iter_edge_records(stream: Iterable[str],
+                      doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
+    """(citing, cited) pairs of an edges stream, without header or comments.
+
+    A header line whose two fields are both in `doc_ids` is still skipped,
+    with a WARNING (see the module docstring).
+    """
     first_data_line = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -397,7 +422,12 @@ def iter_edge_records(stream: Iterable[str]) -> Iterator[tuple[str, str]]:
         if first_data_line:
             first_data_line = False
             if [p.lower() for p in parts] == ["citing", "cited"]:
-                continue  # header
+                if parts[0] in doc_ids and parts[1] in doc_ids:
+                    log.warning("edges line %d: %r was read as the header "
+                                "although both fields name documents; an "
+                                "edge between them must follow a header "
+                                "line", lineno, line)
+                continue
         yield parts[0], parts[1]
 
 

@@ -16,7 +16,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
 from .corpus import UGraph
 from .errors import InsufficientDataError
 
@@ -40,8 +39,9 @@ def clustering_coefficient(graph: UGraph, node: str) -> float | None:
 
 
 def local_clustering(graph: UGraph) -> dict[str, float | None]:
-    """Clustering coefficient for every node (kernel-backed batch version)."""
-    counts = _kernels.triangle_counts(graph.adjacency_sorted())
+    """Clustering coefficient for every node, from the graph's triangle
+    counts (computed once per graph)."""
+    counts = graph.triangle_counts()
     out: dict[str, float | None] = {}
     for i, node in enumerate(graph.ids):
         k = len(graph.adj[i])

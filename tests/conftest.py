@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own computation paths:
 modularity is evaluated from the adjacency-matrix definition, search path
 counts by explicit enumeration of every source-to-sink path, the greedy
-merge sequence by rescanning every community pair at every step, and cycle
-breaking by recomputing every strongly connected component after each round
-of removals.
+merge sequence by rescanning every community pair at every step, front
+refinement by re-deriving every node's front weights at every step, and
+cycle breaking by recomputing every strongly connected component after each
+round of removals.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ktmap import fronts
 from ktmap.corpus import CitationNetwork, Document, UGraph
 
 
@@ -185,6 +187,151 @@ def scan_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         merges.append((r, s))
         qs.append(q)
     return q0, merges, qs
+
+
+def scan_refine_moves(graph: UGraph, comm: list[int], stats=None) -> list[int]:
+    """Reference front refinement: rescans every node at every step.
+
+    Same contract as ``ktmap.fronts._refine_moves`` (and the same pass cap,
+    tolerance and chain length, read from that module), with the same
+    arithmetic expressions, so the two must agree exactly. Each sweep and
+    each Kernighan-Lin step re-derives the front weights of every node from
+    its whole adjacency, and a merge pass sums the between-front weights
+    over every edge. If a dict is passed as `stats`, it counts sweep moves
+    (and those after a merge), merges, accepted and rolled-back KL chains,
+    and accepted chains whose tail was rolled back.
+    """
+    if stats is None:
+        stats = {}
+    for key in ("moves", "moves_after_merge", "merges", "kl_accepted",
+                "kl_rolled_back", "kl_partial"):
+        stats.setdefault(key, 0)
+    m = graph.total_weight
+    two_m = 2.0 * m
+    wdeg = [sum(nbrs.values()) for nbrs in graph.adj]
+    deg_sum: dict[int, float] = {}
+    for idx in range(graph.n_nodes):
+        deg_sum[comm[idx]] = deg_sum.get(comm[idx], 0.0) + wdeg[idx]
+
+    for _ in range(fronts._REFINE_MAX_PASSES):
+        moved = False
+        for idx in range(graph.n_nodes):
+            gain, target = _scan_best_move(graph, comm, deg_sum, m, two_m,
+                                           wdeg, idx)
+            if target is not None:
+                deg_sum[comm[idx]] -= wdeg[idx]
+                deg_sum[target] += wdeg[idx]
+                comm[idx] = target
+                moved = True
+                stats["moves"] += 1
+                stats["moves_after_merge"] += stats["merges"] > 0
+        if moved:
+            continue
+        if _scan_merge_pass(graph, comm, deg_sum, m):
+            stats["merges"] += 1
+            continue
+        if not _scan_kl_escape(graph, comm, deg_sum, m, two_m, wdeg, stats):
+            stats["kl_rolled_back"] += 1
+            break
+        stats["kl_accepted"] += 1
+    return comm
+
+
+def _scan_best_move(graph, comm, deg_sum, m, two_m, wdeg, idx,
+                    locked=frozenset(), floor=None):
+    if floor is None:
+        floor = fronts._REFINE_TOL
+    if idx in locked:
+        return 0.0, None
+    own = comm[idx]
+    w_to: dict[int, float] = {}
+    for nbr, w in graph.adj[idx].items():
+        w_to[comm[nbr]] = w_to.get(comm[nbr], 0.0) + w
+    w_own = w_to.get(own, 0.0)
+    k = wdeg[idx]
+    best_gain = floor
+    best_target = None
+    for target in sorted(w_to):
+        if target == own:
+            continue
+        gain = ((w_to[target] - w_own) / m
+                - k * (deg_sum[target] - (deg_sum[own] - k)) / (two_m * m))
+        if gain > best_gain:
+            best_gain = gain
+            best_target = target
+    return best_gain, best_target
+
+
+def _scan_kl_escape(graph, comm, deg_sum, m, two_m, wdeg, stats) -> bool:
+    trial = list(comm)
+    trial_deg = dict(deg_sum)
+    locked: set[int] = set()
+    moves: list[tuple[int, int]] = []
+    gains: list[float] = []
+    total = 0.0
+    for _ in range(min(fronts._KL_CHAIN, graph.n_nodes)):
+        step_best = None  # (-gain, idx, target)
+        for idx in range(graph.n_nodes):
+            gain, target = _scan_best_move(graph, trial, trial_deg, m, two_m,
+                                           wdeg, idx, locked=locked,
+                                           floor=float("-inf"))
+            if target is None:
+                continue
+            key = (-gain, idx, target)
+            if step_best is None or key < step_best:
+                step_best = key
+        if step_best is None:
+            break
+        gain, idx, target = -step_best[0], step_best[1], step_best[2]
+        moves.append((idx, target))
+        trial_deg[trial[idx]] -= wdeg[idx]
+        trial_deg[target] += wdeg[idx]
+        trial[idx] = target
+        locked.add(idx)
+        total += gain
+        gains.append(total)
+
+    best_prefix = 0
+    best_total = fronts._REFINE_TOL
+    for i, cum in enumerate(gains, start=1):
+        if cum > best_total:
+            best_total = cum
+            best_prefix = i
+    if best_prefix == 0:
+        return False
+    stats["kl_partial"] += best_prefix < len(moves)
+    for idx, target in moves[:best_prefix]:
+        deg_sum[comm[idx]] -= wdeg[idx]
+        deg_sum[target] += wdeg[idx]
+        comm[idx] = target
+    return True
+
+
+def _scan_merge_pass(graph, comm, deg_sum, m) -> bool:
+    w_between: dict[tuple[int, int], float] = {}
+    for i in range(graph.n_nodes):
+        ci = comm[i]
+        for j, w in graph.adj[i].items():
+            if j > i and comm[j] != ci:
+                key = (min(ci, comm[j]), max(ci, comm[j]))
+                w_between[key] = w_between.get(key, 0.0) + w
+
+    best_gain = fronts._REFINE_TOL
+    best_pair = None
+    for (r, s), w in sorted(w_between.items()):
+        gain = w / m - 2.0 * (deg_sum[r] / (2.0 * m)) * (deg_sum[s] / (2.0 * m))
+        if gain > best_gain or (gain == best_gain and best_pair is not None
+                                and (r, s) < best_pair):
+            best_gain = gain
+            best_pair = (r, s)
+    if best_pair is None:
+        return False
+    r, s = best_pair
+    for idx in range(graph.n_nodes):
+        if comm[idx] == s:
+            comm[idx] = r
+    deg_sum[r] += deg_sum.pop(s)
+    return True
 
 
 def rounds_acyclic_reduction(net):

@@ -114,6 +114,24 @@ class TestParse:
         net = parse('{"id": "a"}\n{"id": "b"}\n', "citing,cited\n# x\n\na,b\n")
         assert net.n_edges == 1
 
+    def test_header_naming_documents_warns(self, caplog):
+        nodes = '{"id": "citing"}\n{"id": "cited"}\n'
+        with caplog.at_level(logging.WARNING, logger="ktmap.corpus"):
+            net = parse(nodes, "\n# edges\nciting,cited\n")
+        assert net.n_edges == 0
+        assert len(caplog.records) == 1
+        assert "edges line 3" in caplog.text and "header" in caplog.text
+        # after a header line the same pair is an edge, so written corpora
+        # round-trip (the header line still warns)
+        net = parse(nodes, "citing,cited\nciting,cited\n")
+        assert net.edges == (("citing", "cited"),)
+
+    def test_header_alone_is_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="ktmap.corpus"):
+            net = parse('{"id": "citing"}\n{"id": "b"}\n', "Citing,Cited\nciting,b\n")
+        assert net.edges == (("citing", "b"),)
+        assert not caplog.records
+
     def test_tab_delimited_edges(self):
         net = parse('{"id": "a"}\n{"id": "b"}\n', "a\tb\n")
         assert net.edges == (("a", "b"),)

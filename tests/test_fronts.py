@@ -1,12 +1,18 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktmap.corpus import UGraph
+from ktmap import fronts
+from ktmap.corpus import UGraph, co_citation_projection
 from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy, hierarchical_fronts, modularity
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
-from conftest import best_partition_bruteforce, brute_modularity, ugraph
+from conftest import (best_partition_bruteforce, brute_modularity,
+                      scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -197,3 +203,175 @@ class TestHierarchicalFronts:
     def test_empty_graph_rejected(self):
         with pytest.raises(InsufficientDataError):
             hierarchical_fronts(UGraph(["a", "b"]))
+
+
+def numbered_graph(spec: str, n: int) -> UGraph:
+    """Unweighted graph on nodes v0..v{n-1} from "i-j i-j ..." pairs."""
+    pairs = [tuple(int(x) for x in pair.split("-")) for pair in spec.split()]
+    return ugraph([(f"v{i}", f"v{j}") for i, j in pairs],
+                  extra_nodes=[f"v{i}" for i in range(n)])
+
+
+def merge_cut(g: UGraph) -> list[int]:
+    return fronts._merge_cut(g.n_nodes, *g.edge_arrays())
+
+
+def assert_refines_like_scan(g: UGraph, comm: list[int]) -> dict:
+    """The incremental refinement returns the scan oracle's labels; returns
+    the oracle's phase counts."""
+    stats: dict = {}
+    want = scan_refine_moves(g, list(comm), stats)
+    assert fronts._refine_moves(g, list(comm)) == want
+    return stats
+
+
+def shuffled_weighted(g: UGraph, weight, seed: int) -> UGraph:
+    """Same nodes and edges, new weights, edges inserted in random order so
+    that adjacency dicts are not sorted."""
+    rng = np.random.default_rng(seed)
+    edges = list(g.edges())
+    order = rng.permutation(len(edges))
+    return UGraph(g.ids, [(edges[i][0], edges[i][1], weight(rng, edges[i][2]))
+                          for i in order])
+
+
+# found by searching random 9-node graphs for the oracle phase each exercises
+KL_ACCEPTED = ("0-2 0-3 0-5 0-6 0-8 1-3 1-4 1-6 1-7 1-8 2-4 2-8 3-4 3-5 4-7 "
+               "5-7 5-8 6-7 6-8")
+# the accepted chain moves v0, whose only neighbor is v2, after v2: v0 is
+# interior when the chain starts and joins the boundary during it
+KL_THROUGH_INTERIOR = "0-2 1-2 1-3 1-6 2-3 2-6 3-7 4-5 5-6"
+# an accepted chain keeps a prefix and rolls back the rest, and refinement
+# goes on from the kept prefix; the first case catches trial front weights
+# leaking into the refined state, the other two trial foreign-neighbor
+# counts. None means: start from the merge cut.
+KL_PARTIAL = [
+    ("0-1 0-2 0-4 0-5 0-7 0-11 1-3 1-4 1-7 1-13 2-3 2-4 2-11 3-4 3-7 4-6 "
+     "4-10 5-12 6-7 6-8 6-10 7-9 8-9 9-11 9-14 10-11 10-12 11-13 11-14 "
+     "12-13 12-14 13-14", 15, None),
+    ("0-1 0-2 0-4 0-7 1-5 1-8 2-5 2-7 3-4 3-5 3-6 3-8 4-5 5-7 6-7 6-8 7-8",
+     9, None),
+    ("0-2 0-4 0-6 1-4 1-8 4-5 5-7 6-7 7-8", 9, [2, 0, 3, 0, 2, 1, 2, 0, 3]),
+]
+MERGE_THEN_MOVES = ("0-3 0-6 0-8 1-4 1-6 1-7 2-3 2-7 2-8 3-4 3-5 3-7 3-8 4-5 "
+                    "4-6 4-7 7-8")
+
+
+class TestRefineExact:
+    """The boundary-only refinement with cached front weights must make the
+    same moves, merges and KL chains as rescanning every node at every step
+    (``conftest.scan_refine_moves``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           weights=st.sampled_from(["unweighted", "integer", "real"]),
+           start=st.sampled_from(["cut", "random"]))
+    def test_matches_scan_oracle(self, data, weights, start):
+        n = data.draw(st.integers(2, 14))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # drawn order is insertion order: adjacency dicts come out unsorted
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                   max_size=40, unique=True))
+        if weights == "unweighted":
+            ws = [1.0] * len(edges)
+        elif weights == "integer":
+            ws = data.draw(st.lists(st.integers(1, 6).map(float),
+                                    min_size=len(edges), max_size=len(edges)))
+        else:
+            ws = data.draw(st.lists(
+                st.one_of(st.sampled_from([0.1, 1 / 3, 0.7]),
+                          st.floats(1e-3, 1e3)),
+                min_size=len(edges), max_size=len(edges)))
+        ids = [f"n{i:02d}" for i in range(n)]
+        g = UGraph(ids, [(ids[u], ids[v], w) for (u, v), w in zip(edges, ws)])
+        if start == "cut":
+            comm = merge_cut(g)
+        else:
+            comm = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        assert_refines_like_scan(g, comm)
+
+    def test_planted_projections(self):
+        cfg = PlantedConfig(branching=(3,), leaf_size=30, p_within=(0.2,),
+                            p_between=0.02)
+        for seed in range(3):
+            g = gen_planted_kt_network(cfg, seed)[0].projection
+            assert_refines_like_scan(g, merge_cut(g))
+
+    def test_cocitation_and_real_weights(self):
+        cfg = PlantedConfig(branching=(2, 2), leaf_size=20, p_within=(0.1, 0.3),
+                            p_between=0.02)
+        g = co_citation_projection(gen_planted_kt_network(cfg, 4)[0])
+        assert len({w for _, _, w in g.edges()}) > 1  # genuinely weighted
+        stats = assert_refines_like_scan(g, merge_cut(g))
+        assert stats["moves"] > 0
+        real = shuffled_weighted(g, lambda rng, w: w * float(rng.uniform(0.5, 1.5)), 0)
+        assert_refines_like_scan(real, merge_cut(real))
+        # from a random start, so that merges and KL chains do real work
+        rng = np.random.default_rng(5)
+        stats = assert_refines_like_scan(
+            real, [int(c) for c in rng.integers(0, 6, real.n_nodes)])
+        assert stats["merges"] > 0 and stats["kl_accepted"] > 0
+
+    def test_kl_chain_accepted(self):
+        g = numbered_graph(KL_ACCEPTED, 9)
+        stats = assert_refines_like_scan(g, merge_cut(g))
+        assert stats["kl_accepted"] == 1 and stats["moves"] == 0
+
+    def test_kl_chain_through_interior_node(self):
+        g = numbered_graph(KL_THROUGH_INTERIOR, 8)
+        cut = merge_cut(g)
+        assert cut == [0, 0, 0, 3, 4, 4, 0, 3]
+        stats = assert_refines_like_scan(g, cut)
+        assert stats["kl_accepted"] == 1 and stats["moves"] == 0
+        assert fronts._refine_moves(g, cut) == [3, 3, 3, 3, 4, 4, 4, 3]
+
+    @pytest.mark.parametrize("spec,n,start", KL_PARTIAL,
+                             ids=["cut15", "cut9", "start9"])
+    def test_kl_chain_tail_rolled_back(self, spec, n, start):
+        # the trial moves past the kept prefix must leave no trace in the
+        # caches of the refined state
+        g = numbered_graph(spec, n)
+        stats = assert_refines_like_scan(g, start or merge_cut(g))
+        assert stats["kl_partial"] == 1
+
+    def test_kl_chain_rolled_back(self):
+        g = numbered_graph(KL_ACCEPTED, 9)
+        cut = merge_cut(g)
+        refined = fronts._refine_moves(g, list(cut))
+        assert refined != cut
+        # at the refined optimum a chain is tried and rolled back, changing
+        # nothing
+        stats = assert_refines_like_scan(g, refined)
+        assert stats == {"moves": 0, "moves_after_merge": 0, "merges": 0,
+                         "kl_accepted": 0, "kl_rolled_back": 1, "kl_partial": 0}
+        assert fronts._refine_moves(g, list(refined)) == refined
+
+    def test_mover_gains_foreign_neighbors(self):
+        # moves here leave a node with more neighbors outside its new front
+        # than it had outside its old one; its own count must be redone
+        ids = [f"v{i}" for i in range(6)]
+        g = UGraph(ids, [(ids[u], ids[v], w) for u, v, w in (
+            (0, 2, 2.0), (1, 4, 3.0), (1, 5, 2.0), (2, 3, 3.0), (3, 4, 1.0),
+            (3, 5, 6.0), (4, 5, 6.0))])
+        stats = assert_refines_like_scan(g, [0, 0, 2, 0, 0, 2])
+        assert stats["moves"] == 7
+
+    def test_merge_then_moves(self):
+        g = numbered_graph(MERGE_THEN_MOVES, 9)
+        stats = assert_refines_like_scan(g, merge_cut(g))
+        assert stats["merges"] == 1 and stats["moves_after_merge"] >= 1
+
+    def test_pass_cap_logs_warning(self, monkeypatch, caplog):
+        g = numbered_graph(MERGE_THEN_MOVES, 9)
+        monkeypatch.setattr(fronts, "_REFINE_MAX_PASSES", 1)
+        with caplog.at_level(logging.WARNING, logger="ktmap.fronts"):
+            assert_refines_like_scan(g, merge_cut(g))
+        records = [r for r in caplog.records if r.name == "ktmap.fronts"]
+        assert len(records) == 1
+        assert "1-pass cap" in records[0].getMessage()
+
+    def test_no_warning_when_converged(self, caplog):
+        g = numbered_graph(MERGE_THEN_MOVES, 9)
+        with caplog.at_level(logging.WARNING, logger="ktmap.fronts"):
+            fast_greedy(g)
+        assert not [r for r in caplog.records if r.name == "ktmap.fronts"]

@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktmap import _kernels
+from ktmap.axis import score_documents
 from ktmap.errors import InsufficientDataError
+from ktmap.fronts import fast_greedy
+from ktmap.hubs import detect_translational_hubs
 from ktmap.metrics import (ck_scaling, clustering_coefficient,
                            local_clustering, node_metrics_table,
                            participation_coefficient, within_module_degree,
                            within_module_z)
-from ktmap.synth import gen_deterministic_hierarchical, gen_random_graph
+from ktmap.synth import (PlantedConfig, gen_deterministic_hierarchical,
+                         gen_planted_kt_network, gen_random_graph)
 
 from conftest import ugraph
 
@@ -54,6 +59,29 @@ class TestClusteringCoefficient:
                 links = sum(1 for i in range(k) for j in range(i + 1, k)
                             if g.has_edge(nbrs[i], nbrs[j]))
                 assert cs[v] == 2.0 * links / (k * (k - 1))
+
+
+class TestTriangleCountsShared:
+    def test_counted_once_per_graph(self, monkeypatch):
+        calls = []
+        kernel = _kernels.triangle_counts
+
+        def counting(adj):
+            calls.append(len(adj))
+            return kernel(adj)
+
+        monkeypatch.setattr(_kernels, "triangle_counts", counting)
+        cfg = PlantedConfig(branching=(3,), leaf_size=30, p_within=(0.2,),
+                            p_between=0.02)
+        net, _ = gen_planted_kt_network(cfg, 0)
+        part = fast_greedy(net.projection).assignment
+        node_metrics_table(net.projection, part)
+        ck_scaling(net.projection)
+        detect_translational_hubs(net, part, score_documents(net))
+        assert calls == [net.n_docs]
+        # a new graph gets its own count
+        local_clustering(gen_random_graph(30, 0.2, 1).projection)
+        assert calls == [net.n_docs, 30]
 
 
 class TestCkScaling:
