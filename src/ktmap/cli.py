@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Every subcommand works inside an output directory (--out): `parse` fills it
-with the normalized corpus, later stages consume the previous stage's files
-and can run standalone. `report` runs the whole pipeline from a config file.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Every subcommand works inside an output directory (--out). Each entry of
+the stage table in `report` is one: it reads the previous stages' files and
+runs its stage as `report` does, with the same config fields and defaults.
+`report` runs the whole pipeline from a config file.
+Exit codes: 0 success, 1 usage error or bad parameter, 2 data error,
+3 internal error; an error in a stage prints as `ktmap <stage>: ...`.
 Set KTMAP_LOG=debug|info|warning|error to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -18,17 +21,46 @@ from pathlib import Path
 
 from . import __version__
 from .axis import classify
-from .corpus import CitationNetwork, Lexicon, load_corpus, write_corpus
+from .corpus import write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
-from .report import (PipelineConfig, apply_lexicon, run_pipeline, write_json,
-                     _fit_stage, _fronts_stage, _hubs_stage, _mainpath_stage,
-                     _metrics_stage, _score_stage, _select_stage)
+from .report import (STAGES, PipelineConfig, load_artifacts, read_front_paths,
+                     read_scores, run_pipeline, run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
 
 log = logging.getLogger("ktmap.cli")
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+
+# The flag of each PipelineConfig field a subcommand sets. Flags have no
+# defaults: the PipelineConfig default (or the config file's value) holds.
+_FLAGS = {
+    "nodes": ("--nodes", {"required": True}),
+    "edges": ("--edges", {"required": True}),
+    "lenient": ("--lenient", {
+        "action": "store_true",
+        "help": "skip edges with unknown endpoints instead of failing"}),
+    "fraction": ("--fraction", {"type": float}),
+    "rank_by": ("--rank-by", {"choices": ("in_degree", "external")}),
+    "bootstrap": ("--bootstrap", {
+        "type": int, "help": "goodness-of-fit bootstrap replicates (0 = off)"}),
+    "seed": ("--seed", {"type": int}),
+    "lexicon_basic": ("--lexicon-basic", {}),
+    "lexicon_clinical": ("--lexicon-clinical", {}),
+    "low": ("--low", {"type": float}),
+    "high": ("--high", {"type": float}),
+    "max_depth": ("--max-depth", {"type": int}),
+    "min_front_size": ("--min-size", {"type": int}),
+    "min_q_gain": ("--min-q", {"type": float}),
+    "mode": ("--mode", {"choices": ("citation", "cocitation")}),
+    "binning": ("--binning", {"choices": ("log2", "none")}),
+    "degree_pct": ("--degree-pct", {"type": float}),
+    "c_max": ("--c-max", {"type": float}),
+    "p_min": ("--p-min", {"type": float}),
+    "t_spread_min": ("--t-spread", {"type": float}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,51 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ktmap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("parse", help="validate a corpus and normalize it into --out")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--lenient", action="store_true",
-                   help="skip edges with unknown endpoints instead of failing")
-    _add_out(p)
-
-    p = sub.add_parser("select", help="keep the top-cited fraction of the corpus")
-    p.add_argument("--fraction", type=float, default=0.20)
-    p.add_argument("--rank-by", choices=("in_degree", "external"), default="in_degree")
-    _add_out(p)
-
-    p = sub.add_parser("fit-degrees", help="fit a power law to the citation counts")
-    p.add_argument("--bootstrap", type=int, default=0,
-                   help="goodness-of-fit bootstrap replicates (0 = off)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-
-    p = sub.add_parser("score", help="score documents on the basic-clinical axis")
-    p.add_argument("--lexicon-basic")
-    p.add_argument("--lexicon-clinical")
-    p.add_argument("--low", type=float, default=1.0 / 3.0)
-    p.add_argument("--high", type=float, default=2.0 / 3.0)
-    _add_out(p)
-
-    p = sub.add_parser("fronts", help="detect nested research fronts")
-    p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--min-size", type=int, default=10)
-    p.add_argument("--min-q", type=float, default=0.05)
-    p.add_argument("--mode", choices=("citation", "cocitation"), default="citation")
-    _add_out(p)
-
-    p = sub.add_parser("metrics", help="per-node metrics and the C(k) scaling fit")
-    p.add_argument("--binning", choices=("log2", "none"), default="log2")
-    _add_out(p)
-
-    p = sub.add_parser("hubs", help="rank translational hub candidates")
-    p.add_argument("--degree-pct", type=float, default=0.90)
-    p.add_argument("--c-max", type=float, default=None)
-    p.add_argument("--p-min", type=float, default=0.3)
-    p.add_argument("--t-spread", type=float, default=0.2)
-    _add_out(p)
-
-    p = sub.add_parser("mainpath", help="extract the SPC main path")
-    _add_out(p)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help,
+                           argument_default=argparse.SUPPRESS)
+        _add_flags(p, stage.flags)
+        _add_out(p)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus")
     p.add_argument("--preset", choices=("planted", "hierarchical", "random"),
@@ -113,11 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.01, help="random: edge probability")
     _add_out(p)
 
-    p = sub.add_parser("report", help="run the full pipeline from a config file")
+    p = sub.add_parser("report", help="run the full pipeline from a config file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", required=True)
-    p.add_argument("--fraction", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", choices=("citation", "cocitation"), default=None)
+    _add_flags(p, ("fraction", "seed", "mode"))
     _add_out(p, required=False)
 
     p = sub.add_parser("export", help="export the annotated graph")
@@ -127,18 +118,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_flags(p: argparse.ArgumentParser, fields) -> None:
+    for field in fields:
+        flag, kwargs = _FLAGS[field]
+        p.add_argument(flag, dest=field, **kwargs)
+
+
 def _add_out(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--out", required=required, default=None,
+    p.add_argument("--out", dest="out_dir", required=required,
                    help="output directory")
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("KTMAP_LOG", "warning").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        _configure_logging()
+        args = build_parser().parse_args(argv)
         return _dispatch(args)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -156,92 +150,34 @@ def main(argv=None) -> int:
         return 3
 
 
+def _configure_logging() -> None:
+    level = os.environ.get("KTMAP_LOG", "warning")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        raise ValueError(f"KTMAP_LOG must be debug|info|warning|error, got {level!r}")
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 def _dispatch(args) -> int:
-    out = Path(args.out) if args.out else None
+    out = Path(args.out_dir) if getattr(args, "out_dir", None) else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
+    fields = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
 
-    if args.command == "parse":
-        net = load_corpus(args.nodes, args.edges, lenient=args.lenient)
-        write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv")
-        write_json(out / "corpus.summary.json", {
-            "n_documents": net.n_docs, "n_edges": net.n_edges,
-            "n_skipped_edges": len(net.skipped_edges)})
-        print(f"parsed {net.n_docs} documents, {net.n_edges} edges -> {out}")
-        return 0
-
-    if args.command == "select":
-        net = _read_stage_corpus(out, "corpus")
-        cfg = _bare_config(out, fraction=args.fraction, rank_by=args.rank_by)
-        core = _select_stage(cfg, net, out)
-        print(f"selected {core.n_docs}/{net.n_docs} documents "
-              f"({core.n_edges} induced edges)")
-        return 0
-
-    if args.command == "fit-degrees":
-        net = _read_stage_corpus(out, "corpus")
-        cfg = _bare_config(out, bootstrap=args.bootstrap, seed=args.seed)
-        doc = _fit_stage(cfg, net, out)
-        print(json.dumps({"alpha": doc["alpha"], "xmin": doc["xmin"],
-                          "ks": doc["ks"], "n_tail": doc["n_tail"]}))
-        return 0
-
-    if args.command == "score":
-        core = _read_stage_corpus(out, "core")
-        if args.lexicon_basic or args.lexicon_clinical:
-            if not (args.lexicon_basic and args.lexicon_clinical):
-                raise ValueError("--lexicon-basic and --lexicon-clinical go together")
-            lexicon = Lexicon.load(args.lexicon_basic, args.lexicon_clinical)
-            core = apply_lexicon(core, lexicon)
-        cfg = _bare_config(out, low=args.low, high=args.high)
-        scores, assort = _score_stage(cfg, core, out)
-        n_scored = sum(1 for t in scores.values() if t is not None)
-        print(f"scored {n_scored}/{len(scores)} documents; "
-              f"assortativity r={'undefined' if assort is None else round(assort, 4)}")
-        return 0
-
-    if args.command == "fronts":
-        core = _read_stage_corpus(out, "core")
-        cfg = _bare_config(out, max_depth=args.max_depth, min_front_size=args.min_size,
-                           min_q_gain=args.min_q, mode=args.mode)
-        tree, level2, _ = _fronts_stage(cfg, core, out)
-        print(f"found {len(set(level2.values()))} level-2 fronts "
-              f"(Q={tree.root.q_split:.4f}, depth={tree.depth()})")
-        return 0
-
-    if args.command == "metrics":
-        core = _read_stage_corpus(out, "core")
-        partition = _read_level2(out)
-        cfg = _bare_config(out, binning=args.binning)
-        doc = _metrics_stage(cfg, core, partition, out)
-        msg = "no scaling fit" if doc is None else f"C(k) slope={doc['slope']:.3f}"
-        print(f"wrote metrics.csv; {msg}")
-        return 0
-
-    if args.command == "hubs":
-        core = _read_stage_corpus(out, "core")
-        partition = _read_level2(out)
-        scores = _read_scores(out)
-        cfg = _bare_config(out, degree_pct=args.degree_pct, c_max=args.c_max,
-                           p_min=args.p_min, t_spread_min=args.t_spread)
-        hubs, regions = _hubs_stage(cfg, core, partition, scores, out)
-        print(f"{len(hubs)} hub candidate(s) in {len(regions)} region(s)")
-        return 0
-
-    if args.command == "mainpath":
-        core = _read_stage_corpus(out, "core")
-        path = _mainpath_stage(core, out)
-        print(" -> ".join(path.nodes))
-        return 0
+    for stage in STAGES:
+        if args.command == stage.name:
+            config = PipelineConfig(**fields)
+            config.validate_paths()
+            artifacts = load_artifacts(stage.reads, config)
+            run_stage(stage, config, artifacts)
+            print(stage.summary(artifacts, out))
+            return 0
 
     if args.command == "simulate":
         return _simulate(args, out)
 
     if args.command == "report":
-        overrides = {"out_dir": str(out) if out else None,
-                     "fraction": args.fraction, "seed": args.seed,
-                     "mode": args.mode}
-        config = PipelineConfig.from_file(args.config, overrides)
+        config = PipelineConfig.from_file(args.config, fields)
         report = run_pipeline(config)
         print(f"report written to {Path(config.out_dir) / 'report.json'} "
               f"({report.n_selected} core documents, "
@@ -249,9 +185,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "export":
-        core = _read_stage_corpus(out, "core")
-        front_paths = _try_read_paths(out)
-        scores = _read_scores(out) if (out / "scores.csv").exists() else None
+        core = load_artifacts(("core",), PipelineConfig(**fields))["core"]
+        front_paths = read_front_paths(out) if (out / "fronts.csv").exists() else None
+        scores = read_scores(out) if (out / "scores.csv").exists() else None
         strata = None
         if scores is not None:
             strata = {i: classify(t).value for i, t in scores.items()}
@@ -288,63 +224,6 @@ def _simulate(args, out: Path) -> int:
     write_corpus(net, out / "nodes.jsonl", out / "edges.csv")
     print(f"simulated {net.n_docs} documents, {net.n_edges} edges -> {out}")
     return 0
-
-
-# -- stage-file helpers -------------------------------------------------------
-
-
-def _bare_config(out: Path, **kwargs) -> PipelineConfig:
-    return PipelineConfig(nodes="-", edges="-", out_dir=str(out), **kwargs)
-
-
-def _read_stage_corpus(out: Path, stem: str) -> CitationNetwork:
-    nodes = out / f"{stem}.nodes.jsonl"
-    edges = out / f"{stem}.edges.csv"
-    if not nodes.exists() or not edges.exists():
-        hint = "parse" if stem == "corpus" else "select"
-        raise KTMapError(f"missing {nodes.name}/{edges.name} in {out}; "
-                         f"run `ktmap {hint}` first")
-    return load_corpus(nodes, edges)
-
-
-def _read_level2(out: Path) -> dict[str, int]:
-    paths = _try_read_paths(out)
-    if paths is None:
-        raise KTMapError(f"missing fronts.csv in {out}; run `ktmap fronts` first")
-    ids = {}
-    assignment = {}
-    for node, path in paths.items():
-        top = path.split(".")[0]
-        if top not in ids:
-            ids[top] = len(ids) + 1
-        assignment[node] = ids[top]
-    return assignment
-
-
-def _try_read_paths(out: Path) -> dict[str, str] | None:
-    f = out / "fronts.csv"
-    if not f.exists():
-        return None
-    paths = {}
-    with open(f, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            node, _, path = line.rstrip("\n").partition(",")
-            paths[node] = path
-    return paths
-
-
-def _read_scores(out: Path) -> dict[str, float | None]:
-    f = out / "scores.csv"
-    if not f.exists():
-        raise KTMapError(f"missing scores.csv in {out}; run `ktmap score` first")
-    scores: dict[str, float | None] = {}
-    with open(f, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            node, t, _ = line.rstrip("\n").split(",")
-            scores[node] = float(t) if t else None
-    return scores
 
 
 if __name__ == "__main__":

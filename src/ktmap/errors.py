@@ -47,3 +47,5 @@ class StageError(KTMapError):
         self.cause = cause
         if isinstance(cause, KTMapError):
             self.exit_code = cause.exit_code
+        elif isinstance(cause, ValueError):
+            self.exit_code = 1

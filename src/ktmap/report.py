@@ -1,11 +1,12 @@
 """Pipeline orchestration and the KT map report.
 
-run_pipeline executes parse -> select -> fit -> score -> fronts -> metrics
--> hubs -> main path and assembles a single self-contained JSON report: the
-map of where the corpus sits on the basic-clinical axis, how its research
-fronts nest, and which nodes bridge them. Intermediate artifacts are written
-to the output directory so every CLI stage can also run standalone from the
-previous stage's files.
+run_pipeline runs the stage table STAGES (parse -> select -> fit-degrees ->
+score -> fronts -> metrics -> hubs -> mainpath) and assembles a single
+self-contained JSON report: the map of where the corpus sits on the
+basic-clinical axis, how its research fronts nest, and which nodes bridge
+them. Each stage writes its files to the output directory and
+load_artifacts reads them back, so every CLI stage can also run its table
+entry standalone from the previous stage's files.
 
 All numeric content is deterministic for a fixed config and input; the only
 run-dependent field is generated_at.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -29,8 +31,8 @@ from .corpus import (CitationNetwork, Document, Lexicon,
                      write_corpus)
 from .errors import KTMapError, StageError
 from .fronts import FrontTree, hierarchical_fronts
-from .hubs import (HubCandidate, HubConfig, MainPath,
-                   detect_translational_hubs, hub_regions, main_path)
+from .hubs import (HubCandidate, HubConfig, detect_translational_hubs,
+                   hub_regions, main_path)
 from .metrics import ck_scaling, node_metrics_table
 from .selection import fit_power_law, select_top_cited
 
@@ -46,8 +48,8 @@ _FLOAT_KEYS = ("fraction", "low", "high", "min_q_gain", "degree_pct",
 class PipelineConfig:
     """Fully resolved pipeline configuration; embedded in the report."""
 
-    nodes: str
-    edges: str
+    nodes: str | None = None
+    edges: str | None = None
     out_dir: str = "."
     lexicon_basic: str | None = None
     lexicon_clinical: str | None = None
@@ -191,19 +193,6 @@ def validate_report(doc: dict) -> None:
     jsonschema.validate(doc, load_report_schema())
 
 
-def _stage(name: str):
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except (KTMapError, ValueError, OSError) as exc:
-                raise StageError(name, exc)
-        return run
-    return wrap
-
-
 def front_table_rows(tree: FrontTree, scores, low: float,
                      high: float) -> list[dict]:
     """Flatten the front tree into per-front summary rows (level >= 2)."""
@@ -234,31 +223,27 @@ def run_pipeline(config: PipelineConfig) -> KTReport:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    net = _stage("parse")(_parse_stage)(config, out)
-    core = _stage("select")(_select_stage)(config, net, out)
-    power_law = _stage("fit-degrees")(_fit_stage)(config, net, out)
-    scores, assort = _stage("score")(_score_stage)(config, core, out)
-    tree, partition, front_graph = _stage("fronts")(_fronts_stage)(config, core, out)
-    ck_fit = _stage("metrics")(_metrics_stage)(config, core, partition, out)
-    hubs, regions = _stage("hubs")(_hubs_stage)(config, core, partition, scores, out)
-    path = _stage("mainpath")(_mainpath_stage)(core, out)
+    artifacts: dict = {}
+    for stage in STAGES:
+        run_stage(stage, config, artifacts)
+    net, core, tree, path = (artifacts[k] for k in ("net", "core", "tree", "path"))
 
-    front_rows = front_table_rows(tree, scores, config.low, config.high)
+    front_rows = front_table_rows(tree, artifacts["scores"], config.low, config.high)
     report = KTReport(
         config=config,
         n_documents=net.n_docs,
         n_edges=net.n_edges,
         n_selected=core.n_docs,
         n_selected_edges=core.n_edges,
-        power_law=power_law,
-        ck_fit=ck_fit,
-        assortativity=assort,
+        power_law=artifacts["power_law"],
+        ck_fit=artifacts["ck_fit"],
+        assortativity=artifacts["assort"],
         fronts_mode=config.mode,
         q_top=tree.root.q_split,
         front_table=front_rows,
         hub_thresholds=_hub_thresholds_dict(config),
-        hubs=[_hub_dict(h) for h in hubs],
-        regions=[list(r) for r in regions],
+        hubs=[_hub_dict(h) for h in artifacts["hubs"]],
+        regions=[list(r) for r in artifacts["regions"]],
         main_path_nodes=list(path.nodes),
         main_path_spc=list(path.spc),
         n_removed_edges=len(path.removed_edges),
@@ -270,27 +255,41 @@ def run_pipeline(config: PipelineConfig) -> KTReport:
     return report
 
 
+def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
+    """Run one table entry on `artifacts`, adding the ones it makes; a data,
+    parameter or I/O error is re-raised as a StageError with the stage name."""
+    try:
+        made = stage.run(config, Path(config.out_dir),
+                         *(artifacts[name] for name in stage.reads))
+    except (KTMapError, ValueError, OSError) as exc:
+        raise StageError(stage.name, exc)
+    artifacts.update(zip(stage.makes, made))
+
+
 # -- stages ------------------------------------------------------------------
 
 
-def _parse_stage(config: PipelineConfig, out: Path) -> CitationNetwork:
+def _parse_stage(config: PipelineConfig, out: Path):
+    if config.nodes is None or config.edges is None:
+        raise ValueError("nodes and edges files must be given")
     net = load_corpus(config.nodes, config.edges, lenient=config.lenient)
     if net.n_docs == 0:
         raise KTMapError("corpus has no documents")
-    if config.lexicon_basic:
-        lexicon = Lexicon.load(config.lexicon_basic, config.lexicon_clinical)
-        net = apply_lexicon(net, lexicon)
+    net = _with_lexicon(config, net)
     write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv")
     write_json(out / "corpus.summary.json", {
         "n_documents": net.n_docs,
         "n_edges": net.n_edges,
         "n_skipped_edges": len(net.skipped_edges),
     })
-    return net
+    return (net,)
 
 
-def apply_lexicon(net: CitationNetwork, lexicon: Lexicon) -> CitationNetwork:
-    """Fill term counts from raw term lists; explicit counts take precedence."""
+def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwork:
+    """Count raw terms with the config's lexicon, if any; explicit counts win."""
+    if not config.lexicon_basic:
+        return net
+    lexicon = Lexicon.load(config.lexicon_basic, config.lexicon_clinical)
     docs = []
     for doc_id in net.ids:
         doc = net.docs[doc_id]
@@ -303,8 +302,7 @@ def apply_lexicon(net: CitationNetwork, lexicon: Lexicon) -> CitationNetwork:
     return CitationNetwork(docs, net.edges)
 
 
-def _select_stage(config: PipelineConfig, net: CitationNetwork,
-                  out: Path) -> CitationNetwork:
+def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
     core = select_top_cited(net, config.fraction, rank_by=config.rank_by)
     write_corpus(core, out / "core.nodes.jsonl", out / "core.edges.csv")
     write_json(out / "selection.json", {
@@ -313,19 +311,19 @@ def _select_stage(config: PipelineConfig, net: CitationNetwork,
         "n_selected": core.n_docs,
         "n_selected_edges": core.n_edges,
     })
-    return core
+    return (core,)
 
 
-def _fit_stage(config: PipelineConfig, net: CitationNetwork, out: Path) -> dict:
+def _fit_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
     values = [net.in_degree(i) for i in net.ids]
     fit = fit_power_law(values, bootstrap=config.bootstrap, seed=config.seed)
     doc = {"alpha": fit.alpha, "xmin": fit.xmin, "ks": fit.ks_distance,
            "n_tail": fit.n_tail, "p_value": fit.p_value}
     write_json(out / "powerlaw.json", doc)
-    return doc
+    return (doc,)
 
 
-def _score_stage(config: PipelineConfig, core: CitationNetwork, out: Path):
+def _score_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     scores = score_documents(core)
     with open(out / "scores.csv", "w", encoding="utf-8") as fh:
         fh.write("id,t,stratum\n")
@@ -342,7 +340,7 @@ def _score_stage(config: PipelineConfig, core: CitationNetwork, out: Path):
     return scores, assort
 
 
-def _fronts_stage(config: PipelineConfig, core: CitationNetwork, out: Path):
+def _fronts_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     graph = (core.projection if config.mode == "citation"
              else co_citation_projection(core))
     tree = hierarchical_fronts(graph, max_depth=config.max_depth,
@@ -362,11 +360,11 @@ def _fronts_stage(config: PipelineConfig, core: CitationNetwork, out: Path):
                     "size": n.size, "q_split": n.q_split}
                    for n in tree.root.walk() if n.level >= 2],
     })
-    return tree, level2, graph
+    return tree, level2
 
 
-def _metrics_stage(config: PipelineConfig, core: CitationNetwork,
-                   partition, out: Path) -> dict | None:
+def _metrics_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
+                   partition):
     graph = core.projection
     rows = node_metrics_table(graph, partition if set(partition) == set(graph.ids)
                               else None)
@@ -385,22 +383,17 @@ def _metrics_stage(config: PipelineConfig, core: CitationNetwork,
         log.warning("C(k) scaling fit unavailable: %s", exc)
         doc = None
     write_json(out / "ck_fit.json", doc)
-    return doc
+    return (doc,)
 
 
-def _hubs_stage(config: PipelineConfig, core: CitationNetwork, partition,
-                scores, out: Path):
+def _hubs_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
+                partition, scores):
     if set(partition) != set(core.ids):
         # co-citation partitions cover only cited documents
-        sub = core.induced(partition.keys())
-        hubs = detect_translational_hubs(sub, partition,
-                                         {i: scores[i] for i in sub.ids},
-                                         config.hub_config())
-        regions = hub_regions(sub, hubs)
-    else:
-        hubs = detect_translational_hubs(core, partition, scores,
-                                         config.hub_config())
-        regions = hub_regions(core, hubs)
+        core = core.induced(partition.keys())
+        scores = {i: scores[i] for i in core.ids}
+    hubs = detect_translational_hubs(core, partition, scores, config.hub_config())
+    regions = hub_regions(core, hubs)
     write_json(out / "hubs.json", {
         "thresholds": _hub_thresholds_dict(config),
         "candidates": [_hub_dict(h) for h in hubs],
@@ -409,14 +402,136 @@ def _hubs_stage(config: PipelineConfig, core: CitationNetwork, partition,
     return hubs, regions
 
 
-def _mainpath_stage(core: CitationNetwork, out: Path) -> MainPath:
+def _mainpath_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     path = main_path(core)
     write_json(out / "main_path.json", {
         "nodes": list(path.nodes),
         "spc": list(path.spc),
         "n_removed_edges": len(path.removed_edges),
     })
-    return path
+    return (path,)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline step: `run(config, out, *reads)` writes its stage files to
+    `out` and returns the `makes` artifacts. `name` is also the CLI subcommand
+    and the StageError tag; the subcommand sets the PipelineConfig fields in
+    `flags` and prints `summary(artifacts, out)`."""
+
+    name: str
+    help: str
+    reads: tuple[str, ...]
+    makes: tuple[str, ...]
+    run: Callable
+    flags: tuple[str, ...]
+    summary: Callable[[dict, Path], str]
+
+
+STAGES = (
+    Stage("parse", "validate a corpus and normalize it into --out",
+          reads=(), makes=("net",), run=_parse_stage,
+          flags=("nodes", "edges", "lenient"),
+          summary=lambda a, out: (f"parsed {a['net'].n_docs} documents, "
+                                  f"{a['net'].n_edges} edges -> {out}")),
+    Stage("select", "keep the top-cited fraction of the corpus",
+          reads=("net",), makes=("core",), run=_select_stage,
+          flags=("fraction", "rank_by"),
+          summary=lambda a, out: (f"selected {a['core'].n_docs}/{a['net'].n_docs} "
+                                  f"documents ({a['core'].n_edges} induced edges)")),
+    Stage("fit-degrees", "fit a power law to the citation counts",
+          reads=("net",), makes=("power_law",), run=_fit_stage,
+          flags=("bootstrap", "seed"),
+          summary=lambda a, out: json.dumps(
+              {k: a["power_law"][k] for k in ("alpha", "xmin", "ks", "n_tail")})),
+    Stage("score", "score documents on the basic-clinical axis",
+          reads=("core",), makes=("scores", "assort"), run=_score_stage,
+          flags=("lexicon_basic", "lexicon_clinical", "low", "high"),
+          summary=lambda a, out: (
+              f"scored {sum(t is not None for t in a['scores'].values())}/"
+              f"{len(a['scores'])} documents; assortativity r="
+              f"{'undefined' if a['assort'] is None else round(a['assort'], 4)}")),
+    Stage("fronts", "detect nested research fronts",
+          reads=("core",), makes=("tree", "partition"), run=_fronts_stage,
+          flags=("max_depth", "min_front_size", "min_q_gain", "mode"),
+          summary=lambda a, out: (
+              f"found {len(set(a['partition'].values()))} level-2 fronts "
+              f"(Q={a['tree'].root.q_split:.4f}, depth={a['tree'].depth()})")),
+    Stage("metrics", "per-node metrics and the C(k) scaling fit",
+          reads=("core", "partition"), makes=("ck_fit",), run=_metrics_stage,
+          flags=("binning",),
+          summary=lambda a, out: "wrote metrics.csv; " + (
+              "no scaling fit" if a["ck_fit"] is None
+              else f"C(k) slope={a['ck_fit']['slope']:.3f}")),
+    Stage("hubs", "rank translational hub candidates",
+          reads=("core", "partition", "scores"), makes=("hubs", "regions"),
+          run=_hubs_stage, flags=("degree_pct", "c_max", "p_min", "t_spread_min"),
+          summary=lambda a, out: (f"{len(a['hubs'])} hub candidate(s) in "
+                                  f"{len(a['regions'])} region(s)")),
+    Stage("mainpath", "extract the SPC main path",
+          reads=("core",), makes=("path",), run=_mainpath_stage, flags=(),
+          summary=lambda a, out: " -> ".join(a["path"].nodes)),
+)
+
+
+# -- reading stage files back ------------------------------------------------
+
+# artifact -> the stage files it is read back from when a stage runs alone
+_STAGE_FILES = {
+    "net": ("corpus.nodes.jsonl", "corpus.edges.csv"),
+    "core": ("core.nodes.jsonl", "core.edges.csv"),
+    "partition": ("fronts.csv",),
+    "scores": ("scores.csv",),
+}
+
+
+def load_artifacts(names, config: PipelineConfig) -> dict:
+    """Read the named artifacts back from their stage files in config.out_dir;
+    a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks."""
+    out = Path(config.out_dir)
+    artifacts = {}
+    for name in names:
+        files = [out / f for f in _STAGE_FILES[name]]
+        if not all(f.exists() for f in files):
+            maker = next(s.name for s in STAGES if name in s.makes)
+            raise KTMapError(f"missing {'/'.join(f.name for f in files)} in {out}; "
+                             f"run `ktmap {maker}` first")
+        if name == "partition":
+            artifacts[name] = _level2(read_front_paths(out))
+        elif name == "scores":
+            artifacts[name] = read_scores(out)
+        else:
+            artifacts[name] = _with_lexicon(config, load_corpus(*files))
+    return artifacts
+
+
+def read_front_paths(out: Path) -> dict[str, str]:
+    """{id: dotted front path} from fronts.csv in `out`."""
+    paths = {}
+    with open(out / "fronts.csv", encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            node, _, path = line.rstrip("\n").partition(",")
+            paths[node] = path
+    return paths
+
+
+def _level2(paths: dict[str, str]) -> dict[str, int]:
+    """FrontTree.level_assignment(2) from front paths, with its front ids and
+    its node order (front by front), so sums over it round the same way."""
+    key = {node: tuple(int(c) for c in path.split(".")) for node, path in paths.items()}
+    return {node: key[node][0] for node in sorted(key, key=lambda n: (key[n], n))}
+
+
+def read_scores(out: Path) -> dict[str, float | None]:
+    """{id: t} from scores.csv in `out`; t is None for an unscored document."""
+    scores: dict[str, float | None] = {}
+    with open(out / "scores.csv", encoding="utf-8") as fh:
+        next(fh)
+        for line in fh:
+            node, t, _ = line.rstrip("\n").split(",")
+            scores[node] = float(t) if t else None
+    return scores
 
 
 # -- helpers -----------------------------------------------------------------

@@ -8,17 +8,33 @@ from pathlib import Path
 import pytest
 
 from ktmap.cli import main
-from ktmap.corpus import load_corpus
+from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import StageError
 from ktmap.export import read_graphml
 from ktmap.report import PipelineConfig, run_pipeline, validate_report
+from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
 TOY = resources.files("ktmap.data").joinpath("toy")
 
 
-def toy_config(out_dir) -> PipelineConfig:
+def toy_config(out_dir, **overrides) -> PipelineConfig:
     return PipelineConfig.from_file(str(TOY / "config.cfg"),
-                                    {"out_dir": str(out_dir)})
+                                    {"out_dir": str(out_dir), **overrides})
+
+
+def write_lexicon_toy(tmp_path) -> tuple[str, str, str]:
+    """The toy corpus with raw terms in place of its term counts, and the
+    lexicon files that count them back; returns (nodes, basic, clinical)."""
+    lines = []
+    for line in (TOY / "nodes.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        rec["terms"] = (["kinase"] * rec.pop("basic_terms")
+                        + ["trial"] * rec.pop("clinical_terms"))
+        lines.append(json.dumps(rec))
+    paths = tmp_path / "lex.nodes.jsonl", tmp_path / "basic.txt", tmp_path / "clinical.txt"
+    for path, text in zip(paths, ("\n".join(lines), "kinase", "trial")):
+        path.write_text(text + "\n")
+    return tuple(str(p) for p in paths)
 
 
 def strip_run_fields(doc: dict) -> dict:
@@ -150,29 +166,100 @@ class TestCliStages:
     def run_cli(self, *argv) -> int:
         return main(list(argv))
 
-    def test_stagewise_run_matches_pipeline(self, tmp_path):
-        out = tmp_path / "stages"
+    @pytest.mark.parametrize("route", ["citation", "cocitation", "lexicon", "planted"])
+    def test_stagewise_run_matches_pipeline(self, tmp_path, route):
         nodes, edges = str(TOY / "nodes.jsonl"), str(TOY / "edges.csv")
+        overrides, fronts_flags, score_flags, differ = {}, [], [], set()
+        if route == "cocitation":
+            overrides["mode"] = "cocitation"
+            fronts_flags = ["--mode", "cocitation"]
+        if route == "lexicon":
+            nodes, basic, clinical = write_lexicon_toy(tmp_path)
+            overrides.update(nodes=nodes, lexicon_basic=basic,
+                             lexicon_clinical=clinical)
+            score_flags = ["--lexicon-basic", basic, "--lexicon-clinical", clinical]
+            # the pipeline counts raw terms at parse, the stage commands only
+            # at score, so their corpus files keep the terms uncounted
+            differ = {"corpus.nodes.jsonl", "core.nodes.jsonl"}
+        if route == "planted":
+            # fronts.csv lists nodes by id, the front tree front by front: the
+            # hub scores sum in that order, so it must survive the round trip
+            net, _ = gen_planted_kt_network(PlantedConfig(
+                branching=(3, 2), leaf_size=20, p_within=(0.1, 0.3),
+                p_between=0.01, n_hubs=3), seed=5)
+            nodes, edges = str(tmp_path / "p.nodes.jsonl"), str(tmp_path / "p.edges.csv")
+            write_corpus(net, nodes, edges)
+            overrides.update(nodes=nodes, edges=edges)
+
+        out = tmp_path / "stages"
         assert self.run_cli("parse", "--nodes", nodes, "--edges", edges,
                             "--out", str(out)) == 0
         assert self.run_cli("select", "--fraction", "1.0", "--out", str(out)) == 0
         assert self.run_cli("fit-degrees", "--out", str(out)) == 0
-        assert self.run_cli("score", "--out", str(out)) == 0
-        assert self.run_cli("fronts", "--min-size", "25", "--out", str(out)) == 0
+        assert self.run_cli("score", *score_flags, "--out", str(out)) == 0
+        assert self.run_cli("fronts", "--min-size", "25", *fronts_flags,
+                            "--out", str(out)) == 0
         assert self.run_cli("metrics", "--out", str(out)) == 0
         assert self.run_cli("hubs", "--out", str(out)) == 0
         assert self.run_cli("mainpath", "--out", str(out)) == 0
 
         ref = tmp_path / "pipeline"
-        run_pipeline(toy_config(ref))
-        for name in ("core.nodes.jsonl", "scores.csv", "fronts.csv",
-                     "metrics.csv", "hubs.json", "main_path.json",
-                     "powerlaw.json"):
-            assert (out / name).read_text() == (ref / name).read_text(), name
+        run_pipeline(toy_config(ref, **overrides))
+        written = sorted(p.name for p in out.iterdir())
+        assert len(written) == 15
+        for name in written:
+            if name not in differ:
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_missing_stage_inputs_exit_2(self, tmp_path):
         assert self.run_cli("select", "--out", str(tmp_path)) == 2
         assert self.run_cli("hubs", "--out", str(tmp_path)) == 2
+
+    def test_bad_parameter_in_stage_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self.run_cli("parse", "--nodes", str(TOY / "nodes.jsonl"),
+                            "--edges", str(TOY / "edges.csv"), "--out", str(out)) == 0
+        assert self.run_cli("select", "--fraction", "2", "--out", str(out)) == 1
+        assert self.run_cli("report", "--config", str(TOY / "config.cfg"),
+                            "--fraction", "2", "--out", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("ktmap select: ") for line in err)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(toy_config(tmp_path / "p", fraction=2.0))
+        assert exc.value.stage == "select"
+        assert exc.value.exit_code == 1
+
+    def test_missing_input_file_exit_1(self, tmp_path, capsys):
+        (tmp_path / "clinical.txt").write_text("trial\n")
+        assert self.run_cli("parse", "--nodes", str(tmp_path / "missing.jsonl"),
+                            "--edges", str(TOY / "edges.csv"),
+                            "--out", str(tmp_path / "o")) == 1
+        assert self.run_cli("score", "--lexicon-basic", str(tmp_path / "missing.txt"),
+                            "--lexicon-clinical", str(tmp_path / "clinical.txt"),
+                            "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "nodes file not found" in err
+        assert "lexicon_basic file not found" in err
+
+    def test_empty_corpus_exit_2(self, tmp_path, capsys):
+        (tmp_path / "n.jsonl").write_text("")
+        (tmp_path / "e.csv").write_text("")
+        assert self.run_cli("parse", "--nodes", str(tmp_path / "n.jsonl"),
+                            "--edges", str(tmp_path / "e.csv"),
+                            "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("ktmap parse: ")
+
+    def test_invalid_log_level_exit_1(self):
+        # in a child: under pytest the root logger has handlers already, so
+        # logging.basicConfig would not even look at the level
+        proc = subprocess.run([sys.executable, "-m", "ktmap.cli", "--version"],
+                              env=dict(os.environ, KTMAP_LOG="verbose"),
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "ktmap: invalid parameter: KTMAP_LOG must be "
+            "debug|info|warning|error, got 'verbose'"]
 
     def test_usage_error_exit_1(self):
         assert self.run_cli("parse", "--nodes-only-bad-flag") == 1
