@@ -24,8 +24,8 @@ from .axis import classify
 from .corpus import write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
-from .report import (STAGES, PipelineConfig, load_artifacts, read_front_paths,
-                     read_scores, run_pipeline, run_stage)
+from .report import (STAGES, PipelineConfig, field_type, load_artifacts,
+                     read_front_paths, run_pipeline, run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -34,33 +34,14 @@ log = logging.getLogger("ktmap.cli")
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 
-# The flag of each PipelineConfig field a subcommand sets. Flags have no
-# defaults: the PipelineConfig default (or the config file's value) holds.
-_FLAGS = {
-    "nodes": ("--nodes", {"required": True}),
-    "edges": ("--edges", {"required": True}),
-    "lenient": ("--lenient", {
-        "action": "store_true",
-        "help": "skip edges with unknown endpoints instead of failing"}),
-    "fraction": ("--fraction", {"type": float}),
-    "rank_by": ("--rank-by", {"choices": ("in_degree", "external")}),
-    "bootstrap": ("--bootstrap", {
-        "type": int, "help": "goodness-of-fit bootstrap replicates (0 = off)"}),
-    "seed": ("--seed", {"type": int}),
-    "lexicon_basic": ("--lexicon-basic", {}),
-    "lexicon_clinical": ("--lexicon-clinical", {}),
-    "low": ("--low", {"type": float}),
-    "high": ("--high", {"type": float}),
-    "max_depth": ("--max-depth", {"type": int}),
-    "min_front_size": ("--min-size", {"type": int}),
-    "min_q_gain": ("--min-q", {"type": float}),
-    "mode": ("--mode", {"choices": ("citation", "cocitation")}),
-    "binning": ("--binning", {"choices": ("log2", "none")}),
-    "degree_pct": ("--degree-pct", {"type": float}),
-    "c_max": ("--c-max", {"type": float}),
-    "p_min": ("--p-min", {"type": float}),
-    "t_spread_min": ("--t-spread", {"type": float}),
-}
+# A subcommand's flag for each PipelineConfig field it sets is --<field>,
+# except for these, and takes its type and choices from the field's
+# annotation. Flags have no defaults: the PipelineConfig default (or the
+# config file's value) holds.
+_FLAG_NAMES = {"min_front_size": "--min-size", "min_q_gain": "--min-q",
+               "t_spread_min": "--t-spread"}
+_HELP = {"lenient": "skip edges with unknown endpoints instead of failing",
+         "bootstrap": "goodness-of-fit bootstrap replicates (0 = off)"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,8 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_flags(p: argparse.ArgumentParser, fields) -> None:
     for field in fields:
-        flag, kwargs = _FLAGS[field]
-        p.add_argument(flag, dest=field, **kwargs)
+        kind, choices, _ = field_type(field)
+        kwargs: dict = {"help": _HELP.get(field)}
+        if choices:
+            kwargs["choices"] = choices
+        elif kind is bool:
+            kwargs["action"] = "store_true"
+        elif kind is not str:
+            kwargs["type"] = kind
+        p.add_argument(_FLAG_NAMES.get(field, "--" + field.replace("_", "-")),
+                       dest=field, required=field in ("nodes", "edges"), **kwargs)
 
 
 def _add_out(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -180,14 +169,17 @@ def _dispatch(args) -> int:
         config = PipelineConfig.from_file(args.config, fields)
         report = run_pipeline(config)
         print(f"report written to {Path(config.out_dir) / 'report.json'} "
-              f"({report.n_selected} core documents, "
-              f"{len(report.front_table)} fronts, {len(report.hubs)} hubs)")
+              f"({report['corpus']['n_selected']} core documents, "
+              f"{len(report['fronts']['table'])} fronts, "
+              f"{len(report['hubs']['candidates'])} hubs)")
         return 0
 
     if args.command == "export":
-        core = load_artifacts(("core",), PipelineConfig(**fields))["core"]
+        artifacts = load_artifacts(
+            ("core", "scores") if (out / "scores.csv").exists() else ("core",),
+            PipelineConfig(**fields))
+        core, scores = artifacts["core"], artifacts.get("scores")
         front_paths = read_front_paths(out) if (out / "fronts.csv").exists() else None
-        scores = read_scores(out) if (out / "scores.csv").exists() else None
         strata = None
         if scores is not None:
             strata = {i: classify(t).value for i, t in scores.items()}

@@ -169,11 +169,10 @@ class UGraph:
         return self.index[v] in self.adj[self.index[u]]
 
     def edges(self) -> Iterator[tuple[str, str, float]]:
-        """Yield each edge once as (u, v, weight) with index(u) < index(v)."""
-        for i in range(len(self.ids)):
-            for j in sorted(self.adj[i]):
-                if j > i:
-                    yield self.ids[i], self.ids[j], self.adj[i][j]
+        """Yield each edge once as (u, v, weight) with index(u) < index(v),
+        in edge_arrays order."""
+        for i, j, w in zip(*self.edge_arrays()):
+            yield self.ids[i], self.ids[j], w
 
     def edge_arrays(self) -> tuple[list[int], list[int], list[float]]:
         """Edge list as parallel index/weight arrays, in deterministic order."""

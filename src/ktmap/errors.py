@@ -49,3 +49,12 @@ class StageError(KTMapError):
             self.exit_code = cause.exit_code
         elif isinstance(cause, ValueError):
             self.exit_code = 1
+
+
+class StageFileError(KTMapError):
+    """A stage file read back is missing or malformed; `stage` names the
+    stage that writes it."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage

@@ -17,11 +17,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+from typing import Literal
 
 from . import __version__
 from .axis import (DEFAULT_HIGH, DEFAULT_LOW, classify, front_score_summary,
@@ -29,24 +31,29 @@ from .axis import (DEFAULT_HIGH, DEFAULT_LOW, classify, front_score_summary,
 from .corpus import (CitationNetwork, Document, Lexicon,
                      co_citation_projection, count_terms, load_corpus,
                      write_corpus)
-from .errors import KTMapError, StageError
+from .errors import KTMapError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts
-from .hubs import (HubCandidate, HubConfig, detect_translational_hubs,
-                   hub_regions, main_path)
+from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
 from .metrics import ck_scaling, node_metrics_table
 from .selection import fit_power_law, select_top_cited
 
 log = logging.getLogger("ktmap.report")
 
-_BOOL_KEYS = ("lenient",)
-_INT_KEYS = ("max_depth", "min_front_size", "bootstrap", "seed")
-_FLOAT_KEYS = ("fraction", "low", "high", "min_q_gain", "degree_pct",
-               "c_max", "p_min", "t_spread_min")
+# the input files: checked to exist, and relative to a config file's directory
+INPUT_FILES = ("nodes", "edges", "lexicon_basic", "lexicon_clinical")
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
 
 
 @dataclass
 class PipelineConfig:
-    """Fully resolved pipeline configuration; embedded in the report."""
+    """Fully resolved pipeline configuration; embedded in the report.
+
+    The annotations are the one statement of each field's type: config-file
+    values are converted by them, the CLI flags take their type and choices
+    from them, and a Literal field's value is checked against its choices.
+    """
 
     nodes: str | None = None
     edges: str | None = None
@@ -55,40 +62,39 @@ class PipelineConfig:
     lexicon_clinical: str | None = None
     lenient: bool = False
     fraction: float = 0.20
-    rank_by: str = "in_degree"
+    rank_by: Literal["in_degree", "external"] = "in_degree"
     low: float = DEFAULT_LOW
     high: float = DEFAULT_HIGH
     max_depth: int = 4
     min_front_size: int = 10
     min_q_gain: float = 0.05
-    mode: str = "citation"
-    binning: str = "log2"
-    degree_pct: float = 0.90
-    c_max: float | None = None
-    p_min: float = 0.3
-    t_spread_min: float = 0.2
+    mode: Literal["citation", "cocitation"] = "citation"
+    binning: Literal["log2", "none"] = "log2"
+    degree_pct: float = HubConfig.degree_pct
+    c_max: float | None = HubConfig.c_max
+    p_min: float = HubConfig.p_min
+    t_spread_min: float = HubConfig.t_spread_min
     bootstrap: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("citation", "cocitation"):
-            raise ValueError(f"mode must be citation|cocitation, got {self.mode!r}")
+        for name in _FIELD_TYPES:
+            choices = field_type(name)[1]
+            if choices and getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be {'|'.join(choices)}, "
+                                 f"got {getattr(self, name)!r}")
         if (self.lexicon_basic is None) != (self.lexicon_clinical is None):
             raise ValueError("lexicon-basic and lexicon-clinical go together")
 
     def hub_config(self) -> HubConfig:
-        return HubConfig(degree_pct=self.degree_pct, c_max=self.c_max,
-                         p_min=self.p_min, t_spread_min=self.t_spread_min)
+        return HubConfig(**{f.name: getattr(self, f.name)
+                            for f in dataclasses.fields(HubConfig)})
 
     def validate_paths(self) -> None:
-        for label, p in (("nodes", self.nodes), ("edges", self.edges),
-                         ("lexicon_basic", self.lexicon_basic),
-                         ("lexicon_clinical", self.lexicon_clinical)):
+        for label in INPUT_FILES:
+            p = getattr(self, label)
             if p is not None and not Path(p).exists():
                 raise ValueError(f"{label} file not found: {p}")
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -106,78 +112,44 @@ class PipelineConfig:
                 raw[key.strip()] = value.strip()
         cfg: dict = {}
         for key, value in raw.items():
-            if key in ("nodes", "edges", "lexicon_basic", "lexicon_clinical"):
-                # paths are relative to the config file
-                cfg[key] = str((base / value))
-            elif key in _BOOL_KEYS:
-                cfg[key] = value.lower() in ("1", "true", "yes")
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = None if value.lower() == "none" else float(value)
-            elif key in ("rank_by", "mode", "binning", "out_dir"):
-                cfg[key] = value
-            else:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}: unknown config key {key!r}")
+            try:
+                cfg[key] = (str(base / value) if key in INPUT_FILES
+                            else _parse_value(key, value))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
         if overrides:
             cfg.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**cfg)
 
 
-@dataclass(frozen=True)
-class KTReport:
-    """Machine-readable map of the analysis; serializes to the report schema."""
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
 
-    config: PipelineConfig
-    n_documents: int
-    n_edges: int
-    n_selected: int
-    n_selected_edges: int
-    power_law: dict
-    ck_fit: dict | None
-    assortativity: float | None
-    fronts_mode: str
-    q_top: float | None
-    front_table: list[dict]
-    hub_thresholds: dict
-    hubs: list[dict]
-    regions: list[list[str]]
-    main_path_nodes: list[str]
-    main_path_spc: list[int]
-    n_removed_edges: int
-    generated_at: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tool": {"name": "ktmap", "version": __version__},
-            "generated_at": self.generated_at,
-            "seed": self.config.seed,
-            "config": self.config.to_json_dict(),
-            "corpus": {
-                "n_documents": self.n_documents,
-                "n_edges": self.n_edges,
-                "n_selected": self.n_selected,
-                "n_selected_edges": self.n_selected_edges,
-            },
-            "power_law": self.power_law,
-            "ck_scaling": self.ck_fit,
-            "assortativity": self.assortativity,
-            "fronts": {
-                "mode": self.fronts_mode,
-                "q_top": self.q_top,
-                "table": self.front_table,
-            },
-            "hubs": {
-                "thresholds": self.hub_thresholds,
-                "candidates": self.hubs,
-                "regions": self.regions,
-            },
-            "main_path": {
-                "nodes": self.main_path_nodes,
-                "spc": self.main_path_spc,
-                "n_removed_edges": self.n_removed_edges,
-            },
-        }
+def field_type(name: str) -> tuple[type, tuple[str, ...], bool]:
+    """(value type, allowed values, takes None) of a PipelineConfig field,
+    from its annotation: `float | None` gives (float, (), True) and a
+    Literal gives str and its values."""
+    hint = _FIELD_TYPES[name]
+    if typing.get_origin(hint) is Literal:
+        return str, typing.get_args(hint), False
+    if typing.get_args(hint):  # T | None
+        return typing.get_args(hint)[0], (), True
+    return hint, (), False
+
+
+def _parse_value(key: str, text: str):
+    """A config-file value converted by its field's annotation; `none` is
+    None only for a field that takes None."""
+    kind, _, optional = field_type(key)
+    if optional and text.lower() == "none":
+        return None
+    if kind is bool:
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {text!r}")
+        return _BOOL_WORDS[text.lower()]
+    return kind(text)
 
 
 def load_report_schema() -> dict:
@@ -217,8 +189,9 @@ def front_table_rows(tree: FrontTree, scores, low: float,
     return rows
 
 
-def run_pipeline(config: PipelineConfig) -> KTReport:
-    """Execute the full analysis and write all artifacts to config.out_dir."""
+def run_pipeline(config: PipelineConfig) -> dict:
+    """Execute the full analysis, write all artifacts to config.out_dir and
+    return the report document written to report.json."""
     config.validate_paths()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,33 +199,34 @@ def run_pipeline(config: PipelineConfig) -> KTReport:
     artifacts: dict = {}
     for stage in STAGES:
         run_stage(stage, config, artifacts)
-    net, core, tree, path = (artifacts[k] for k in ("net", "core", "tree", "path"))
+    net, core, tree = artifacts["net"], artifacts["core"], artifacts["tree"]
 
-    front_rows = front_table_rows(tree, artifacts["scores"], config.low, config.high)
-    report = KTReport(
-        config=config,
-        n_documents=net.n_docs,
-        n_edges=net.n_edges,
-        n_selected=core.n_docs,
-        n_selected_edges=core.n_edges,
-        power_law=artifacts["power_law"],
-        ck_fit=artifacts["ck_fit"],
-        assortativity=artifacts["assort"],
-        fronts_mode=config.mode,
-        q_top=tree.root.q_split,
-        front_table=front_rows,
-        hub_thresholds=_hub_thresholds_dict(config),
-        hubs=[_hub_dict(h) for h in artifacts["hubs"]],
-        regions=[list(r) for r in artifacts["regions"]],
-        main_path_nodes=list(path.nodes),
-        main_path_spc=list(path.spc),
-        n_removed_edges=len(path.removed_edges),
-        generated_at=datetime.now(timezone.utc).isoformat(),
-    )
-    doc = report.to_json_dict()
+    doc = {
+        "tool": {"name": "ktmap", "version": __version__},
+        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "seed": config.seed,
+        "config": dataclasses.asdict(config),
+        "corpus": {
+            "n_documents": net.n_docs,
+            "n_edges": net.n_edges,
+            "n_selected": core.n_docs,
+            "n_selected_edges": core.n_edges,
+        },
+        "power_law": artifacts["power_law"],
+        "ck_scaling": artifacts["ck_fit"],
+        "assortativity": artifacts["assort"],
+        "fronts": {
+            "mode": config.mode,
+            "q_top": tree.root.q_split,
+            "table": front_table_rows(tree, artifacts["scores"],
+                                      config.low, config.high),
+        },
+        "hubs": artifacts["hubs"],
+        "main_path": artifacts["main_path"],
+    }
     validate_report(doc)
     write_json(out / "report.json", doc)
-    return report
+    return doc
 
 
 def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
@@ -392,24 +366,27 @@ def _hubs_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
         # co-citation partitions cover only cited documents
         core = core.induced(partition.keys())
         scores = {i: scores[i] for i in core.ids}
-    hubs = detect_translational_hubs(core, partition, scores, config.hub_config())
-    regions = hub_regions(core, hubs)
-    write_json(out / "hubs.json", {
-        "thresholds": _hub_thresholds_dict(config),
-        "candidates": [_hub_dict(h) for h in hubs],
-        "regions": [list(r) for r in regions],
-    })
-    return hubs, regions
+    hub_config = config.hub_config()
+    hubs = detect_translational_hubs(core, partition, scores, hub_config)
+    doc = {
+        "thresholds": dataclasses.asdict(hub_config),
+        "candidates": [dict(dataclasses.asdict(h),
+                            bridged_fronts=list(h.bridged_fronts)) for h in hubs],
+        "regions": [list(r) for r in hub_regions(core, hubs)],
+    }
+    write_json(out / "hubs.json", doc)
+    return (doc,)
 
 
 def _mainpath_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     path = main_path(core)
-    write_json(out / "main_path.json", {
+    doc = {
         "nodes": list(path.nodes),
         "spc": list(path.spc),
         "n_removed_edges": len(path.removed_edges),
-    })
-    return (path,)
+    }
+    write_json(out / "main_path.json", doc)
+    return (doc,)
 
 
 @dataclass(frozen=True)
@@ -464,13 +441,13 @@ STAGES = (
               "no scaling fit" if a["ck_fit"] is None
               else f"C(k) slope={a['ck_fit']['slope']:.3f}")),
     Stage("hubs", "rank translational hub candidates",
-          reads=("core", "partition", "scores"), makes=("hubs", "regions"),
+          reads=("core", "partition", "scores"), makes=("hubs",),
           run=_hubs_stage, flags=("degree_pct", "c_max", "p_min", "t_spread_min"),
-          summary=lambda a, out: (f"{len(a['hubs'])} hub candidate(s) in "
-                                  f"{len(a['regions'])} region(s)")),
+          summary=lambda a, out: (f"{len(a['hubs']['candidates'])} hub candidate(s) "
+                                  f"in {len(a['hubs']['regions'])} region(s)")),
     Stage("mainpath", "extract the SPC main path",
-          reads=("core",), makes=("path",), run=_mainpath_stage, flags=(),
-          summary=lambda a, out: " -> ".join(a["path"].nodes)),
+          reads=("core",), makes=("main_path",), run=_mainpath_stage, flags=(),
+          summary=lambda a, out: " -> ".join(a["main_path"]["nodes"])),
 )
 
 
@@ -487,65 +464,68 @@ _STAGE_FILES = {
 
 def load_artifacts(names, config: PipelineConfig) -> dict:
     """Read the named artifacts back from their stage files in config.out_dir;
-    a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks."""
+    a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks. A
+    missing or malformed file raises a StageFileError tagged with the stage
+    that writes it."""
     out = Path(config.out_dir)
     artifacts = {}
     for name in names:
+        maker = next(s.name for s in STAGES if name in s.makes)
         files = [out / f for f in _STAGE_FILES[name]]
+        where = f"{'/'.join(f.name for f in files)} in {out}"
         if not all(f.exists() for f in files):
-            maker = next(s.name for s in STAGES if name in s.makes)
-            raise KTMapError(f"missing {'/'.join(f.name for f in files)} in {out}; "
-                             f"run `ktmap {maker}` first")
-        if name == "partition":
-            artifacts[name] = _level2(read_front_paths(out))
-        elif name == "scores":
-            artifacts[name] = read_scores(out)
-        else:
-            artifacts[name] = _with_lexicon(config, load_corpus(*files))
+            raise StageFileError(maker, f"missing {where}; run `ktmap {maker}` first")
+        try:
+            if name == "partition":
+                artifacts[name] = _level2(_read_rows(files[0], _front_key))
+            elif name == "scores":
+                artifacts[name] = _read_rows(files[0], _score)
+            else:
+                artifacts[name] = load_corpus(*files)
+        except (KTMapError, ValueError) as exc:
+            raise StageFileError(maker, f"{where}: {exc}") from None
+        if name in ("net", "core"):
+            artifacts[name] = _with_lexicon(config, artifacts[name])
     return artifacts
 
 
 def read_front_paths(out: Path) -> dict[str, str]:
     """{id: dotted front path} from fronts.csv in `out`."""
-    paths = {}
-    with open(out / "fronts.csv", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            node, _, path = line.rstrip("\n").partition(",")
-            paths[node] = path
-    return paths
+    return _read_rows(out / "fronts.csv", str)
 
 
-def _level2(paths: dict[str, str]) -> dict[str, int]:
+def _read_rows(path: Path, parse: Callable[[str], object]) -> dict:
+    """{id: parse(rest of the line)} from a stage CSV whose first cell is the
+    id; a line that `parse` rejects raises a ValueError naming the line."""
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        next(fh, None)  # header
+        for lineno, line in enumerate(fh, start=2):
+            node, _, rest = line.rstrip("\n").partition(",")
+            try:
+                rows[node] = parse(rest)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def _front_key(path: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in path.split("."))
+
+
+def _level2(key: dict[str, tuple[int, ...]]) -> dict[str, int]:
     """FrontTree.level_assignment(2) from front paths, with its front ids and
     its node order (front by front), so sums over it round the same way."""
-    key = {node: tuple(int(c) for c in path.split(".")) for node, path in paths.items()}
     return {node: key[node][0] for node in sorted(key, key=lambda n: (key[n], n))}
 
 
-def read_scores(out: Path) -> dict[str, float | None]:
-    """{id: t} from scores.csv in `out`; t is None for an unscored document."""
-    scores: dict[str, float | None] = {}
-    with open(out / "scores.csv", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            node, t, _ = line.rstrip("\n").split(",")
-            scores[node] = float(t) if t else None
-    return scores
+def _score(cells: str) -> float | None:
+    """t from the `t,stratum` cells of a scores.csv line; None if unscored."""
+    t, _stratum = cells.split(",")
+    return float(t) if t else None
 
 
 # -- helpers -----------------------------------------------------------------
-
-
-def _hub_dict(h: HubCandidate) -> dict:
-    return {"id": h.id, "k": h.k, "c": h.c, "p": h.p,
-            "bridged_fronts": list(h.bridged_fronts),
-            "t_spread": h.t_spread, "hub_score": h.hub_score, "rank": h.rank}
-
-
-def _hub_thresholds_dict(config: PipelineConfig) -> dict:
-    return {"degree_pct": config.degree_pct, "c_max": config.c_max,
-            "p_min": config.p_min, "t_spread_min": config.t_spread_min}
 
 
 def write_json(path, doc) -> None:

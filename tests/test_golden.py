@@ -1,0 +1,98 @@
+"""Golden digests: a refactor that promises byte-identical reports must leave
+these unchanged.
+
+Each case runs the whole pipeline on a small fixed corpus and hashes
+report.json without its run-dependent fields (the timestamp and the output
+and input paths) plus every stage CSV in name order, the normalisation
+perfbench's reference digests use. A digest may change only with a change
+that CHANGES.md records as an intended change of the report.
+"""
+
+import glob
+import hashlib
+import json
+import os
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from ktmap.corpus import CitationNetwork, Document, write_corpus
+from ktmap.report import PipelineConfig, run_pipeline
+from ktmap.synth import PlantedConfig, gen_planted_kt_network
+
+TOY = resources.files("ktmap.data").joinpath("toy")
+
+GOLDEN = {
+    "toy-citation":
+        "90ccad27fcdb7ab698d3ad5b75350636c14bc43f734560163dd487a89395952e",
+    "toy-cocitation":
+        "037e2e65bbe5e180a59efd4bbcca7e8fbaf3bc9019e8c72cd45a0c560943d0bb",
+    "planted":
+        "8895328a439d173f62b17ff460c49f2aa6aabd25ed14efaf1bd5074b0b06f69a",
+    "cyclic":
+        "2a6fd165a22d9f37006b62e76dc329a3b84105ae712a523a158365bce9e97676",
+}
+
+
+def report_digest(out_dir) -> str:
+    with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.pop("generated_at", None)
+    for key in ("out_dir", "nodes", "edges"):
+        doc["config"].pop(key, None)
+    h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    for path in sorted(glob.glob(os.path.join(out_dir, "*.csv"))):
+        h.update(os.path.basename(path).encode("utf-8") + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def cyclic_corpus(n=120, n_blocks=4, out_degree=2, p_in_block=0.8,
+                  seed=7) -> CitationNetwork:
+    """Undated docs, each citing `out_degree` others, mostly in its own
+    block: nothing orders the edges, so the graph is full of cycles."""
+    rng = np.random.default_rng(seed)
+    size = n // n_blocks
+    ids = [f"c{i:03d}" for i in range(n)]
+    edges = set()
+    for i in range(n):
+        lo = (i // size) * size
+        targets: set[int] = set()
+        while len(targets) < out_degree:
+            j = (int(rng.integers(lo, lo + size)) if rng.random() < p_in_block
+                 else int(rng.integers(0, n)))
+            if j != i:
+                targets.add(j)
+        edges.update((ids[i], ids[j]) for j in targets)
+    clinical = rng.binomial(20, [(i // size) / (n_blocks - 1) for i in range(n)])
+    docs = [Document(id=ids[i], basic_terms=20 - int(c), clinical_terms=int(c))
+            for i, c in enumerate(clinical)]
+    return CitationNetwork(docs, sorted(edges))
+
+
+def config_for(case: str, tmp_path) -> PipelineConfig:
+    out = str(tmp_path / "out")
+    if case.startswith("toy"):
+        return PipelineConfig.from_file(
+            str(TOY / "config.cfg"),
+            {"out_dir": out, "mode": case.removeprefix("toy-")})
+    if case == "planted":
+        net, _ = gen_planted_kt_network(PlantedConfig(
+            branching=(3, 2), leaf_size=20, p_within=(0.1, 0.3),
+            p_between=0.01, n_hubs=3), seed=11)
+        overrides = {"fraction": 0.5, "min_front_size": 8}
+    else:
+        net = cyclic_corpus()
+        overrides = {"fraction": 1.0}
+    nodes, edges = str(tmp_path / "nodes.jsonl"), str(tmp_path / "edges.csv")
+    write_corpus(net, nodes, edges)
+    return PipelineConfig(nodes=nodes, edges=edges, out_dir=out, **overrides)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_digest_unchanged(case, tmp_path):
+    config = config_for(case, tmp_path)
+    run_pipeline(config)
+    assert report_digest(config.out_dir) == GOLDEN[case]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ktmap.cli import main
+from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import StageError
 from ktmap.export import read_graphml
@@ -47,8 +48,7 @@ def strip_run_fields(doc: dict) -> dict:
 
 class TestPipeline:
     def test_toy_report_contents(self, tmp_path):
-        report = run_pipeline(toy_config(tmp_path))
-        doc = report.to_json_dict()
+        doc = run_pipeline(toy_config(tmp_path))
         validate_report(doc)
 
         level2 = [row for row in doc["fronts"]["table"] if row["level"] == 2]
@@ -161,6 +161,35 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             PipelineConfig(nodes="n", edges="e", mode="sideways")
 
+    @pytest.mark.parametrize("field", ["rank_by", "mode", "binning"])
+    def test_choices_checked_when_built(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            PipelineConfig(**{field: "sideways"})
+
+    @pytest.mark.parametrize("line", ["fraction = none", "lenient = maybe",
+                                      "max_depth = 2.5"])
+    def test_bad_value_names_key_exit_1(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text((TOY / "config.cfg").read_text() + line + "\n")
+        (tmp_path / "nodes.jsonl").write_text((TOY / "nodes.jsonl").read_text())
+        (tmp_path / "edges.csv").write_text((TOY / "edges.csv").read_text())
+        assert main(["report", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        key = line.partition(" ")[0]
+        assert len(err) == 1
+        assert err[0].startswith(f"ktmap: invalid parameter: {cfg_file}: {key}: ")
+
+    def test_values_by_annotation(self, tmp_path):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("nodes = none\nedges = e.csv\nc_max = None\n"
+                            "lenient = No\nseed = 3\nbinning = none\n"
+                            "out_dir = o\n")
+        cfg = PipelineConfig.from_file(cfg_file)
+        # only the input files resolve against the config file's directory
+        assert (cfg.nodes, cfg.out_dir) == (str(tmp_path / "none"), "o")
+        assert (cfg.c_max, cfg.lenient, cfg.seed, cfg.binning) == (None, False, 3, "none")
+
 
 class TestCliStages:
     def run_cli(self, *argv) -> int:
@@ -214,6 +243,29 @@ class TestCliStages:
     def test_missing_stage_inputs_exit_2(self, tmp_path):
         assert self.run_cli("select", "--out", str(tmp_path)) == 2
         assert self.run_cli("hubs", "--out", str(tmp_path)) == 2
+
+    def test_missing_stage_file_tagged_with_its_stage(self, tmp_path, capsys):
+        assert self.run_cli("hubs", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"ktmap select: missing core.nodes.jsonl/core.edges.csv in {tmp_path}; "
+            "run `ktmap select` first\n")
+
+    @pytest.mark.parametrize("name,stage,bad,expect", [
+        ("fronts.csv", "fronts", "m00,x.y", "invalid literal for int()"),
+        ("scores.csv", "score", "m00", "not enough values to unpack"),
+    ])
+    def test_malformed_stage_file_exit_2(self, tmp_path, capsys, name, stage,
+                                         bad, expect):
+        out = tmp_path / "o"
+        run_pipeline(toy_config(out))
+        lines = (out / name).read_text().splitlines()
+        lines[3] = bad
+        (out / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self.run_cli("hubs", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ktmap {stage}: {name} in {out}: line 4: {expect}")
 
     def test_bad_parameter_in_stage_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -365,3 +417,117 @@ class TestExport:
         net = load_corpus(out / "core.nodes.jsonl", out / "core.edges.csv")
         with pytest.raises(ValueError, match="graphml, dot"):
             export_graph(net, out / "x", "gexf")
+
+
+# Every subcommand's options as "option strings -> dest [type] [choices]
+# [flag] [required]". Config flags are derived from the PipelineConfig
+# annotations, so a renamed flag, a changed type or a lost choice shows here.
+CLI_SURFACE = {
+    'parse': [
+        '-h/--help -> help flag',
+        '--nodes -> nodes required',
+        '--edges -> edges required',
+        '--lenient -> lenient flag',
+        '--out -> out_dir required',
+    ],
+    'select': [
+        '-h/--help -> help flag',
+        '--fraction -> fraction type=float',
+        '--rank-by -> rank_by choices=in_degree|external',
+        '--out -> out_dir required',
+    ],
+    'fit-degrees': [
+        '-h/--help -> help flag',
+        '--bootstrap -> bootstrap type=int',
+        '--seed -> seed type=int',
+        '--out -> out_dir required',
+    ],
+    'score': [
+        '-h/--help -> help flag',
+        '--lexicon-basic -> lexicon_basic',
+        '--lexicon-clinical -> lexicon_clinical',
+        '--low -> low type=float',
+        '--high -> high type=float',
+        '--out -> out_dir required',
+    ],
+    'fronts': [
+        '-h/--help -> help flag',
+        '--max-depth -> max_depth type=int',
+        '--min-size -> min_front_size type=int',
+        '--min-q -> min_q_gain type=float',
+        '--mode -> mode choices=citation|cocitation',
+        '--out -> out_dir required',
+    ],
+    'metrics': [
+        '-h/--help -> help flag',
+        '--binning -> binning choices=log2|none',
+        '--out -> out_dir required',
+    ],
+    'hubs': [
+        '-h/--help -> help flag',
+        '--degree-pct -> degree_pct type=float',
+        '--c-max -> c_max type=float',
+        '--p-min -> p_min type=float',
+        '--t-spread -> t_spread_min type=float',
+        '--out -> out_dir required',
+    ],
+    'mainpath': [
+        '-h/--help -> help flag',
+        '--out -> out_dir required',
+    ],
+    'simulate': [
+        '-h/--help -> help flag',
+        '--preset -> preset choices=planted|hierarchical|random required',
+        '--seed -> seed type=int',
+        '--blocks -> blocks',
+        '--leaf-size -> leaf_size type=int',
+        '--p-within -> p_within',
+        '--p-between -> p_between type=float',
+        '--homophily -> homophily type=float',
+        '--t-targets -> t_targets',
+        '--hubs -> n_hubs type=int',
+        '--hub-degree -> hub_degree type=int',
+        '--iterations -> iterations type=int',
+        '--n -> n type=int',
+        '--p -> p type=float',
+        '--out -> out_dir required',
+    ],
+    'report': [
+        '-h/--help -> help flag',
+        '--config -> config required',
+        '--fraction -> fraction type=float',
+        '--seed -> seed type=int',
+        '--mode -> mode choices=citation|cocitation',
+        '--out -> out_dir',
+    ],
+    'export': [
+        '-h/--help -> help flag',
+        '--format -> format choices=graphml|dot',
+        '--out -> out_dir required',
+    ],
+}
+
+
+def cli_surface() -> dict[str, list[str]]:
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, sub in subcommands.choices.items():
+        rows = []
+        for action in sub._actions:
+            row = "/".join(action.option_strings) + " -> " + action.dest
+            if action.type is not None:
+                row += f" type={action.type.__name__}"
+            if action.choices is not None:
+                row += " choices=" + "|".join(map(str, action.choices))
+            if action.nargs == 0:
+                row += " flag"
+            if action.required:
+                row += " required"
+            rows.append(row)
+        surface[name] = rows
+    return surface
+
+
+def test_cli_surface_pinned():
+    assert cli_surface() == CLI_SURFACE
