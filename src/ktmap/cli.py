@@ -20,12 +20,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .axis import classify
 from .corpus import write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
 from .report import (STAGES, PipelineConfig, field_type, load_artifacts,
-                     read_front_paths, run_pipeline, run_stage)
+                     read_front_paths, read_strata, run_pipeline, run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -180,9 +179,7 @@ def _dispatch(args) -> int:
             PipelineConfig(**fields))
         core, scores = artifacts["core"], artifacts.get("scores")
         front_paths = read_front_paths(out) if (out / "fronts.csv").exists() else None
-        strata = None
-        if scores is not None:
-            strata = {i: classify(t).value for i, t in scores.items()}
+        strata = read_strata(out) if scores is not None else None
         hub_ids = None
         if (out / "hubs.json").exists():
             with open(out / "hubs.json", encoding="utf-8") as fh:

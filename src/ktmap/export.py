@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 from .corpus import CitationNetwork
 
@@ -52,12 +51,12 @@ def to_graphml(net: CitationNetwork,
     ]
     for doc_id in net.ids:
         doc = net.docs[doc_id]
-        lines.append(f'    <node id="{escape(doc_id)}">')
+        lines.append(f'    <node id="{_escape(doc_id)}">')
         if doc.year is not None:
             lines.append(f'      <data key="d_year">{doc.year}</data>')
         lines.append(f'      <data key="d_kind">{doc.kind}</data>')
         if front_paths and doc_id in front_paths:
-            lines.append(f'      <data key="d_front">{escape(front_paths[doc_id])}</data>')
+            lines.append(f'      <data key="d_front">{_escape(front_paths[doc_id])}</data>')
         if scores is not None and scores.get(doc_id) is not None:
             lines.append(f'      <data key="d_t">{scores[doc_id]!r}</data>')
         if strata and doc_id in strata:
@@ -66,10 +65,16 @@ def to_graphml(net: CitationNetwork,
                      f'{"true" if hub_ids and doc_id in hub_ids else "false"}</data>')
         lines.append('    </node>')
     for citing, cited in net.edges:
-        lines.append(f'    <edge source="{escape(citing)}" target="{escape(cited)}"/>')
+        lines.append(f'    <edge source="{_escape(citing)}" target="{_escape(cited)}"/>')
     lines.append('  </graph>')
     lines.append('</graphml>')
     return "\n".join(lines) + "\n"
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data and quoted attributes (ids
+    never carry quotes: the corpus reader rejects them)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def read_graphml(path) -> tuple[list[str], list[tuple[str, str]], dict[str, dict]]:

@@ -494,6 +494,12 @@ def read_front_paths(out: Path) -> dict[str, str]:
     return _read_rows(out / "fronts.csv", str)
 
 
+def read_strata(out: Path) -> dict[str, str]:
+    """{id: stratum} from scores.csv in `out`, as `score` classified it with
+    its thresholds."""
+    return _read_rows(out / "scores.csv", lambda cells: cells.partition(",")[2])
+
+
 def _read_rows(path: Path, parse: Callable[[str], object]) -> dict:
     """{id: parse(rest of the line)} from a stage CSV whose first cell is the
     id; a line that `parse` rejects raises a ValueError naming the line."""

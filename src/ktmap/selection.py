@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta
 
+from ._numeric import hurwitz_zeta, minimize_bounded
 from .corpus import CitationNetwork
 from .errors import DegenerateDataError, InsufficientDataError
 
@@ -90,11 +89,9 @@ def _tail_alpha_mle(tail: np.ndarray, xmin: int) -> float:
     n = tail.size
 
     def neg_loglike(alpha: float) -> float:
-        return alpha * log_sum + n * math.log(zeta(alpha, xmin))
+        return alpha * log_sum + n * math.log(hurwitz_zeta(alpha, xmin))
 
-    res = minimize_scalar(neg_loglike, bounds=(1.0 + 1e-6, MAX_ALPHA),
-                          method="bounded", options={"xatol": 1e-9})
-    return float(res.x)
+    return minimize_bounded(neg_loglike, 1.0 + 1e-6, MAX_ALPHA, xatol=1e-9)
 
 
 def ks_distance(tail: Sequence[int] | np.ndarray, alpha: float, xmin: int) -> float:
@@ -103,8 +100,9 @@ def ks_distance(tail: Sequence[int] | np.ndarray, alpha: float, xmin: int) -> fl
     tail = np.asarray(tail)
     uniq, counts = np.unique(tail, return_counts=True)
     ecdf = np.cumsum(counts) / tail.size
-    norm = zeta(alpha, xmin)
-    cdf = 1.0 - zeta(alpha, uniq + 1) / norm
+    norm = hurwitz_zeta(alpha, xmin)
+    tail_sums = np.array([hurwitz_zeta(alpha, q) for q in (uniq + 1).tolist()])
+    cdf = 1.0 - tail_sums / norm
     return float(np.abs(ecdf - cdf).max())
 
 
@@ -126,12 +124,13 @@ def fit_power_law(values: Sequence[int], xmin: int | None = None,
         arr = arr[arr > 0]
     if arr.size == 0:
         raise InsufficientDataError("no positive values to fit")
-    if np.unique(arr).size == 1:
+    distinct = sorted(set(arr.tolist()))
+    if len(distinct) == 1:
         raise DegenerateDataError(
-            f"all values equal {int(arr[0])}; power-law fit is degenerate")
-    if np.unique(arr).size < 10:
+            f"all values equal {distinct[0]}; power-law fit is degenerate")
+    if len(distinct) < 10:
         log.warning("only %d distinct values; fit may be unreliable",
-                    np.unique(arr).size)
+                    len(distinct))
 
     if xmin is not None:
         if xmin < 1:
@@ -141,11 +140,10 @@ def fit_power_law(values: Sequence[int], xmin: int | None = None,
             raise InsufficientDataError(
                 f"fewer than 2 tail observations at xmin={xmin}")
     else:
-        candidates = np.unique(arr)
         # the largest value leaves a constant tail behind it
         best = None
-        for cand in candidates:
-            res = _fit_at_xmin(arr, int(cand))
+        for cand in distinct:
+            res = _fit_at_xmin(arr, cand)
             if res is None:
                 continue
             if best is None or res.ks_distance < best.ks_distance:
@@ -165,7 +163,7 @@ def fit_power_law(values: Sequence[int], xmin: int | None = None,
 
 def _fit_at_xmin(arr: np.ndarray, xmin: int) -> PowerLawFit | None:
     tail = arr[arr >= xmin]
-    if tail.size < 2 or np.unique(tail).size < 2:
+    if tail.size < 2 or tail.min() == tail.max():
         return None
     alpha = _tail_alpha_mle(tail, xmin)
     return PowerLawFit(alpha=alpha, xmin=xmin,
@@ -182,7 +180,7 @@ def sample_discrete_power_law(alpha: float, xmin: int, size: int,
     """
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
-    norm = zeta(alpha, xmin)
+    norm = hurwitz_zeta(alpha, xmin)
     table_max = 100_000
     ks = np.arange(xmin, table_max + 1, dtype=np.float64)
     cdf = np.cumsum(ks ** -alpha) / norm
@@ -200,11 +198,11 @@ def _invert_survival(u: float, alpha: float, xmin: int, norm: float,
     # smallest x with CDF(x) >= u, i.e. zeta(alpha, x+1)/norm <= 1-u
     target = 1.0 - u
     hi = lo * 2
-    while zeta(alpha, hi + 1) / norm > target:
+    while hurwitz_zeta(alpha, hi + 1) / norm > target:
         lo, hi = hi, hi * 2
     while lo < hi:
         mid = (lo + hi) // 2
-        if zeta(alpha, mid + 1) / norm <= target:
+        if hurwitz_zeta(alpha, mid + 1) / norm <= target:
             hi = mid
         else:
             lo = mid + 1

@@ -99,6 +99,23 @@ class TestPipeline:
                 docs.append(strip_run_fields(json.load(fh)))
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is only a test reference: the CLI must not import it, and a
+        # report must come out the same where `import scipy` fails
+        check = "import sys, ktmap.cli; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", check], check=True)
+        out = tmp_path / "noscipy"
+        child = ("import sys; sys.modules['scipy'] = None\n"
+                 "from ktmap.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "report",
+             "--config", str(TOY / "config.cfg"), "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        run_pipeline(toy_config(tmp_path / "inproc"))
+        assert ((out / "powerlaw.json").read_bytes()
+                == (tmp_path / "inproc" / "powerlaw.json").read_bytes())
+
     def test_stage_error_tagged(self, tmp_path):
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "edges.csv").write_text("")
@@ -410,6 +427,22 @@ class TestExport:
         text = (out / "graph.dot").read_text()
         assert text.startswith("digraph")
         assert '"m00"' in text and "doublecircle" in text
+
+    def test_stratum_attribute_from_score_thresholds(self, tmp_path):
+        # the strata `score` wrote with its --low/--high, not the defaults
+        out = tmp_path / "exp"
+        assert main(["parse", "--nodes", str(TOY / "nodes.jsonl"),
+                     "--edges", str(TOY / "edges.csv"), "--out", str(out)]) == 0
+        assert main(["select", "--fraction", "1.0", "--out", str(out)]) == 0
+        assert main(["score", "--low", "0.1", "--high", "0.2",
+                     "--out", str(out)]) == 0
+        assert main(["export", "--format", "graphml", "--out", str(out)]) == 0
+        _, _, attrs = read_graphml(out / "graph.graphml")
+        with open(out / "scores.csv", encoding="utf-8") as fh:
+            next(fh)
+            strata = dict(line.strip().split(",")[::2] for line in fh)
+        assert attrs["m00"]["stratum"] == strata["m00"] == "clinical"
+        assert {v: a["stratum"] for v, a in attrs.items()} == strata
 
     def test_unknown_format_listed(self, tmp_path):
         out = self.prepared(tmp_path)
