@@ -2,9 +2,9 @@
 """Time the hot kernels in isolation.
 
 Runs the greedy modularity merge, front refinement and triangle counting on
-synthetic graphs, and cycle breaking plus search path counts (SPC) on
-undated random citation digraphs, at increasing sizes, and prints a timing
-table. This is a kernel-only microbenchmark; ``perfbench/`` measures the
+synthetic graphs, cycle breaking plus search path counts (SPC) on undated
+random citation digraphs, and corpus parsing (``load_corpus``) on written
+planted corpora, at increasing sizes, and prints a timing table. This is a kernel-only microbenchmark; ``perfbench/`` measures the
 whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from ktmap import _kernels, fronts, hubs
-from ktmap.corpus import CitationNetwork, Document
+from ktmap.corpus import CitationNetwork, Document, load_corpus, write_corpus
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
 
@@ -100,6 +102,23 @@ def bench_cycles_spc(n: int) -> None:
     print(f"spc           n={net.n_docs:5d} m={len(edges):6d}  {t2 - t1:8.3f}s")
 
 
+def bench_parse(leaf: int) -> None:
+    """``load_corpus`` on a 4x5 nested planted corpus written to a temporary
+    directory; leaf=500 gives about 10k documents and 114k citations, the
+    size of perfbench's planted corpora."""
+    scale = 500 / leaf  # same expected degree at every size
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
+                        p_within=(0.0031 * scale, 0.0249 * scale),
+                        p_between=0.00083 * scale)
+    net = gen_planted_kt_network(cfg, 42)[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        nodes = os.path.join(tmp, "nodes.jsonl")
+        edges = os.path.join(tmp, "edges.csv")
+        write_corpus(net, nodes, edges)
+        t = time_call(load_corpus, nodes, edges)
+    print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  {t:8.3f}s")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true",
@@ -116,6 +135,8 @@ def main() -> None:
         bench_triangles(n, p)
     for n in [800] if args.quick else [800, 1600, 3200]:
         bench_cycles_spc(n)
+    for leaf in [100] if args.quick else [100, 250, 500]:
+        bench_parse(leaf)
 
 
 if __name__ == "__main__":

@@ -73,14 +73,17 @@ def homophily_assortativity(net: CitationNetwork,
     when either marginal has zero variance; raises when no edge has both
     endpoints scored.
     """
+    t = [scores.get(v) for v in net.ids]
     xs, ys = [], []
-    for citing, cited in net.edges:
-        t_citing = scores.get(citing)
-        t_cited = scores.get(cited)
-        if t_citing is None or t_cited is None:
+    for u, cited in enumerate(net.out_adj):
+        t_citing = t[u]
+        if t_citing is None:
             continue
-        xs.append(t_citing)
-        ys.append(t_cited)
+        for v in cited:
+            t_cited = t[v]
+            if t_cited is not None:
+                xs.append(t_citing)
+                ys.append(t_cited)
     if not xs:
         raise InsufficientDataError("no citation edge has both endpoints scored")
 

@@ -16,13 +16,33 @@ edges file : two-column delimited text ``citing,cited`` (tab or whitespace
     after a header line; a WARNING gives the line number when a line is
     read as a header although both fields name documents.
 lexicon files : one term per line, UTF-8, lowercased on load.
+
+Interned ids
+------------
+A CitationNetwork numbers its documents once, in sorted id order, and works
+on those numbers from then on. The edge citing u -> cited v is the int code
+``u * n + v`` (n documents), and the in- and out-adjacency are ascending
+int lists. As the numbering follows the sorted ids, the codes sort exactly
+like the (citing, cited) id pairs, so every order derived from them is the
+one the string pairs would give. Id strings come back where something is
+written or reported: ``ids[i]``, and the ``edges`` pairs, built on first
+use.
+
+The edges reader takes a seekable stream whose every line is ``a,b`` (as
+``write_corpus`` writes it, optionally under its header) in one read and a
+few whole-text splits. Any other stream is read line by line, and only that
+path reports malformed lines, so errors, warnings and their line numbers do
+not depend on the path taken.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import logging
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -202,76 +222,123 @@ class UGraph:
     def subgraph(self, nodes: Iterable[str]) -> "UGraph":
         """Induced subgraph on the given nodes (kept in sorted id order)."""
         keep = sorted(set(nodes))
-        keep_idx = {self.index[v] for v in keep}
-        edges = []
-        for i in sorted(keep_idx):
-            for j in sorted(self.adj[i]):
-                if j > i and j in keep_idx:
-                    edges.append((self.ids[i], self.ids[j], self.adj[i][j]))
-        return UGraph(keep, edges)
+        old = [self.index[v] for v in keep]
+        new_of = dict(zip(old, range(len(old))))
+        adj = [{new_of[j]: nbrs[j] for j in sorted(nbrs) if j in new_of}
+               for nbrs in map(self.adj.__getitem__, old)]
+        return UGraph._trusted(keep, adj)
+
+    @classmethod
+    def _trusted(cls, ids: Sequence[str], adj: list[dict[int, float]],
+                 index: dict[str, int] | None = None) -> "UGraph":
+        """A graph from parts already checked: distinct ids, and a symmetric
+        adjacency without self-loops, weights finite and > 0. Each node's
+        neighbours must come in the order __init__ would insert them, so
+        that iteration order, and every float sum over it, is the same."""
+        graph = cls.__new__(cls)
+        graph.ids = tuple(ids)
+        graph.index = ({v: i for i, v in enumerate(graph.ids)}
+                       if index is None else index)
+        graph.adj = adj
+        graph._triangles = None
+        return graph
 
 
 class CitationNetwork:
     """Directed citation graph plus its derived undirected simple projection.
 
-    Edges are (citing id, cited id) pairs. Immutable after construction and
+    Document ids are interned once, in sorted order: node i is document
+    ``ids[i]`` and ``index`` maps an id back to i. With n documents, the
+    edge citing u -> cited v is the int code ``u * n + v``; ``codes`` holds
+    them ascending and without duplicates, which is the order of the sorted
+    (citing id, cited id) pairs. ``out_adj[u]`` lists the nodes u cites and
+    ``in_adj[v]`` the nodes citing v, both ascending. The string pairs of
+    ``edges`` are built on first use. Immutable after construction and
     safe for concurrent reads. in_degree(v) is the citation count of v
     within the corpus.
     """
 
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
-        self.docs: dict[str, Document] = {}
+        docs: dict[str, Document] = {}
         for doc in documents:
-            if doc.id in self.docs:
+            if doc.id in docs:
                 raise DuplicateIdError(f"duplicate document id {doc.id!r}")
-            self.docs[doc.id] = doc
+            docs[doc.id] = doc
+        ids = tuple(sorted(docs))
+        index = {v: i for i, v in enumerate(ids)}
+        n = len(ids)
 
-        seen: set[tuple[str, str]] = set()
-        n_dup = 0
+        get = index.get
+        codes: list[int] = []
+        add = codes.append
         skipped = []
         for citing, cited in edges:
-            if citing == cited:
-                raise SelfLoopError(f"self-loop edge ({citing!r}, {cited!r})")
-            if citing not in self.docs or cited not in self.docs:
+            u = get(citing)
+            v = get(cited)
+            if u is None or v is None or u == v:
+                if citing == cited:
+                    raise SelfLoopError(f"self-loop edge ({citing!r}, {cited!r})")
                 if lenient:
                     skipped.append((citing, cited))
                     continue
-                missing = citing if citing not in self.docs else cited
+                missing = citing if u is None else cited
                 raise UnknownEndpointError(
                     f"edge ({citing!r}, {cited!r}) references unknown id {missing!r}")
-            if (citing, cited) in seen:
-                n_dup += 1
-                continue
-            seen.add((citing, cited))
+            add(u * n + v)
+        # sorted, duplicates sit side by side; sorting is nearly free on the
+        # already sorted edges files write_corpus writes
+        codes.sort()
+        n_dup = len(codes)
+        if any(map(operator.eq, codes, itertools.islice(codes, 1, None))):
+            codes = list(dict.fromkeys(codes))
+        n_dup -= len(codes)
         if n_dup:
             log.warning("collapsed %d duplicate citation edge(s)", n_dup)
         if skipped:
             log.warning("skipped %d edge(s) with unknown endpoints (lenient mode)",
                         len(skipped))
+        self._store(docs, ids, index, codes, tuple(skipped))
 
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(seen))
-        self.skipped_edges: tuple[tuple[str, str], ...] = tuple(skipped)
-
-        self._in: dict[str, list[str]] = {i: [] for i in self.docs}
-        self._out: dict[str, list[str]] = {i: [] for i in self.docs}
-        for citing, cited in self.edges:
-            self._out[citing].append(cited)
-            self._in[cited].append(citing)
+    def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
+               index: dict[str, int], codes: list[int],
+               skipped: tuple[tuple[str, str], ...]) -> None:
+        """Keep validated parts (ids sorted, codes ascending and distinct)
+        and derive the adjacency lists from the codes."""
+        self.docs = docs
+        self.ids = ids
+        self.index = index
+        self.codes = codes
+        self.skipped_edges = skipped
+        n = len(ids)
+        out_adj: list[list[int]] = [[] for _ in ids]
+        in_adj: list[list[int]] = [[] for _ in ids]
+        # one int object per node, shared by every list that names it: less
+        # memory, and the kernels walking these lists hit fewer cache lines
+        node = list(range(n))
+        for code in codes:
+            u, v = divmod(code, n)
+            out_adj[u].append(node[v])
+            in_adj[v].append(node[u])
+        self.out_adj = out_adj
+        self.in_adj = in_adj
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def n_docs(self) -> int:
-        return len(self.docs)
+        return len(self.ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.codes)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.docs))
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """(citing id, cited id) pairs, sorted."""
+        ids = self.ids
+        return tuple((ids[u], ids[v])
+                     for u, cited in enumerate(self.out_adj) for v in cited)
 
     def document(self, node: str) -> Document:
         return self.docs[node]
@@ -280,36 +347,67 @@ class CitationNetwork:
         return node in self.docs
 
     def in_degree(self, node: str) -> int:
-        return len(self._in[node])
+        return len(self.in_adj[self.index[node]])
 
     def out_degree(self, node: str) -> int:
-        return len(self._out[node])
+        return len(self.out_adj[self.index[node]])
 
     def citers(self, node: str) -> list[str]:
         """Documents citing `node`, sorted."""
-        return sorted(self._in[node])
+        ids = self.ids
+        return [ids[u] for u in self.in_adj[self.index[node]]]
 
     def cited_by(self, node: str) -> list[str]:
         """Documents cited by `node`, sorted."""
-        return sorted(self._out[node])
+        ids = self.ids
+        return [ids[v] for v in self.out_adj[self.index[node]]]
 
     def in_degrees(self) -> dict[str, int]:
-        return {i: len(self._in[i]) for i in self.docs}
+        return {i: self.in_degree(i) for i in self.docs}
 
-    # -- derived graphs ---------------------------------------------------
+    # -- derived networks and graphs ----------------------------------------
+
+    def with_documents(self, documents: Iterable[Document]) -> "CitationNetwork":
+        """This network with each document replaced by one of the same id.
+
+        The documents must carry exactly the network's ids; they are kept
+        in the order given. Edges, skipped edges and adjacency are shared.
+        """
+        docs: dict[str, Document] = {}
+        for doc in documents:
+            if doc.id in docs:
+                raise DuplicateIdError(f"duplicate document id {doc.id!r}")
+            docs[doc.id] = doc
+        if docs.keys() != self.docs.keys():
+            raise ValueError("replacement documents must have the network's ids")
+        net = copy.copy(self)
+        net.docs = docs
+        return net
+
+    def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
+        """Sub-network induced on the given document ids."""
+        keep = sorted(set(nodes))
+        old = [self.index[v] for v in keep]
+        m = len(keep)
+        new_of = [-1] * self.n_docs
+        for new, i in enumerate(old):
+            new_of[i] = new
+        codes: list[int] = []
+        for new, i in enumerate(old):
+            base = new * m
+            codes.extend([base + j for j in map(new_of.__getitem__, self.out_adj[i])
+                          if j >= 0])
+        sub = CitationNetwork.__new__(CitationNetwork)
+        sub._store({v: self.docs[v] for v in keep}, tuple(keep),
+                   dict(zip(keep, range(m))), codes, ())
+        return sub
 
     @cached_property
     def projection(self) -> UGraph:
         """Undirected simple projection: direction dropped, duplicates merged."""
-        pairs = {(min(u, v), max(u, v)) for u, v in self.edges}
-        return UGraph(self.ids, ((u, v, 1.0) for u, v in sorted(pairs)))
-
-    def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
-        """Sub-network induced on the given document ids."""
-        keep = set(nodes)
-        docs = [self.docs[i] for i in sorted(keep)]
-        edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
-        return CitationNetwork(docs, edges)
+        adj = [dict.fromkeys(sorted(cited + citing), 1.0)
+               for cited, citing in zip(self.out_adj, self.in_adj)]
+        return UGraph._trusted(self.ids, adj, self.index)
 
 
 def co_citation_projection(net: CitationNetwork) -> UGraph:
@@ -319,16 +417,23 @@ def co_citation_projection(net: CitationNetwork) -> UGraph:
     the number of documents citing both u and v. Zero-weight pairs are
     absent.
     """
-    weights: Counter[tuple[str, str]] = Counter()
-    cited_nodes = set()
-    for citer in net.ids:
-        cited = net.cited_by(citer)
-        cited_nodes.update(cited)
-        for a_pos in range(len(cited)):
-            for b_pos in range(a_pos + 1, len(cited)):
-                weights[(cited[a_pos], cited[b_pos])] += 1
-    edges = [(u, v, float(w)) for (u, v), w in sorted(weights.items())]
-    return UGraph(sorted(cited_nodes), edges)
+    n = net.n_docs
+    weights: Counter[int] = Counter()
+    for cited in net.out_adj:
+        if len(cited) > 1:
+            weights.update([u * n + v for u, v in itertools.combinations(cited, 2)])
+    nodes = [v for v, citing in enumerate(net.in_adj) if citing]
+    new_of = [-1] * n
+    for new, v in enumerate(nodes):
+        new_of[v] = new
+    adj: list[dict[int, float]] = [{} for _ in nodes]
+    # ascending codes: the order of the sorted (u, v) id pairs
+    for code in sorted(weights):
+        u, v = divmod(code, n)
+        w = float(weights[code])
+        adj[new_of[u]][new_of[v]] = w
+        adj[new_of[v]][new_of[u]] = w
+    return UGraph._trusted([net.ids[v] for v in nodes], adj)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -405,7 +510,52 @@ def iter_edge_records(stream: Iterable[str],
 
     A header line whose two fields are both in `doc_ids` is still skipped,
     with a WARNING (see the module docstring).
+
+    A seekable stream in which every line is ``a,b`` is read and split in
+    one piece; any other stream, or one that fails that test, is rewound
+    and read line by line, and only that path reports malformed lines.
     """
+    fields = _plain_edge_fields(stream)
+    if fields is None:
+        yield from _edge_lines(stream, doc_ids)
+        return
+    pairs = iter(fields)
+    if fields[0].lower() == "citing" and fields[1].lower() == "cited":
+        citing, cited = next(pairs), next(pairs)
+        if citing in doc_ids and cited in doc_ids:
+            _warn_header_names_documents(1, f"{citing},{cited}")
+    yield from zip(pairs, pairs)
+
+
+def _plain_edge_fields(stream) -> list[str] | None:
+    """The flat [citing, cited, citing, cited, ...] fields of a seekable
+    stream whose every line is one ``a,b`` with no whitespace, blank line
+    or comment (trailing newlines aside); else None, the stream rewound."""
+    try:
+        if not stream.seekable():
+            return None
+        start = stream.tell()
+    except (AttributeError, OSError):
+        return None
+    try:
+        text = stream.read()
+    except ValueError:  # undecodable: the line loop raises it at its line
+        stream.seek(start)
+        return None
+    tokens = text.split()
+    fields = ",".join(tokens).split(",")
+    if (len(fields) == 2 * len(tokens) and "" not in fields
+            and "\n".join(tokens) == text.rstrip("\n")
+            and not text.startswith("#") and "\n#" not in text
+            and all(map(str.__contains__, tokens, itertools.repeat(",")))):
+        return fields
+    stream.seek(start)
+    return None
+
+
+def _edge_lines(stream: Iterable[str],
+                doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
+    """iter_edge_records, one line at a time."""
     first_data_line = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -422,26 +572,37 @@ def iter_edge_records(stream: Iterable[str],
             first_data_line = False
             if [p.lower() for p in parts] == ["citing", "cited"]:
                 if parts[0] in doc_ids and parts[1] in doc_ids:
-                    log.warning("edges line %d: %r was read as the header "
-                                "although both fields name documents; an "
-                                "edge between them must follow a header "
-                                "line", lineno, line)
+                    _warn_header_names_documents(lineno, line)
                 continue
         yield parts[0], parts[1]
+
+
+def _warn_header_names_documents(lineno: int, line: str) -> None:
+    log.warning("edges line %d: %r was read as the header although both "
+                "fields name documents; an edge between them must follow a "
+                "header line", lineno, line)
 
 
 # -- writing ----------------------------------------------------------------
 
 
+# json.dumps with its default settings, minus its per-call argument checks
+_to_json = json.JSONEncoder().encode
+
+
 def write_corpus(net: CitationNetwork, nodes_path, edges_path) -> None:
     """Write the standard nodes/edges files; re-parsing round-trips exactly."""
+    ids, docs = net.ids, net.docs
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        for doc_id in net.ids:
-            fh.write(json.dumps(document_to_record(net.docs[doc_id])) + "\n")
+        write = fh.write
+        for doc_id in ids:
+            write(_to_json(document_to_record(docs[doc_id])) + "\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
-        fh.write("citing,cited\n")
-        for citing, cited in net.edges:
-            fh.write(f"{citing},{cited}\n")
+        write = fh.write
+        write("citing,cited\n")
+        for citing, cited in zip(ids, net.out_adj):
+            for v in cited:
+                write(f"{citing},{ids[v]}\n")
 
 
 def document_to_record(doc: Document) -> dict:

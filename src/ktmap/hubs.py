@@ -17,10 +17,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .axis import front_score_summary
 from .corpus import CitationNetwork
@@ -85,17 +84,17 @@ def detect_translational_hubs(net: CitationNetwork,
     if missing:
         raise ValueError(f"scores do not cover node {missing[0]!r}")
 
-    degrees = [graph.degree(v) for v in graph.ids]
-    k_max = max(degrees)
+    degrees = sorted(graph.degree(v) for v in graph.ids)
+    k_max = degrees[-1]
     if k_max == 0:
         return []
-    k_threshold = float(np.quantile(degrees, config.degree_pct))
+    k_threshold = sorted_quantile(degrees, config.degree_pct)
 
     cs = local_clustering(graph)
-    defined_c = [c for c in cs.values() if c is not None]
+    defined_c = sorted(c for c in cs.values() if c is not None)
     c_max = config.c_max
     if c_max is None:
-        c_max = float(np.median(defined_c)) if defined_c else 0.0
+        c_max = sorted_median(defined_c) if defined_c else 0.0
 
     front_means = {fid: s.mean_t
                    for fid, s in front_score_summary(partition, scores).items()}
@@ -130,6 +129,38 @@ def detect_translational_hubs(net: CitationNetwork,
                          bridged_fronts=h.bridged_fronts, t_spread=h.t_spread,
                          hub_score=h.hub_score, rank=i + 1)
             for i, h in enumerate(accepted)]
+
+
+def sorted_quantile(values: list, q: float) -> float:
+    """The q-quantile of an ascending list, equal bit for bit to
+    ``np.quantile(values, q)`` with its default 'linear' method.
+
+    numpy takes the virtual index (n - 1) * q, clamps it to the last
+    element, and interpolates between its two neighbours a and b from
+    whichever end is nearer: a + (b - a) * t below t = 0.5, b - (b - a) *
+    (1 - t) from there on. The same operations are done on floats here.
+    Unlike np.quantile, this does not import numpy.ma.
+    """
+    n = len(values)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(values[-1])
+    lo = math.floor(virtual)
+    a, b = values[lo], values[lo + 1]
+    t = virtual - lo
+    diff = b - a
+    if t >= 0.5:
+        return float(b - diff * (1 - t))
+    return float(a + diff * t)
+
+
+def sorted_median(values: list) -> float:
+    """``np.median(values)`` of a non-empty ascending list, bit for bit:
+    the middle value, or the mean of the two middle values."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return float(values[half])
+    return (values[half - 1] + values[half]) / 2
 
 
 def hub_regions(net: CitationNetwork,
@@ -192,44 +223,47 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     anti-chronological ones in input order, then the cycle edges in the
     order they were broken.
     """
+    ids, n = net.ids, net.n_docs
+    years = [net.docs[v].year for v in ids]
     removed = []
-    edges = []
-    for citing, cited in net.edges:
-        y_citing = net.docs[citing].year
-        y_cited = net.docs[cited].year
-        if y_citing is not None and y_cited is not None and y_citing < y_cited:
-            removed.append((citing, cited))
-        else:
-            edges.append((citing, cited))
+    kept: list[int] = []  # edge codes u * n + v, as in CitationNetwork.codes
+    for u, cited in enumerate(net.out_adj):
+        y_citing = years[u]
+        for v in cited:
+            y_cited = years[v]
+            if y_citing is not None and y_cited is not None and y_citing < y_cited:
+                removed.append((ids[u], ids[v]))
+            else:
+                kept.append(u * n + v)
     if removed:
         log.warning("dropped %d anti-chronological citation edge(s)", len(removed))
 
-    broken = _break_cycles(edges)
+    broken = _break_cycles(n, kept)
     if broken:
-        log.warning("broke citation cycles by removing %d edge(s), e.g. %s",
-                    len(broken), ", ".join(map(str, broken[:3])))
-        for victim in broken:
-            log.debug("broke citation cycle by removing edge %s", victim)
         cut = set(broken)
-        edges = [e for e in edges if e not in cut]
-        removed += broken
-    return edges, removed
+        kept = [code for code in kept if code not in cut]
+        broken_edges = [(ids[code // n], ids[code % n]) for code in broken]
+        log.warning("broke citation cycles by removing %d edge(s), e.g. %s",
+                    len(broken), ", ".join(map(str, broken_edges[:3])))
+        for victim in broken_edges:
+            log.debug("broke citation cycle by removing edge %s", victim)
+        removed += broken_edges
+    return [(ids[code // n], ids[code % n]) for code in kept], removed
 
 
-def _break_cycles(edges: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """The cycle edges acyclic_reduction deletes, in the order it deletes them.
+def _break_cycles(n: int, edge_codes: list[int]) -> list[int]:
+    """The codes of the cycle edges acyclic_reduction deletes, in the order
+    it deletes them, among the edge codes u * n + v of nodes 0..n-1.
 
-    Nodes are numbered in sorted id order, so the integer codes u * n + v of
-    two edges compare as their (tail, head) ids do.
+    Nodes are numbered in sorted id order, so the codes of two edges
+    compare as their (tail, head) ids do.
     """
-    ids = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
     succ: list[set[int]] = [set() for _ in range(n)]
     pred: list[set[int]] = [set() for _ in range(n)]
-    for a, b in edges:
-        succ[index[a]].add(index[b])
-        pred[index[b]].add(index[a])
+    for code in edge_codes:
+        a, b = divmod(code, n)
+        succ[a].add(b)
+        pred[b].add(a)
 
     comp = [0] * n  # SCC label per node; every new part gets a fresh label
     fresh = itertools.count(1)
@@ -253,12 +287,13 @@ def _break_cycles(edges: list[tuple[str, str]]) -> list[tuple[str, str]]:
     broken = []
     while work:
         label, members, codes = work.pop()
-        u, v = divmod(codes.pop(), n)
-        while comp[u] != label or comp[v] != label:  # crosses an earlier split
-            u, v = divmod(codes.pop(), n)
+        code = codes.pop()
+        while comp[code // n] != label or comp[code % n] != label:
+            code = codes.pop()  # crosses an earlier split
+        u, v = divmod(code, n)
         succ[u].discard(v)
         pred[v].discard(u)
-        broken.append((ids[u], ids[v]))
+        broken.append(code)
         from_u = _reach(u, v, succ, comp, label)
         if from_u is None:  # u still reaches v: still strongly connected
             work.append((label, members, codes))

@@ -273,7 +273,7 @@ def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwo
                            basic_terms=basic, clinical_terms=clinical,
                            raw_terms=doc.raw_terms, ext_citations=doc.ext_citations)
         docs.append(doc)
-    return CitationNetwork(docs, net.edges)
+    return net.with_documents(docs)
 
 
 def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):

@@ -6,11 +6,15 @@ counts by explicit enumeration of every source-to-sink path, the greedy
 merge sequence by rescanning every community pair at every step, front
 refinement by re-deriving every node's front weights at every step, and
 cycle breaking by recomputing every strongly connected component after each
-round of removals.
+round of removals. The citation network and the edge-file reader keep their
+string-keyed forms: pairs of id strings deduplicated in a set and sorted,
+and one edges line at a time.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +22,8 @@ import pytest
 
 from ktmap import fronts
 from ktmap.corpus import CitationNetwork, Document, UGraph
+from ktmap.errors import (DuplicateIdError, MalformedRecordError,
+                          SelfLoopError, UnknownEndpointError)
 
 
 def ugraph(edges, extra_nodes=()) -> UGraph:
@@ -428,3 +434,122 @@ def random_dag(n, p, seed):
 def two_triangles() -> UGraph:
     return ugraph([("a", "b"), ("b", "c"), ("a", "c"),
                    ("d", "e"), ("e", "f"), ("d", "f")])
+
+
+# -- string-keyed citation network and line-by-line edge reader --------------
+
+_corpus_log = logging.getLogger("ktmap.corpus")
+
+
+class StringCitationNetwork:
+    """Reference CitationNetwork over id strings: (citing, cited) pairs are
+    checked one by one, deduplicated in a set and sorted as tuples, and the
+    adjacency is a dict of string lists. Same checks, exceptions and
+    warnings as ``ktmap.corpus.CitationNetwork``."""
+
+    def __init__(self, documents, edges, lenient=False):
+        self.docs = {}
+        for doc in documents:
+            if doc.id in self.docs:
+                raise DuplicateIdError(f"duplicate document id {doc.id!r}")
+            self.docs[doc.id] = doc
+
+        seen = set()
+        n_dup = 0
+        skipped = []
+        for citing, cited in edges:
+            if citing == cited:
+                raise SelfLoopError(f"self-loop edge ({citing!r}, {cited!r})")
+            if citing not in self.docs or cited not in self.docs:
+                if lenient:
+                    skipped.append((citing, cited))
+                    continue
+                missing = citing if citing not in self.docs else cited
+                raise UnknownEndpointError(
+                    f"edge ({citing!r}, {cited!r}) references unknown id {missing!r}")
+            if (citing, cited) in seen:
+                n_dup += 1
+                continue
+            seen.add((citing, cited))
+        if n_dup:
+            _corpus_log.warning("collapsed %d duplicate citation edge(s)", n_dup)
+        if skipped:
+            _corpus_log.warning("skipped %d edge(s) with unknown endpoints "
+                                "(lenient mode)", len(skipped))
+
+        self.edges = tuple(sorted(seen))
+        self.skipped_edges = tuple(skipped)
+        self._in = {i: [] for i in self.docs}
+        self._out = {i: [] for i in self.docs}
+        for citing, cited in self.edges:
+            self._out[citing].append(cited)
+            self._in[cited].append(citing)
+
+    @property
+    def ids(self):
+        return tuple(sorted(self.docs))
+
+    def in_degree(self, node):
+        return len(self._in[node])
+
+    def out_degree(self, node):
+        return len(self._out[node])
+
+    def citers(self, node):
+        return sorted(self._in[node])
+
+    def cited_by(self, node):
+        return sorted(self._out[node])
+
+    def in_degrees(self):
+        return {i: len(self._in[i]) for i in self.docs}
+
+    @property
+    def projection(self):
+        pairs = {(min(u, v), max(u, v)) for u, v in self.edges}
+        return UGraph(self.ids, ((u, v, 1.0) for u, v in sorted(pairs)))
+
+    def co_citation_projection(self):
+        weights = Counter()
+        cited_nodes = set()
+        for citer in self.ids:
+            cited = self.cited_by(citer)
+            cited_nodes.update(cited)
+            for a_pos in range(len(cited)):
+                for b_pos in range(a_pos + 1, len(cited)):
+                    weights[(cited[a_pos], cited[b_pos])] += 1
+        edges = [(u, v, float(w)) for (u, v), w in sorted(weights.items())]
+        return UGraph(sorted(cited_nodes), edges)
+
+    def induced(self, nodes):
+        keep = set(nodes)
+        docs = [self.docs[i] for i in sorted(keep)]
+        edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
+        return StringCitationNetwork(docs, edges)
+
+
+def line_edge_records(stream, doc_ids):
+    """Reference edges reader: one line at a time, the only path there was
+    before the whole-file read."""
+    first_data_line = True
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," in line:
+            parts = [p.strip() for p in line.split(",")]
+        else:
+            parts = line.split()
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise MalformedRecordError(
+                f"edges line {lineno}: expected two fields, got {line!r}")
+        if first_data_line:
+            first_data_line = False
+            if [p.lower() for p in parts] == ["citing", "cited"]:
+                if parts[0] in doc_ids and parts[1] in doc_ids:
+                    _corpus_log.warning(
+                        "edges line %d: %r was read as the header although "
+                        "both fields name documents; an edge between them "
+                        "must follow a header line", lineno, line)
+                continue
+        yield parts[0], parts[1]

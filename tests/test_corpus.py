@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktmap.corpus import (Document, Lexicon, UGraph, co_citation_projection,
-                          count_terms, load_corpus, parse_corpus,
-                          write_corpus)
+from ktmap.corpus import (CitationNetwork, Document, Lexicon, UGraph,
+                          _plain_edge_fields, co_citation_projection,
+                          count_terms, iter_edge_records, load_corpus,
+                          parse_corpus, write_corpus)
 from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           MalformedRecordError, SelfLoopError,
                           UnknownEndpointError)
 
-from conftest import make_net
+from conftest import StringCitationNetwork, line_edge_records, make_net
 
 
 def parse(nodes_text, edges_text, **kwargs):
@@ -239,3 +240,189 @@ class TestCoCitation:
                                if (w, u) in net.edges and (w, v) in net.edges)
                 got = g.adj[g.index[u]].get(g.index[v], 0)
                 assert got == expected
+
+
+# -- int-coded network and whole-file reader against the string oracle ------
+
+# odd ids among them: an inner '#', non-ASCII text, and the header words
+ID_POOL = ["a", "b", "c", "p1", "x#y", "\u00e9t\u00e9", "\u65e5\u672c",
+           "citing", "cited", "Cited"]
+_ids = st.sampled_from(ID_POOL)
+_plain_line = st.builds("{},{}".format, _ids, _ids)
+# other lines, alone or as a run: other separators, padding, malformed
+# lines, comments, blanks and header lines anywhere
+_odd_lines = st.one_of(
+    st.builds("{}\t{}".format, _ids, _ids),
+    st.builds("{} {}".format, _ids, _ids),
+    st.builds("{} , {}".format, _ids, _ids),
+    st.builds(" {},{} ".format, _ids, _ids),
+    st.builds("{},{} {},{}".format, _ids, _ids, _ids, _ids),
+    st.builds("{},{},{}".format, _ids, _ids, _ids),
+    st.builds("{},".format, _ids),
+    st.builds(",{}".format, _ids),
+    st.builds("#{},{}".format, _ids, _ids),
+    _ids,
+    st.sampled_from(["citing,cited", "Citing,Cited", "CITING\tCITED",
+                     "# a comment", "", "   "]),
+).map(lambda line: [line]) | st.builds(
+    "{},{},{}\n{}".format, _ids, _ids, _ids, _ids).map(str.splitlines)
+
+
+@st.composite
+def edge_texts(draw):
+    """An edges file of `a,b` lines, maybe under a header, with up to three
+    odd lines or runs put in anywhere, LF or CRLF."""
+    lines = draw(st.lists(_plain_line, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_odd_lines)
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["citing,cited", "Citing,Cited"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + (final if lines else "")
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelno, record.getMessage()))
+
+
+def _outcome(build):
+    """(result, exception, log messages of ktmap.corpus) of build()."""
+    logger = logging.getLogger("ktmap.corpus")
+    handler, level = _Records(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return build(), None, handler.messages
+    except Exception as exc:  # compared with the oracle's
+        return None, exc, handler.messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _graph_view(graph):
+    return graph.ids, list(graph.edges()), [list(nbrs.items()) for nbrs in graph.adj]
+
+
+def _assert_same_network(net, ref):
+    assert net.ids == ref.ids
+    assert list(net.docs.items()) == list(ref.docs.items())
+    assert net.edges == ref.edges
+    assert net.n_edges == len(ref.edges)
+    assert net.skipped_edges == ref.skipped_edges
+    assert list(net.in_degrees().items()) == list(ref.in_degrees().items())
+    for v in ref.ids:
+        assert net.in_degree(v) == ref.in_degree(v)
+        assert net.out_degree(v) == ref.out_degree(v)
+        assert net.citers(v) == ref.citers(v)
+        assert net.cited_by(v) == ref.cited_by(v)
+    assert _graph_view(net.projection) == _graph_view(ref.projection)
+    assert (_graph_view(co_citation_projection(net))
+            == _graph_view(ref.co_citation_projection()))
+
+
+class TestAgainstStringOracle:
+    """CitationNetwork and iter_edge_records against the string-keyed
+    network and line reader of conftest, on generated edge files."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_network_errors_and_warnings(self, data, tmp_path_factory):
+        doc_ids = data.draw(st.lists(_ids, unique=True))
+        docs = [Document(id=v, year=data.draw(st.sampled_from([None, 1, 2])))
+                for v in doc_ids]
+        if docs and data.draw(st.integers(0, 9)) == 0:
+            docs.append(docs[0])
+        text = data.draw(edge_texts())
+        lenient = data.draw(st.booleans())
+        path = tmp_path_factory.mktemp("edges") / "edges.csv"
+        path.write_bytes(text.encode("utf-8"))
+        known = {doc.id for doc in docs}
+
+        for opener in (lambda: io.StringIO(text),
+                       lambda: open(path, encoding="utf-8")):
+            with opener() as fh:
+                net, exc, logged = _outcome(lambda: CitationNetwork(
+                    docs, iter_edge_records(fh, known), lenient=lenient))
+            with opener() as fh:
+                ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
+                    docs, line_edge_records(fh, known), lenient=lenient))
+            assert logged == ref_logged
+            if ref_exc is not None:
+                assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
+                continue
+            assert exc is None
+            _assert_same_network(net, ref)
+            keep = data.draw(st.lists(st.sampled_from(ref.ids))) if ref.ids else []
+            _assert_same_network(net.induced(keep), ref.induced(keep))
+
+    @pytest.mark.parametrize("text", [
+        "citing,cited\na,b\nb,c\n",
+        "a,b\nb,c",
+        "a,b\n\n\n",
+        "x#y,a\n",
+    ])
+    def test_plain_text_read_whole(self, text):
+        assert _plain_edge_fields(io.StringIO(text)) == text.replace(
+            "\n", ",").rstrip(",").split(",")
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "a,b c,d\n\n",      # two pairs on one line, one blank line
+        "a,b,c\nd\n",       # three fields, then one
+        "a,b\r\nc,d\r\n",   # CR left in by a StringIO
+        "a, b\n",
+        " a,b\n",
+        "a,b\n\nc,d\n",
+        "# c\na,b\n",
+        "a,b\n#c,d\n",
+        ",b\n",
+        "a\tb\n",
+    ])
+    def test_other_text_rewound_for_the_line_loop(self, text):
+        stream = io.StringIO(text)
+        assert _plain_edge_fields(stream) is None
+        assert stream.tell() == 0
+
+    def test_undecodable_text_read_by_lines(self, tmp_path):
+        # the bad byte lies past the first block the text layer decodes, so
+        # the line loop meets the unknown endpoint on line 1 first
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"a,ghost\n" + b"a,b\n" * 5000 + b"\xff,b\n")
+        docs = [Document(id="a"), Document(id="b")]
+        for lenient, error in ((False, UnknownEndpointError),
+                               (True, UnicodeDecodeError)):
+            for reader in (iter_edge_records, line_edge_records):
+                with open(path, encoding="utf-8") as fh, pytest.raises(error):
+                    CitationNetwork(docs, reader(fh, {"a", "b"}), lenient=lenient)
+
+    def test_unseekable_stream_read_by_lines(self):
+        docs = [Document(id="a"), Document(id="b")]
+        net = CitationNetwork(docs, iter_edge_records(iter(["a,b\n", "b,a"]),
+                                                      {"a", "b"}))
+        assert net.edges == (("a", "b"), ("b", "a"))
+
+
+class TestWithDocuments:
+    def test_replaces_documents_and_shares_edges(self):
+        net = parse('{"id": "b"}\n{"id": "a"}\n', "a,b\na,ghost\n", lenient=True)
+        new = net.with_documents([Document(id="a", basic_terms=3),
+                                  Document(id="b", clinical_terms=1)])
+        assert new.docs["a"].basic_terms == 3 and net.docs["a"].basic_terms == 0
+        assert list(new.docs) == ["a", "b"]
+        assert new.edges == net.edges and new.out_adj is net.out_adj
+        assert new.skipped_edges == (("a", "ghost"),)
+
+    def test_ids_must_match(self):
+        net = parse('{"id": "a"}\n{"id": "b"}\n', "a,b\n")
+        with pytest.raises(ValueError, match="ids"):
+            net.with_documents([Document(id="a")])
+        with pytest.raises(DuplicateIdError, match="a"):
+            net.with_documents([Document(id="a"), Document(id="a")])

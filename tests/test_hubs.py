@@ -1,5 +1,6 @@
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy
 from ktmap.hubs import (HubConfig, acyclic_reduction,
                         detect_translational_hubs, hub_regions, main_path,
-                        search_path_counts)
+                        search_path_counts, sorted_median, sorted_quantile)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
 from conftest import (enumerate_spc, make_net, random_dag,
@@ -34,6 +35,48 @@ def barbell_net():
         edges.append(("m", v))
     years = {v: i for i, v in enumerate(sorted(set(terms)))}
     return make_net(edges, terms=terms, years=years)
+
+
+def _degree_lists():
+    rng = np.random.default_rng(17)
+    lists = [[0], [5], [1, 2], [3, 3], [0, 7, 7, 9], list(range(10)),
+             [1] * 9 + [1000], [2 ** 40, 2 ** 40 + 3]]
+    for size in (2, 3, 7, 10, 11, 64, 101, 999):
+        lists.append([int(k) for k in rng.integers(0, 60, size)])
+        lists.append([int(k) for k in rng.zipf(2.2, size)])
+    return lists
+
+
+DEGREE_PCTS = sorted({*np.linspace(0.0, 1.0, 101).tolist(), 1 / 3, 2 / 3,
+                      0.05, 0.15, 0.35, 0.45, 0.55, 0.65, 0.85, 0.95, 0.999,
+                      np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)})
+
+
+class TestNumpyFreeQuantiles:
+    """hubs takes its degree quantile and median clustering from sorted
+    lists; both must equal numpy's bit for bit."""
+
+    @pytest.mark.parametrize("degrees", _degree_lists())
+    def test_quantile_matches_numpy(self, degrees):
+        ordered = sorted(degrees)
+        for q in DEGREE_PCTS:
+            assert sorted_quantile(ordered, float(q)) == np.quantile(degrees, q), q
+
+    def test_median_matches_numpy(self):
+        rng = np.random.default_rng(23)
+        cases = [[0.0], [0.25, 1.0], [1 / 3, 1 / 3, 0.5], [0.1, 0.2, 0.7, 0.3]]
+        for size in range(1, 40):
+            cases.append(rng.random(size).tolist())
+            cases.append([c / 6 for c in rng.integers(0, 7, size)])
+        for values in cases:
+            assert sorted_median(sorted(values)) == np.median(values), values
+
+    def test_hub_thresholds_match_numpy(self):
+        net = barbell_net()
+        graph = net.projection
+        degrees = [graph.degree(v) for v in graph.ids]
+        assert (sorted_quantile(sorted(degrees), 0.9)
+                == float(np.quantile(degrees, 0.9)))
 
 
 class TestHubDetection:

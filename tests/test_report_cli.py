@@ -116,6 +116,19 @@ class TestPipeline:
         assert ((out / "powerlaw.json").read_bytes()
                 == (tmp_path / "inproc" / "powerlaw.json").read_bytes())
 
+    def test_report_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.quantile and np.median import numpy.ma on first use; hubs
+        # takes its quantiles without them
+        child = ("import sys\nfrom ktmap.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+                 "sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "report",
+             "--config", str(TOY / "config.cfg"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_stage_error_tagged(self, tmp_path):
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "edges.csv").write_text("")
@@ -137,14 +150,14 @@ class TestPipeline:
         (tmp_path / "nodes.jsonl").write_text(
             '{"id": "a", "year": 2, "terms": ["kinase", "kinase", "trial"]}\n'
             '{"id": "b", "year": 1, "terms": ["trial"]}\n')
-        (tmp_path / "edges.csv").write_text("a,b\n")
+        (tmp_path / "edges.csv").write_text("a,b\na,ghost\n")
         (tmp_path / "basic.txt").write_text("kinase\n")
         (tmp_path / "clinical.txt").write_text("trial\n")
         cfg = PipelineConfig(nodes=str(tmp_path / "nodes.jsonl"),
                              edges=str(tmp_path / "edges.csv"),
                              lexicon_basic=str(tmp_path / "basic.txt"),
                              lexicon_clinical=str(tmp_path / "clinical.txt"),
-                             fraction=1.0, min_front_size=50,
+                             fraction=1.0, min_front_size=50, lenient=True,
                              out_dir=str(tmp_path / "out"))
         with pytest.raises(StageError):
             # two docs, one edge: fronts stage works but the power-law fit
@@ -155,6 +168,9 @@ class TestPipeline:
                            tmp_path / "out" / "corpus.edges.csv")
         assert back.docs["a"].basic_terms == 2
         assert back.docs["a"].clinical_terms == 1
+        # counting terms keeps the edges the lenient parse skipped
+        summary = json.loads((tmp_path / "out" / "corpus.summary.json").read_text())
+        assert summary["n_skipped_edges"] == 1
 
 
 class TestConfigFile:
