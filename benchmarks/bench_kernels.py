@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Time the hot kernels in isolation.
 
-Runs the greedy modularity merge, front refinement and triangle counting on
+Runs the greedy modularity merge (on citation projections and on one
+weighted co-citation graph), front refinement and triangle counting on
 synthetic graphs, cycle breaking plus search path counts (SPC) on undated
 random citation digraphs, and corpus parsing (``load_corpus``) on written
-planted corpora, at increasing sizes, and prints a timing table. This is a kernel-only microbenchmark; ``perfbench/`` measures the
-whole ``ktmap report``.
+planted corpora, at increasing sizes, and prints a timing table. This is a
+kernel-only microbenchmark; ``perfbench/`` measures the whole
+``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -21,7 +23,8 @@ import time
 import numpy as np
 
 from ktmap import _kernels, fronts, hubs
-from ktmap.corpus import CitationNetwork, Document, load_corpus, write_corpus
+from ktmap.corpus import (CitationNetwork, Document, co_citation_projection,
+                          load_corpus, write_corpus)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
 
@@ -39,6 +42,18 @@ def bench_greedy(n_blocks: int, leaf: int) -> None:
     eu, ev, ew = g.edge_arrays()
     t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
     print(f"greedy merge  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
+
+
+def bench_greedy_cocitation() -> None:
+    """Weighted co-citation projection of a 4x5 nested planted corpus with
+    the settings of perfbench's ``cocitation`` workload (1.4k docs)."""
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=70,
+                        p_within=(0.012, 0.1), p_between=0.003,
+                        homophily=0.5, n_hubs=0)
+    g = co_citation_projection(gen_planted_kt_network(cfg, 42)[0])
+    eu, ev, ew = g.edge_arrays()
+    t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
+    print(f"greedy merge (co-citation)  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
 
 
 def bench_refine(leaf: int) -> None:
@@ -129,6 +144,7 @@ def main() -> None:
     sizes = [(4, 75), (8, 100)] if args.quick else [(4, 75), (8, 100), (8, 250), (10, 400)]
     for blocks, leaf in sizes:
         bench_greedy(blocks, leaf)
+    bench_greedy_cocitation()
     for leaf in [100] if args.quick else [100, 250, 500]:
         bench_refine(leaf)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):

@@ -10,6 +10,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush, heapreplace
 
 
+def _exact_heap(wq, a):
+    """One entry ``(-dq, r, s)`` per live pair, keyed by its current gain."""
+    heap = [(-(w - 2.0 * a[r] * a[s]), r, s) for (r, s), w in wq.items()]
+    heapify(heap)
+    return heap
+
+
 def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
     """Agglomerative modularity merge sequence on an undirected graph.
 
@@ -27,6 +34,15 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
     the pair's gain, because float rounding is monotone. A popped entry is
     recomputed and re-keyed if stale; an entry that is current is the
     maximum, and the heap order gives the same tie-break as a full scan.
+
+    Entries of pairs merged away are dropped when popped, and in bulk:
+    once the heap holds more than twice as many entries as there are live
+    pairs, it is rebuilt with one entry per live pair, keyed by that pair's
+    current gain with the same expression as a pop. A rebuilt heap thus
+    meets the invariant above exactly (every live pair has an entry whose
+    key is at least its gain), so a rebuild changes only which dead or
+    stale entries are popped, never which pair is merged.
+
     The merge sequence and every Q are therefore bit-identical to rescanning
     all pairs at each step (O(n m) in total), which the tests keep as the
     reference.
@@ -73,9 +89,7 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         q -= a[i] * a[i]
     q0 = q
 
-    heap = [(-(w - 2.0 * a[r] * a[s]), r, s) for (r, s), w in wq.items()]
-    heapify(heap)
-
+    heap = _exact_heap(wq, a)
     merges: list[tuple[int, int]] = []
     qs: list[float] = []
     while wq:
@@ -90,28 +104,28 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
             continue
         heappop(heap)
         del wq[(r, s)]
-        touch[r].discard(s)
-        touch[s].discard(r)
+        touch_r = touch[r]
+        touch_r.discard(s)
         moved = touch[s]
-        for t in moved:
-            key_st = (s, t) if s < t else (t, s)
-            w_st = wq.pop(key_st)
-            key_rt = (r, t) if r < t else (t, r)
-            if key_rt in wq:
-                wq[key_rt] += w_st
-            else:
-                wq[key_rt] = w_st
-                touch[r].add(t)
-            touch[t].discard(s)
-            touch[t].add(r)
+        moved.discard(r)
         touch[s] = set()
         a[r] += a[s]
         a[s] = 0.0
         for t in moved:
+            w_st = wq.pop((s, t) if s < t else (t, s))
+            lo, hi = (r, t) if r < t else (t, r)
+            w_rt = wq.get((lo, hi), 0.0) + w_st
+            wq[(lo, hi)] = w_rt
+            touch_r.add(t)
+            touch_t = touch[t]
+            touch_t.discard(s)
+            touch_t.add(r)
             # same operand order as the pop-time recomputation, so the
             # fresh key is exactly the pair's current gain
-            lo, hi = (r, t) if r < t else (t, r)
-            heappush(heap, (-(wq[(lo, hi)] - 2.0 * a[lo] * a[hi]), lo, hi))
+            heappush(heap, (-(w_rt - 2.0 * a[lo] * a[hi]), lo, hi))
+        if len(heap) > 2 * len(wq):
+            heap.clear()  # free the dead entries before building the new heap
+            heap = _exact_heap(wq, a)
         q += dq
         merges.append((r, s))
         qs.append(q)

@@ -1,6 +1,7 @@
 """Kernel exactness: the lazy-heap greedy merge must reproduce the full-scan
 oracle (``conftest.scan_merge_seq``) bit for bit: merge sequence, q0 and
-every Q. Tie-heavy graphs check the (low id, high id) tie-break."""
+every Q. Tie-heavy graphs check the (low id, high id) tie-break, and graphs
+large enough for the heap to be rebuilt check the rebuild path."""
 
 import numpy as np
 import pytest
@@ -34,6 +35,30 @@ def graphs():
         yield gen_random_graph(60, 0.08, seed).projection
     for net in planted_nets():
         yield net.projection
+
+
+def planted_4x5(leaf, seed):
+    """A 4x5 nested planted corpus of 20 * leaf docs, wired like the
+    ``cocitation`` benchmark workload (leaf 70) at the same expected degree."""
+    scale = 70 / leaf
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
+                        p_within=(0.012 * scale, 0.1 * scale),
+                        p_between=0.003 * scale, homophily=0.5, n_hubs=0)
+    return gen_planted_kt_network(cfg, seed)[0]
+
+
+def heapify_calls(monkeypatch):
+    """Sizes of the heaps the kernel heapifies: its first heap, then one
+    per rebuild."""
+    sizes = []
+    real = _kernels.heapify
+
+    def counting(heap):
+        sizes.append(len(heap))
+        real(heap)
+
+    monkeypatch.setattr(_kernels, "heapify", counting)
+    return sizes
 
 
 def unweighted(n, pairs):
@@ -92,6 +117,28 @@ class TestMergeExact:
                       st.floats(1e-3, 1e3)),
             min_size=len(edges), max_size=len(edges)))
         assert_same_merge(n, [e[0] for e in edges], [e[1] for e in edges], ew)
+
+    @pytest.mark.parametrize("leaf,seed", [(15, 0), (15, 1), (30, 0), (30, 1)])
+    def test_rebuilt_heap_planted(self, monkeypatch, leaf, seed):
+        net = planted_4x5(leaf, seed)
+        sizes = heapify_calls(monkeypatch)
+        for g in (co_citation_projection(net), net.projection):
+            sizes.clear()
+            eu, ev, ew = g.edge_arrays()
+            assert_same_merge(g.n_nodes, eu, ev, ew)
+            assert len(sizes) > 1  # the heap was rebuilt
+
+    @pytest.mark.parametrize("rows,cols", [(5, 2), (6, 2), (6, 5), (4, 7)])
+    def test_rebuilt_heap_grid(self, monkeypatch, rows, cols):
+        # exact ties between entries from a rebuild and entries pushed after
+        # it: a rebuilt key one ulp below the pair's gain changes the merges
+        right = [(i * cols + j, i * cols + j + 1)
+                 for i in range(rows) for j in range(cols - 1)]
+        down = [(i * cols + j, (i + 1) * cols + j)
+                for i in range(rows - 1) for j in range(cols)]
+        sizes = heapify_calls(monkeypatch)
+        assert_same_merge(*unweighted(rows * cols, right + down))
+        assert len(sizes) > 1
 
     def test_no_edges_raises(self):
         with pytest.raises(ValueError):
