@@ -58,3 +58,10 @@ class StageFileError(KTMapError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+
+
+class ReportSchemaError(Exception):
+    """A report violates the shipped report schema, or the schema uses a
+    keyword the checker does not know. This is a bug in ktmap, not bad
+    input, so it derives from neither KTMapError nor ValueError and the CLI
+    exits 3 (internal error)."""

@@ -17,8 +17,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import numbers
+import re
+import reprlib
 import typing
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -31,7 +34,7 @@ from .axis import (DEFAULT_HIGH, DEFAULT_LOW, classify, front_score_summary,
 from .corpus import (CitationNetwork, Document, Lexicon,
                      co_citation_projection, count_terms, load_corpus,
                      write_corpus)
-from .errors import KTMapError, StageError, StageFileError
+from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
 from .metrics import ck_scaling, node_metrics_table
@@ -159,10 +162,101 @@ def load_report_schema() -> dict:
 
 
 def validate_report(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the report violates the schema."""
-    import jsonschema
+    """Check a report against the shipped report.schema.json; raise
+    ReportSchemaError at the first violation (see validate_json)."""
+    validate_json(doc, load_report_schema())
 
-    jsonschema.validate(doc, load_report_schema())
+
+# keyword -> the only JSON type it constrains; other instances pass it
+_APPLIES_TO = {"required": "object", "properties": "object", "items": "array",
+               "minItems": "array", "minimum": "number", "maximum": "number",
+               "exclusiveMinimum": "number", "pattern": "string"}
+
+# JSON types as jsonschema 4.x's draft-07 type checker defines them: a bool
+# is neither integer nor number, an integral float is an integer, and only a
+# list is an array
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+}
+
+
+def validate_json(instance, schema: dict, path: str = "$") -> None:
+    """Check `instance` against a JSON Schema that uses only the draft-07
+    keywords type, required, properties, items (one schema for every
+    item), minItems, minimum, maximum, exclusiveMinimum, const, enum and
+    pattern, with jsonschema 4.x's verdicts: a bound fails only on <, > or
+    <=, so NaN passes it, and pattern uses re.search. $schema and title are
+    ignored. Any other keyword, or a schema that is not an object, raises
+    ReportSchemaError, as does the first violation; its message names the
+    JSON path, the keyword and the value."""
+    if not isinstance(schema, dict):
+        raise ReportSchemaError(f"{path}: unsupported schema {schema!r}")
+    for key, arg in schema.items():
+        if key in ("$schema", "title"):
+            continue
+        if key in _APPLIES_TO and not _IS_TYPE[_APPLIES_TO[key]](instance):
+            continue
+        if key == "properties":
+            for name, sub in arg.items():
+                if name in instance:
+                    validate_json(instance[name], sub, f"{path}.{name}")
+            continue
+        if key == "items":
+            for i, item in enumerate(instance):
+                validate_json(item, arg, f"{path}[{i}]")
+            continue
+        if key == "required":
+            for name in arg:
+                if name not in instance:
+                    raise ReportSchemaError(
+                        f"{path}: required property {name!r} is missing")
+            continue
+        if key == "type":
+            ok = any(_IS_TYPE[t](instance)
+                     for t in (arg if isinstance(arg, list) else [arg]))
+        elif key == "minItems":
+            ok = len(instance) >= arg
+        elif key == "minimum":
+            ok = not instance < arg
+        elif key == "maximum":
+            ok = not instance > arg
+        elif key == "exclusiveMinimum":
+            ok = not instance <= arg
+        elif key == "pattern":
+            ok = re.search(arg, instance) is not None
+        elif key == "const":
+            ok = _json_equal(instance, arg)
+        elif key == "enum":
+            ok = any(_json_equal(each, instance) for each in arg)
+        else:
+            raise ReportSchemaError(f"{path}: unsupported schema keyword {key!r}")
+        if not ok:
+            raise ReportSchemaError(
+                f"{path}: {reprlib.repr(instance)} fails {key} {arg!r}")
+
+
+def _json_equal(a, b) -> bool:
+    """Equality as jsonschema's const and enum take it: True and False are
+    not 1 and 0, also inside sequences and mappings."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _json_equal(v, b[k])
+                                        for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
 
 
 def front_table_rows(tree: FrontTree, scores, low: float,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -115,6 +116,31 @@ class TestPipeline:
         run_pipeline(toy_config(tmp_path / "inproc"))
         assert ((out / "powerlaw.json").read_bytes()
                 == (tmp_path / "inproc" / "powerlaw.json").read_bytes())
+
+    def test_runs_without_jsonschema(self, tmp_path):
+        # jsonschema is only the tests' reference for the schema check: a
+        # report must not import it, and must come out the same where
+        # `import jsonschema` fails
+        plain = ("import sys\nfrom ktmap.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+                 "sys.exit(code)")
+        blocked = ("import sys; sys.modules['jsonschema'] = None\n"
+                   "from ktmap.cli import main; sys.exit(main(sys.argv[1:]))")
+        outs = tmp_path / "plain", tmp_path / "blocked"
+        for child, out in zip((plain, blocked), outs):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "report",
+                 "--config", str(TOY / "config.cfg"), "--out", str(out)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            a, b = ((out / name).read_bytes() for out in outs)
+            if name == "report.json":
+                a, b = (strip_run_fields(json.loads(x)) for x in (a, b))
+            assert a == b, name
 
     def test_report_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.quantile and np.median import numpy.ma on first use; hubs
@@ -374,6 +400,18 @@ class TestCliStages:
         assert code == 0
         with open(tmp_path / "report.json", encoding="utf-8") as fh:
             validate_report(json.load(fh))
+
+    def test_schema_violation_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a report that fails its own schema is a bug in ktmap: an internal
+        # error, and no report.json
+        monkeypatch.setattr("ktmap.report.main_path", lambda core: SimpleNamespace(
+            nodes=("m00",), spc=(1,), removed_edges=()))
+        code = self.run_cli("report", "--config", str(TOY / "config.cfg"),
+                            "--out", str(tmp_path))
+        assert code == 3
+        assert "$.main_path.nodes: ['m00'] fails minItems 2" in capsys.readouterr().err
+        assert (tmp_path / "main_path.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
     def test_simulate_presets(self, tmp_path):
         for preset, extra in (("planted", ["--blocks", "2", "--leaf-size", "10",
