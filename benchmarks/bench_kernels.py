@@ -4,7 +4,7 @@
 Runs the greedy modularity merge (on citation projections and on one
 weighted co-citation graph), front refinement and triangle counting on
 synthetic graphs, cycle breaking plus search path counts (SPC) on undated
-random citation digraphs, and corpus parsing (``load_corpus``) on written
+random citation digraphs, and corpus parsing and writing on written
 planted corpora, at increasing sizes, and prints a timing table. This is a
 kernel-only microbenchmark; ``perfbench/`` measures the whole
 ``ktmap report``.
@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from ktmap import _kernels, fronts, hubs
+from ktmap import _kernels, corpus, fronts, hubs
 from ktmap.corpus import (CitationNetwork, Document, co_citation_projection,
-                          load_corpus, write_corpus)
+                          iter_node_records, load_corpus, write_corpus)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
 
@@ -118,9 +118,13 @@ def bench_cycles_spc(n: int) -> None:
 
 
 def bench_parse(leaf: int) -> None:
-    """``load_corpus`` on a 4x5 nested planted corpus written to a temporary
+    """Corpus parsing on a 4x5 nested planted corpus written to a temporary
     directory; leaf=500 gives about 10k documents and 114k citations, the
-    size of perfbench's planted corpora."""
+    size of perfbench's planted corpora. Columns: the nodes file read to
+    Documents; the edges file read and its ids looked up; the rest of the
+    network build (int codes and adjacency); ``write_corpus`` of what the
+    report's parse stage reads (a copy of the input text here); and
+    ``load_corpus`` plus that write, as the parse stage runs them."""
     scale = 500 / leaf  # same expected degree at every size
     cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
                         p_within=(0.0031 * scale, 0.0249 * scale),
@@ -130,8 +134,23 @@ def bench_parse(leaf: int) -> None:
         nodes = os.path.join(tmp, "nodes.jsonl")
         edges = os.path.join(tmp, "edges.csv")
         write_corpus(net, nodes, edges)
-        t = time_call(load_corpus, nodes, edges)
-    print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  {t:8.3f}s")
+        t0 = time.perf_counter()
+        with open(nodes, encoding="utf-8") as fh:
+            docs = list(iter_node_records(fh))
+        t1 = time.perf_counter()
+        with open(edges, encoding="utf-8") as fh:
+            text = fh.read()
+        corpus._edge_text_nodes(text.rstrip("\n"), net.index)
+        t2 = time.perf_counter()
+        CitationNetwork._from_edges_text(docs, text, lenient=False)
+        t3 = time.perf_counter()
+        parsed = load_corpus(nodes, edges, keep_text=True)
+        t4 = time.perf_counter()
+        write_corpus(parsed, os.path.join(tmp, "n.jsonl"), os.path.join(tmp, "e.csv"))
+        t5 = time.perf_counter()
+    print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  nodes {t1 - t0:.3f}s"
+          f"  edges {t2 - t1:.3f}s  network {t3 - t2 - (t2 - t1):.3f}s"
+          f"  write {t5 - t4:.3f}s  load+write {t5 - t3:8.3f}s")
 
 
 def main() -> None:
@@ -151,7 +170,7 @@ def main() -> None:
         bench_triangles(n, p)
     for n in [800] if args.quick else [800, 1600, 3200]:
         bench_cycles_spc(n)
-    for leaf in [100] if args.quick else [100, 250, 500]:
+    for leaf in [100] if args.quick else [100, 250, 500, 1000]:
         bench_parse(leaf)
 
 

@@ -28,16 +28,32 @@ one the string pairs would give. Id strings come back where something is
 written or reported: ``ids[i]``, and the ``edges`` pairs, built on first
 use.
 
-The edges reader takes a seekable stream whose every line is ``a,b`` (as
-``write_corpus`` writes it, optionally under its header) in one read and a
-few whole-text splits. Any other stream is read line by line, and only that
-path reports malformed lines, so errors, warnings and their line numbers do
-not depend on the path taken.
+Whole-file reading
+------------------
+Both readers take a seekable stream in one read. The nodes text, split on
+"\n" alone, goes through one json.loads and one batch check of every
+record; when every line is ``a,b`` (as ``write_corpus`` writes it,
+optionally under its header), the edges text is split in a few whole-text
+operations and its ids are looked up straight to int codes. Any other
+stream or text, down to one record the line loop would reject or one line
+it would read differently, is read line by line, and only that path
+reports malformed lines, so errors, warnings and their line numbers do not
+depend on the path taken.
+
+``write_corpus`` writes the input text itself where ``parse_corpus`` with
+``keep_text`` has shown it to be exactly what would be written: for the
+edges file, a plain text under the header ``citing,cited`` whose edges
+come sorted, distinct and all kept, ending in one newline; for the nodes
+file, every line in the encoder's form and in id order, as long as no
+document was replaced. The report's parse stage writes corpus.* this way,
+so a corpus that ``write_corpus`` wrote is copied, not re-encoded.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -47,7 +63,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from itertools import islice, repeat
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _kernels
 from .errors import (
@@ -90,6 +107,14 @@ class Document:
             raise ValueError(f"term counts must be non-negative ({self.id})")
         if self.year is not None and not isinstance(self.year, int):
             raise ValueError(f"year must be an integer ({self.id})")
+
+    @classmethod
+    def _trusted(cls, fields: dict) -> "Document":
+        """A Document from {field: value} in field order, values already
+        checked as __post_init__ checks them."""
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "__dict__", fields)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -258,68 +283,82 @@ class CitationNetwork:
     within the corpus.
     """
 
+    # the input text write_corpus may copy (parse_corpus(keep_text=True))
+    text: CorpusText | None = None
+
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
-        docs: dict[str, Document] = {}
-        for doc in documents:
-            if doc.id in docs:
-                raise DuplicateIdError(f"duplicate document id {doc.id!r}")
-            docs[doc.id] = doc
-        ids = tuple(sorted(docs))
-        index = {v: i for i, v in enumerate(ids)}
-        n = len(ids)
+        docs, ids, index = _intern(documents)
+        codes, skipped = _pair_codes(index, edges, lenient)
+        self._store(docs, ids, index, _sorted_codes(codes, skipped), skipped)
 
-        get = index.get
-        codes: list[int] = []
-        add = codes.append
-        skipped = []
-        for citing, cited in edges:
-            u = get(citing)
-            v = get(cited)
-            if u is None or v is None or u == v:
-                if citing == cited:
-                    raise SelfLoopError(f"self-loop edge ({citing!r}, {cited!r})")
-                if lenient:
-                    skipped.append((citing, cited))
-                    continue
-                missing = citing if u is None else cited
-                raise UnknownEndpointError(
-                    f"edge ({citing!r}, {cited!r}) references unknown id {missing!r}")
-            add(u * n + v)
-        # sorted, duplicates sit side by side; sorting is nearly free on the
-        # already sorted edges files write_corpus writes
-        codes.sort()
-        n_dup = len(codes)
-        if any(map(operator.eq, codes, itertools.islice(codes, 1, None))):
-            codes = list(dict.fromkeys(codes))
-        n_dup -= len(codes)
-        if n_dup:
-            log.warning("collapsed %d duplicate citation edge(s)", n_dup)
-        if skipped:
-            log.warning("skipped %d edge(s) with unknown endpoints (lenient mode)",
-                        len(skipped))
-        self._store(docs, ids, index, codes, tuple(skipped))
+    @classmethod
+    def _from_edges_text(cls, documents: Iterable[Document], text: str,
+                         lenient: bool) -> tuple["CitationNetwork", bool]:
+        """The network of `documents` and the whole text of an edges file,
+        and whether write_corpus would write that text back byte for byte.
+        The documents come from the nodes reader, so no id is empty, holds
+        whitespace or starts with '#'.
+
+        When every line is ``a,b`` with both fields known ids and no
+        self-loop, the fields are looked up in the index in bulk, straight
+        to int codes. Any other text goes through iter_edge_records and the
+        per-pair loop, so its errors and warnings are those of __init__.
+        """
+        docs, ids, index = _intern(documents)
+        n = len(ids)
+        found = _edge_text_nodes(text.rstrip("\n"), index)
+        codes = None
+        if found is not None:
+            us, vs, header = found
+            try:  # TypeError: None, the node of an unknown id
+                codes = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
+            except TypeError:
+                pass
+        if codes is not None and not any(map(operator.eq, us, vs)):
+            # every field is an id, so the text is plain as iter_edge_records
+            # takes it: no blank line, comment, whitespace or empty field
+            if header is not None and header[0] in index and header[1] in index:
+                _warn_header_names_documents(1, ",".join(header))
+            skipped: tuple = ()
+            pairs = us, vs
+        else:
+            codes, skipped = _pair_codes(
+                index, iter_edge_records(io.StringIO(text), index), lenient)
+            pairs = None
+        ordered = _sorted_codes(codes, skipped)
+        in_order = ordered is codes
+        net = cls.__new__(cls)
+        net._store(docs, ids, index, ordered, skipped, pairs if in_order else None)
+        return net, (pairs is not None and in_order
+                     and text.startswith("citing,cited\n")
+                     and not text.endswith("\n\n"))
 
     def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
                index: dict[str, int], codes: list[int],
-               skipped: tuple[tuple[str, str], ...]) -> None:
+               skipped: tuple[tuple[str, str], ...],
+               pairs: tuple[list[int], list[int]] | None = None) -> None:
         """Keep validated parts (ids sorted, codes ascending and distinct)
-        and derive the adjacency lists from the codes."""
+        and derive the adjacency lists from the codes, or from `pairs`, the
+        (citing, cited) node lists of the codes, taken from the index."""
         self.docs = docs
         self.ids = ids
         self.index = index
         self.codes = codes
         self.skipped_edges = skipped
-        n = len(ids)
+        # one int object per node, the index's, shared by every list that
+        # names it: less memory, and the kernels walking these lists hit
+        # fewer cache lines
+        if pairs is None:
+            node = list(index.values())
+            n = len(ids)
+            pairs = (list(map(node.__getitem__, map(operator.floordiv, codes, repeat(n)))),
+                     list(map(node.__getitem__, map(operator.mod, codes, repeat(n)))))
         out_adj: list[list[int]] = [[] for _ in ids]
         in_adj: list[list[int]] = [[] for _ in ids]
-        # one int object per node, shared by every list that names it: less
-        # memory, and the kernels walking these lists hit fewer cache lines
-        node = list(range(n))
-        for code in codes:
-            u, v = divmod(code, n)
-            out_adj[u].append(node[v])
-            in_adj[v].append(node[u])
+        for u, v in zip(*pairs):
+            out_adj[u].append(v)
+            in_adj[v].append(u)
         self.out_adj = out_adj
         self.in_adj = in_adj
 
@@ -382,6 +421,8 @@ class CitationNetwork:
             raise ValueError("replacement documents must have the network's ids")
         net = copy.copy(self)
         net.docs = docs
+        if net.text is not None:  # the nodes text no longer describes docs
+            net.text = net.text._replace(nodes=None)
         return net
 
     def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
@@ -436,24 +477,137 @@ def co_citation_projection(net: CitationNetwork) -> UGraph:
     return UGraph._trusted([net.ids[v] for v in nodes], adj)
 
 
+def _intern(documents: Iterable[Document]
+            ) -> tuple[dict[str, Document], tuple[str, ...], dict[str, int]]:
+    """(docs by id in the order given, ids sorted, index id -> node)."""
+    docs: dict[str, Document] = {}
+    for doc in documents:
+        if doc.id in docs:
+            raise DuplicateIdError(f"duplicate document id {doc.id!r}")
+        docs[doc.id] = doc
+    ids = tuple(sorted(docs))
+    return docs, ids, {v: i for i, v in enumerate(ids)}
+
+
+def _pair_codes(index: dict[str, int], edges: Iterable[tuple[str, str]],
+                lenient: bool) -> tuple[list[int], tuple[tuple[str, str], ...]]:
+    """(codes in the order given, skipped pairs) of (citing, cited) pairs;
+    a self-loop, or an unknown endpoint unless lenient, raises."""
+    get = index.get
+    n = len(index)
+    codes: list[int] = []
+    add = codes.append
+    skipped = []
+    for citing, cited in edges:
+        u = get(citing)
+        v = get(cited)
+        if u is None or v is None or u == v:
+            if citing == cited:
+                raise SelfLoopError(f"self-loop edge ({citing!r}, {cited!r})")
+            if lenient:
+                skipped.append((citing, cited))
+                continue
+            missing = citing if u is None else cited
+            raise UnknownEndpointError(
+                f"edge ({citing!r}, {cited!r}) references unknown id {missing!r}")
+        add(u * n + v)
+    return codes, tuple(skipped)
+
+
+def _sorted_codes(codes: list[int], skipped: tuple) -> list[int]:
+    """`codes` ascending and without duplicates (`codes` itself if it is
+    already), with the warnings for collapsed duplicates and skipped edges."""
+    if not all(map(operator.lt, codes, islice(codes, 1, None))):
+        codes = sorted(codes)  # duplicates now side by side
+        n_dup = len(codes)
+        codes = list(dict.fromkeys(codes))
+        n_dup -= len(codes)
+        if n_dup:
+            log.warning("collapsed %d duplicate citation edge(s)", n_dup)
+    if skipped:
+        log.warning("skipped %d edge(s) with unknown endpoints (lenient mode)",
+                    len(skipped))
+    return codes
+
+
 # -- parsing ---------------------------------------------------------------
 
 
+class CorpusText(NamedTuple):
+    """Input text that write_corpus would write back byte for byte, per
+    file; None where it would write other bytes."""
+
+    nodes: str | None
+    edges: str | None
+
+
 def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
-                 lenient: bool = False) -> CitationNetwork:
-    """Parse node and edge streams into a validated CitationNetwork."""
-    docs = list(iter_node_records(nodes_stream))
-    edges = iter_edge_records(edges_stream, {doc.id for doc in docs})
-    return CitationNetwork(docs, edges, lenient=lenient)
+                 lenient: bool = False, keep_text: bool = False) -> CitationNetwork:
+    """Parse node and edge streams into a validated CitationNetwork.
+
+    With keep_text, the network's ``text`` keeps each input text that is
+    exactly what write_corpus would write (see the module docstring).
+    """
+    nodes_text, docs = _read_documents(nodes_stream)
+    edges_text = _read_whole(edges_stream)
+    if edges_text is None:
+        return CitationNetwork(docs, _edge_lines(edges_stream, {d.id for d in docs}),
+                               lenient=lenient)
+    net, edges_written = CitationNetwork._from_edges_text(docs, edges_text, lenient)
+    if keep_text:
+        nodes_written = (nodes_text is not None and tuple(net.docs) == net.ids
+                         and _is_written_nodes(nodes_text))
+        net.text = CorpusText(nodes_text if nodes_written else None,
+                              edges_text if edges_written else None)
+    return net
 
 
-def load_corpus(nodes_path, edges_path, lenient: bool = False) -> CitationNetwork:
+def load_corpus(nodes_path, edges_path, lenient: bool = False,
+                keep_text: bool = False) -> CitationNetwork:
     with open(nodes_path, encoding="utf-8") as nf, \
             open(edges_path, encoding="utf-8") as ef:
-        return parse_corpus(nf, ef, lenient=lenient)
+        return parse_corpus(nf, ef, lenient=lenient, keep_text=keep_text)
+
+
+def _read_whole(stream) -> str | None:
+    """All the text of a seekable stream; None, the stream rewound, for any
+    other stream or an undecodable one (the line loops raise it at its
+    line)."""
+    try:
+        if not stream.seekable():
+            return None
+        start = stream.tell()
+    except (AttributeError, OSError):
+        return None
+    try:
+        return stream.read()
+    except ValueError:
+        stream.seek(start)
+        return None
 
 
 def iter_node_records(stream: Iterable[str]) -> Iterator[Document]:
+    """The documents of a nodes stream, in file order."""
+    yield from _read_documents(stream)[1]
+
+
+def _read_documents(stream: Iterable[str]) -> tuple[str | None, list[Document]]:
+    """(whole text, or None if not read whole; documents) of a nodes stream.
+
+    A seekable stream is read in one piece, and _whole_file_documents
+    takes it where it can tell that the line loop would return the same
+    documents; any other stream or text goes through the line loop, the
+    only path that reports malformed records.
+    """
+    text = _read_whole(stream)
+    docs = None if text is None else _whole_file_documents(text)
+    if docs is None:
+        docs = list(_node_lines(stream if text is None else text.split("\n")))
+    return text, docs
+
+
+def _node_lines(stream: Iterable[str]) -> Iterator[Document]:
+    """iter_node_records, one line at a time."""
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -504,6 +658,76 @@ def _record_to_document(rec: Mapping) -> Document:
                     raw_terms=terms, ext_citations=ext)
 
 
+# record key and default of each Document field, in field order
+_RECORD_KEYS = (("id", None), ("year", None), ("kind", "paper"),
+                ("basic_terms", 0), ("clinical_terms", 0), ("terms", None),
+                ("ext_citations", None))
+_DOC_FIELDS = tuple(f.name for f in dataclasses.fields(Document))
+# a record's closing brace before a comma on the same line
+_RECORD_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
+
+
+def _whole_file_documents(text: str) -> list[Document] | None:
+    """The documents of a nodes text, from one json.loads over all its
+    lines and one batch check; None where the line loop must decide, which
+    is wherever it might not return the same documents.
+
+    The array of all non-blank lines has one record per line when it has
+    as many records as lines, all objects, and no line holds an object's
+    closing brace before a comma: a second record on a line needs one, and
+    without it each joining comma ends a record.
+    """
+    if _RECORD_THEN_COMMA.search(text):
+        return None
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    try:
+        recs = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if len(recs) != len(lines) or not set(map(type, recs)) <= {dict}:
+        return None
+    get = dict.get
+    columns = [list(map(get, recs, repeat(key), repeat(default)))
+               for key, default in _RECORD_KEYS]
+    ids, years, kinds, basic, clinical, terms, ext = columns
+    # the checks of _record_to_document and Document.__post_init__
+    if not (set(map(type, ids)) <= {str} and all(ids)
+            and not any(map(_BAD_ID.search, ids))
+            and set(map(type, basic + clinical)) <= {int}
+            and min(basic + clinical, default=0) >= 0
+            and set(map(type, years + ext)) <= {int, type(None)}
+            and set(map(type, kinds)) <= {str} and set(kinds) <= set(KINDS)):
+        return None
+    if terms.count(None) != len(terms):
+        for i, raw in enumerate(terms):
+            if raw is not None:
+                if type(raw) is not list or not set(map(type, raw)) <= {str}:
+                    return None
+                terms[i] = tuple(map(str.lower, raw))
+    return [Document._trusted(dict(zip(_DOC_FIELDS, values)))
+            for values in zip(*columns)]
+
+
+# the line of each document as write_corpus writes it, where its strings
+# need no escape (and its terms are lowercase, as they are read); compiled
+# on first use, as only a report's parse stage needs it
+_WRITTEN_NODE = (
+    r'\{"id": "[ !#-\[\]-~]+"'
+    r'(?:, "year": (?:0|-?[1-9][0-9]*))?'
+    r'(?:, "kind": "patent")?'
+    r', "basic_terms": (?:0|[1-9][0-9]*), "clinical_terms": (?:0|[1-9][0-9]*)'
+    r'(?:, "terms": \[(?:"[ !#-@\[\]-~]*"(?:, "[ !#-@\[\]-~]*")*)?\])?'
+    r'(?:, "ext_citations": (?:0|-?[1-9][0-9]*))?\}')
+
+
+def _is_written_nodes(text: str) -> bool:
+    """Whether every line of a nodes text is exactly the line write_corpus
+    writes for the document read from it, with one newline at the end.
+    Only the document order remains to be checked."""
+    lines = text.split("\n")
+    return lines.pop() == "" and all(map(re.compile(_WRITTEN_NODE).fullmatch, lines))
+
+
 def iter_edge_records(stream: Iterable[str],
                       doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
     """(citing, cited) pairs of an edges stream, without header or comments.
@@ -532,25 +756,73 @@ def _plain_edge_fields(stream) -> list[str] | None:
     stream whose every line is one ``a,b`` with no whitespace, blank line
     or comment (trailing newlines aside); else None, the stream rewound."""
     try:
-        if not stream.seekable():
-            return None
         start = stream.tell()
     except (AttributeError, OSError):
         return None
-    try:
-        text = stream.read()
-    except ValueError:  # undecodable: the line loop raises it at its line
+    text = _read_whole(stream)
+    fields = None if text is None else _plain_fields(text.rstrip("\n"))
+    if text is not None and fields is None:
         stream.seek(start)
+    return fields
+
+
+# every byte but the comma and the newline
+_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _one_comma_per_line(body: str) -> bool:
+    """Whether each line of `body` (newline-separated) holds one comma."""
+    return (body.encode().translate(None, _NOT_COMMA_OR_NEWLINE)
+            == b",\n" * body.count("\n") + b",")
+
+
+def _plain_fields(body: str) -> list[str] | None:
+    """The flat fields of lines that are each one ``a,b``, with no blank
+    line, comment or whitespace (`body` has no final newline); else None.
+    Characters that are not printable count as whitespace."""
+    flat = body.replace("\n", ",")
+    if (not _one_comma_per_line(body)
+            or ",," in flat or flat.startswith(",") or flat.endswith(",")
+            or body.startswith("#") or "\n#" in body
+            or " " in flat or not flat.isprintable()):
         return None
-    tokens = text.split()
-    fields = ",".join(tokens).split(",")
-    if (len(fields) == 2 * len(tokens) and "" not in fields
-            and "\n".join(tokens) == text.rstrip("\n")
-            and not text.startswith("#") and "\n#" not in text
-            and all(map(str.__contains__, tokens, itertools.repeat(",")))):
-        return fields
-    stream.seek(start)
-    return None
+    return flat.split(",")
+
+
+# characters per block of edges text: the per-block work is negligible,
+# and the field strings of one block take under 1 MB
+_BLOCK = 1 << 16
+
+
+def _edge_text_nodes(body: str, index: dict[str, int]
+                     ) -> tuple[list, list, tuple[str, str] | None] | None:
+    """(citing nodes, cited nodes, header) of edges text without its final
+    newlines, if each of its lines holds exactly one comma; else None. A
+    node is None for a field that is not an id. A first line whose fields
+    are citing and cited, in any case, is the header and left out.
+
+    The text is split and looked up a block of lines at a time, so only
+    one block's field strings are alive at once.
+    """
+    get = index.get
+    us: list = []
+    vs: list = []
+    header = None
+    start = 0
+    while start <= len(body):
+        end = body.find("\n", start + _BLOCK)
+        end = len(body) if end < 0 else end
+        block = body[start:end]
+        if not _one_comma_per_line(block):
+            return None
+        fields = block.replace("\n", ",").split(",")
+        if start == 0 and fields[0].lower() == "citing" and fields[1].lower() == "cited":
+            header = fields[0], fields[1]
+            del fields[:2]
+        us += map(get, islice(fields, 0, None, 2))
+        vs += map(get, islice(fields, 1, None, 2))
+        start = end + 1
+    return us, vs, header
 
 
 def _edge_lines(stream: Iterable[str],
@@ -591,18 +863,23 @@ _to_json = json.JSONEncoder().encode
 
 
 def write_corpus(net: CitationNetwork, nodes_path, edges_path) -> None:
-    """Write the standard nodes/edges files; re-parsing round-trips exactly."""
-    ids, docs = net.ids, net.docs
+    """Write the standard nodes/edges files; re-parsing round-trips exactly.
+    An input text that ``net.text`` keeps is written as it is: it is
+    exactly the text that would be written."""
+    nodes, edges = net.text or (None, None)
+    if nodes is None:
+        docs = net.docs
+        nodes = "".join([_to_json(document_to_record(docs[v])) + "\n"
+                         for v in net.ids])
+    if edges is None:
+        ids = net.ids
+        edges = "citing,cited\n" + "".join([
+            f"{citing},{ids[v]}\n"
+            for citing, cited in zip(ids, net.out_adj) for v in cited])
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        for doc_id in ids:
-            write(_to_json(document_to_record(docs[doc_id])) + "\n")
+        fh.write(nodes)
     with open(edges_path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        write("citing,cited\n")
-        for citing, cited in zip(ids, net.out_adj):
-            for v in cited:
-                write(f"{citing},{ids[v]}\n")
+        fh.write(edges)
 
 
 def document_to_record(doc: Document) -> dict:

@@ -340,11 +340,13 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
 def _parse_stage(config: PipelineConfig, out: Path):
     if config.nodes is None or config.edges is None:
         raise ValueError("nodes and edges files must be given")
-    net = load_corpus(config.nodes, config.edges, lenient=config.lenient)
+    net = load_corpus(config.nodes, config.edges, lenient=config.lenient,
+                      keep_text=True)
     if net.n_docs == 0:
         raise KTMapError("corpus has no documents")
     net = _with_lexicon(config, net)
     write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv")
+    net.text = None  # copied where it could be; the run needs it no more
     write_json(out / "corpus.summary.json", {
         "n_documents": net.n_docs,
         "n_edges": net.n_edges,
@@ -354,11 +356,13 @@ def _parse_stage(config: PipelineConfig, out: Path):
 
 
 def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwork:
-    """Count raw terms with the config's lexicon, if any; explicit counts win."""
+    """Count raw terms with the config's lexicon, if any; explicit counts
+    win. The network itself comes back if no document changes."""
     if not config.lexicon_basic:
         return net
     lexicon = Lexicon.load(config.lexicon_basic, config.lexicon_clinical)
     docs = []
+    replaced = False
     for doc_id in net.ids:
         doc = net.docs[doc_id]
         if doc.raw_terms is not None and doc.basic_terms == 0 and doc.clinical_terms == 0:
@@ -366,8 +370,9 @@ def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwo
             doc = Document(id=doc.id, year=doc.year, kind=doc.kind,
                            basic_terms=basic, clinical_terms=clinical,
                            raw_terms=doc.raw_terms, ext_citations=doc.ext_citations)
+            replaced = True
         docs.append(doc)
-    return net.with_documents(docs)
+    return net.with_documents(docs) if replaced else net
 
 
 def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):

@@ -6,14 +6,17 @@ counts by explicit enumeration of every source-to-sink path, the greedy
 merge sequence by rescanning every community pair at every step, front
 refinement by re-deriving every node's front weights at every step, and
 cycle breaking by recomputing every strongly connected component after each
-round of removals. The citation network and the edge-file reader keep their
-string-keyed forms: pairs of id strings deduplicated in a set and sorted,
-and one edges line at a time.
+round of removals. The citation network and the corpus readers keep their
+string-keyed, line-at-a-time forms: pairs of id strings deduplicated in a
+set and sorted, and one nodes or edges line at a time; the corpus writer
+encodes and writes one line at a time.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -553,3 +556,75 @@ def line_edge_records(stream, doc_ids):
                         "must follow a header line", lineno, line)
                 continue
         yield parts[0], parts[1]
+
+
+def line_node_records(stream):
+    """Reference nodes reader: json.loads and the field checks one line at
+    a time, the only path there was before the whole-file read."""
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(f"nodes line {lineno}: invalid JSON ({exc})")
+        if not isinstance(rec, dict):
+            raise MalformedRecordError(f"nodes line {lineno}: expected an object")
+        try:
+            yield _reference_document(rec)
+        except (ValueError, TypeError) as exc:
+            raise MalformedRecordError(f"nodes line {lineno}: {exc}")
+
+
+def _reference_document(rec):
+    raw_id = rec.get("id")
+    if raw_id is None:
+        raise ValueError("missing required field 'id'")
+    doc_id = str(raw_id)
+    if re.search(r'[\s,"]|^#', doc_id):
+        raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
+                         "whitespace, or starts with '#'")
+    terms = rec.get("terms")
+    if terms is not None:
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ValueError("'terms' must be an array of strings")
+        terms = tuple(t.lower() for t in terms)
+    basic = rec.get("basic_terms", 0)
+    clinical = rec.get("clinical_terms", 0)
+    for name, val in (("basic_terms", basic), ("clinical_terms", clinical)):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ValueError(f"'{name}' must be an integer")
+    year = rec.get("year")
+    if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+        raise ValueError("'year' must be an integer")
+    ext = rec.get("ext_citations")
+    if ext is not None and (not isinstance(ext, int) or isinstance(ext, bool)):
+        raise ValueError("'ext_citations' must be an integer")
+    return Document(id=doc_id, year=year, kind=rec.get("kind", "paper"),
+                    basic_terms=basic, clinical_terms=clinical,
+                    raw_terms=terms, ext_citations=ext)
+
+
+def reference_write_corpus(net, nodes_path, edges_path):
+    """Reference corpus writer: json.dumps and one write per line, the
+    writer there was before the joined write and the input copy."""
+    with open(nodes_path, "w", encoding="utf-8") as fh:
+        for doc_id in net.ids:
+            doc = net.docs[doc_id]
+            rec = {"id": doc.id}
+            if doc.year is not None:
+                rec["year"] = doc.year
+            if doc.kind != "paper":
+                rec["kind"] = doc.kind
+            rec["basic_terms"] = doc.basic_terms
+            rec["clinical_terms"] = doc.clinical_terms
+            if doc.raw_terms is not None:
+                rec["terms"] = list(doc.raw_terms)
+            if doc.ext_citations is not None:
+                rec["ext_citations"] = doc.ext_citations
+            fh.write(json.dumps(rec) + "\n")
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        fh.write("citing,cited\n")
+        for citing, cited in net.edges:
+            fh.write(f"{citing},{cited}\n")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import logging
 
@@ -6,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktmap import corpus
 from ktmap.corpus import (CitationNetwork, Document, Lexicon, UGraph,
                           _plain_edge_fields, co_citation_projection,
-                          count_terms, iter_edge_records, load_corpus,
-                          parse_corpus, write_corpus)
+                          count_terms, iter_edge_records, iter_node_records,
+                          load_corpus, parse_corpus, write_corpus)
 from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           MalformedRecordError, SelfLoopError,
                           UnknownEndpointError)
 
-from conftest import StringCitationNetwork, line_edge_records, make_net
+from conftest import (StringCitationNetwork, line_edge_records,
+                      line_node_records, make_net, reference_write_corpus)
 
 
 def parse(nodes_text, edges_text, **kwargs):
@@ -346,11 +349,20 @@ class TestAgainstStringOracle:
         path.write_bytes(text.encode("utf-8"))
         known = {doc.id for doc in docs}
 
-        for opener in (lambda: io.StringIO(text),
-                       lambda: open(path, encoding="utf-8")):
+        nodes_text = "".join(json.dumps({"id": doc.id, "year": doc.year}) + "\n"
+                             for doc in docs)
+        builds = (
+            # the string pairs of iter_edge_records
+            lambda fh: CitationNetwork(docs, iter_edge_records(fh, known),
+                                       lenient=lenient),
+            # the int codes of the whole-file edges path
+            lambda fh: parse_corpus(io.StringIO(nodes_text), fh, lenient=lenient),
+        )
+        for opener, build in itertools.product(
+                (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8")),
+                builds):
             with opener() as fh:
-                net, exc, logged = _outcome(lambda: CitationNetwork(
-                    docs, iter_edge_records(fh, known), lenient=lenient))
+                net, exc, logged = _outcome(lambda: build(fh))
             with opener() as fh:
                 ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
                     docs, line_edge_records(fh, known), lenient=lenient))
@@ -362,6 +374,33 @@ class TestAgainstStringOracle:
             _assert_same_network(net, ref)
             keep = data.draw(st.lists(st.sampled_from(ref.ids))) if ref.ids else []
             _assert_same_network(net.induced(keep), ref.induced(keep))
+
+    @pytest.mark.parametrize("block", [1, 7, corpus._BLOCK])
+    @pytest.mark.parametrize("odd", [None, "", " 0,1", "0,ghost", "1,1", "#0,1",
+                                     "0,1,2", "0"])
+    def test_int_codes_block_by_block(self, monkeypatch, block, odd):
+        # a text longer than a block, read in blocks of any size, with an
+        # odd line put in near its end
+        monkeypatch.setattr(corpus, "_BLOCK", block)
+        # ids that stay ids when a digit is lost
+        ids = [str(i) for i in range(3000)]
+        lines = ["citing,cited"] + [f"{u},{v}" for u, *cited in zip(
+            ids, ids[1:], ids[2:], ids[3:]) for v in cited]
+        if odd is not None:
+            lines.insert(len(lines) - 5, odd)
+        text = "\n".join(lines) + "\n"
+        assert len(text) > corpus._BLOCK
+        nodes = "".join(f'{{"id": "{v}"}}\n' for v in ids)
+        net, exc, logged = _outcome(lambda: parse_corpus(
+            io.StringIO(nodes), io.StringIO(text), lenient=True))
+        ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
+            [Document(id=v) for v in ids],
+            line_edge_records(io.StringIO(text), set(ids)), lenient=True))
+        assert logged == ref_logged
+        if ref_exc is not None:
+            assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
+        else:
+            _assert_same_network(net, ref)
 
     @pytest.mark.parametrize("text", [
         "citing,cited\na,b\nb,c\n",
@@ -408,6 +447,260 @@ class TestAgainstStringOracle:
         net = CitationNetwork(docs, iter_edge_records(iter(["a,b\n", "b,a"]),
                                                       {"a", "b"}))
         assert net.edges == (("a", "b"), ("b", "a"))
+
+
+# -- whole-file nodes path against the line loop of conftest ---------------
+
+def _good_or_bad(good, bad):
+    """A field's values: mostly right ones, now and then a wrong one."""
+    return st.integers(0, 11).flatmap(lambda i: bad if i == 6 else good)
+
+
+# ids fit for the edges file; ids unfit for it, and of other JSON types
+_node_ids = _good_or_bad(
+    st.sampled_from(["a", "b", "p1", "x#y", "\u00e9t\u00e9", "A", "\u65e5\u672c"]),
+    st.sampled_from(["a\u2028b", "a\x85b", 5, 0, True, 1.5, None, [], "", " x",
+                     "#x", "x,y", 'x"y']))
+_terms = st.lists(st.sampled_from(["Apoptosis", "trial", "x\u2028y", "\x85",
+                                   "\x0b\x0c", "\u00c9t\u00e9", "x},{"]), max_size=3)
+# record fields, each with values right and wrong for it
+_node_fields = {
+    "year": _good_or_bad(st.sampled_from([2001, 0, -3]),
+                         st.sampled_from([True, 1.5, "1999", None, [1]])),
+    "kind": _good_or_bad(st.sampled_from(["paper", "patent"]),
+                         st.sampled_from(["novel", None, ["paper"], 1])),
+    "basic_terms": _good_or_bad(st.sampled_from([0, 3]),
+                                st.sampled_from([-1, True, 2.0, None, "2"])),
+    "clinical_terms": _good_or_bad(st.sampled_from([0, 4]),
+                                   st.sampled_from([-2, False, None])),
+    "terms": _good_or_bad(_terms, st.sampled_from(["x", None, [1], ["a", 2], {}])),
+    "ext_citations": _good_or_bad(st.sampled_from([7, -1]),
+                                  st.sampled_from([True, None, 2.5])),
+    # a field that is no Document field; some of its values hold "},"
+    "title": _good_or_bad(st.sampled_from(["Q", "", {"k": [1]}]),
+                          st.sampled_from(["a},b", {"k": [1, {"a": 2}]}, [{}, {}]])),
+}
+
+
+@st.composite
+def node_lines(draw):
+    """One nodes line: a JSON object with an id and other fields (or not),
+    in any order, maybe with a key twice, in one of several layouts."""
+    items = [("id", draw(_node_ids))] if draw(st.integers(0, 19)) else []
+    items += [(key, draw(values)) for key, values in _node_fields.items()
+              if draw(st.integers(0, 2)) == 0]
+    items = draw(st.permutations(items))
+    if items and draw(st.integers(0, 9)) == 0:  # a duplicate key
+        items.append((draw(st.sampled_from(items))[0], draw(_node_ids)))
+    item_sep, key_sep = draw(st.sampled_from([(", ", ": "), (",", ":"),
+                                              (" ,\t", " : ")]))
+    ascii_only = draw(st.booleans())
+    return "{" + item_sep.join(
+        json.dumps(key) + key_sep + json.dumps(value, ensure_ascii=ascii_only)
+        for key, value in items) + "}"
+
+
+_odd_node_lines = st.one_of(
+    st.builds("{},{}".format, node_lines(), node_lines()),
+    st.builds("{} ,\t{}".format, node_lines(), node_lines()),
+    st.builds("{} {}".format, node_lines(), node_lines()),
+    st.builds("\ufeff{}".format, node_lines()),
+    st.builds(" \x0c{}\t\x85".format, node_lines()),
+    st.sampled_from(["", "   ", "\x0c", "\t\x0b ", "\x85", "\u2028", "[1]", "1",
+                     '"x"', "null", "{", '{"id": "a"', "]", "[{}]",
+                     '{"id": "d", "x": ' + "[" * 1100 + "]" * 1100 + "}"]),
+).map(lambda line: [line]) | st.sampled_from([
+    ['{"id": "s1", "x": [1', '2]}'],  # a record across two lines
+    ['{"id": "s1", "x": [{}',         # the same, and two records on a line
+     '{}]}',
+     '{"id": "s2"},{"id": "s3"}'],
+])
+
+
+@st.composite
+def node_texts(draw):
+    """A nodes file of generated lines with up to three odd lines or runs
+    put in anywhere, LF, CRLF or CR line ends, and any final line end."""
+    lines = draw(st.lists(node_lines(), max_size=8))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_odd_node_lines)
+    # a lone CR ends a line only where a file is read with universal newlines
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from([newline, "", newline * 2]))
+    return newline.join(lines) + (final if lines else "")
+
+
+def _records(text, stream, reader):
+    """reader's documents of `text`, from a StringIO or a file, and their
+    field dicts; or the exception it raises."""
+    with stream(text) as fh:
+        try:
+            docs = list(reader(fh))
+        except Exception as exc:  # compared with the oracle's
+            return exc
+    return docs, [list(vars(doc).items()) for doc in docs]
+
+
+class TestNodesAgainstLineOracle:
+    """iter_node_records, which reads a seekable stream whole where it can,
+    against the line loop of conftest on generated nodes files."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=node_texts())
+    def test_same_documents_or_error(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("nodes") / "nodes.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        for stream in (io.StringIO, lambda _: open(path, encoding="utf-8")):
+            got = _records(text, stream, iter_node_records)
+            ref = _records(text, stream, line_node_records)
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+            else:
+                assert got == ref
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, values in (
+            ("id", [5, True, 1.5, None, [], "", " x", "#x", "x,y", 'x"y', "a\u2028b"]),
+            ("year", [True, 1.5, "1999", [1]]),
+            ("kind", ["novel", None, ["paper"], 1]),
+            ("basic_terms", [-1, True, 2.0, None, "2"]),
+            ("clinical_terms", [-2, False]),
+            ("terms", ["x", [1], ["a", 2], {}]),
+            ("ext_citations", [True, 2.5, "7"]))
+        for value in values])
+    def test_each_wrong_value_alone(self, key, value):
+        right = ['{"id": "a", "year": 2001, "terms": ["HPV"]}',
+                 '{"id": "b", "kind": "patent", "basic_terms": 2, "ext_citations": 1}']
+        text = "\n".join(right + [json.dumps({"id": "c", key: value})] + right[:1]) + "\n"
+        got = _records(text, io.StringIO, iter_node_records)
+        ref = _records(text, io.StringIO, line_node_records)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+        else:  # an id of another JSON type, as its str
+            assert key == "id" and got == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=node_texts())
+    def test_duplicate_ids_as_the_string_network(self, text):
+        got = _outcome(lambda: parse_corpus(io.StringIO(text), io.StringIO("")))
+        ref = _outcome(lambda: StringCitationNetwork(
+            list(line_node_records(io.StringIO(text))), []))
+        if ref[1] is not None:
+            assert type(got[1]) is type(ref[1]) and str(got[1]) == str(ref[1])
+        else:
+            assert list(got[0].docs.items()) == list(ref[0].docs.items())
+
+    def test_undecodable_text_read_by_lines(self, tmp_path):
+        # the line loop meets the malformed record on line 2 first
+        path = tmp_path / "nodes.jsonl"
+        path.write_bytes(b'{"id": "a"}\n{oops\n' + b'{"id": "b"}\n' * 5000 + b"\xff\n")
+        with open(path, encoding="utf-8") as fh, \
+                pytest.raises(MalformedRecordError, match="line 2"):
+            list(iter_node_records(fh))
+
+    def test_unseekable_stream_read_by_lines(self):
+        docs = list(iter_node_records(iter(['{"id": "b"}\n', '{"id": "a"}'])))
+        assert [doc.id for doc in docs] == ["b", "a"]
+
+
+# -- corpus.* files: the input text where it is exactly what is written -----
+
+_rec = json.dumps
+
+
+@st.composite
+def corpus_texts(draw):
+    """(nodes text, edges text, lenient) of a small corpus, written as
+    write_corpus writes it or with one of the differences that keep the
+    input text from being copied."""
+    ids = sorted(draw(st.lists(st.sampled_from(["a", "b", "c", "p1", "x#y", "Z"]),
+                               min_size=2, max_size=6, unique=True)))
+    docs = [{"id": v} for v in ids]
+    for doc in docs:
+        for key, values in (("year", st.integers(-5, 2020)),
+                            ("kind", st.just("patent")),
+                            ("terms", st.lists(st.sampled_from(["hpv", "trial", ""]),
+                                               max_size=2)),
+                            ("ext_citations", st.integers(-2, 9))):
+            if draw(st.booleans()):
+                doc[key] = draw(values)
+        doc["basic_terms"] = draw(st.integers(0, 3))
+        doc["clinical_terms"] = draw(st.integers(0, 3))
+    pairs = sorted({(u, v) for u, v in draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(ids)), max_size=8)) if u != v})
+    lenient = False
+    change = draw(st.sampled_from([
+        None, "unsorted", "duplicate", "CITING,CITED", "no header",
+        "newlines", "lenient", "kind paper", "key order", "terms case"]))
+    if change == "unsorted":
+        pairs = draw(st.permutations(pairs))
+    elif change == "duplicate" and pairs:
+        pairs.append(draw(st.sampled_from(pairs)))
+    elif change == "lenient":
+        pairs.append((ids[0], "ghost"))
+        lenient = True
+    elif change == "kind paper":
+        draw(st.sampled_from(docs))["kind"] = "paper"
+    elif change == "terms case":
+        draw(st.sampled_from(docs))["terms"] = ["HPV"]
+    order = ["id", "year", "kind", "basic_terms", "clinical_terms", "terms",
+             "ext_citations"]
+    if change == "key order":
+        order.reverse()
+    nodes = "".join(_rec({k: doc[k] for k in order if k in doc}) + "\n" for doc in docs)
+    header = {"CITING,CITED": "CITING,CITED\n", "no header": ""}.get(
+        change, "citing,cited\n")
+    edges = header + "".join(f"{u},{v}\n" for u, v in pairs)
+    if change == "newlines":
+        edges += "\n\n"
+    return nodes, edges, lenient
+
+
+class TestWrittenCorpus:
+    """write_corpus after parse_corpus(keep_text=True) writes the bytes of
+    the reference writer of conftest, by copy or by encoding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=corpus_texts())
+    def test_same_bytes_as_reference_writer(self, texts, tmp_path_factory):
+        nodes_text, edges_text, lenient = texts
+        tmp = tmp_path_factory.mktemp("written")
+        net = parse_corpus(io.StringIO(nodes_text), io.StringIO(edges_text),
+                           lenient=lenient, keep_text=True)
+        write_corpus(net, tmp / "n.jsonl", tmp / "e.csv")
+        reference_write_corpus(net, tmp / "ref.n.jsonl", tmp / "ref.e.csv")
+        assert (tmp / "n.jsonl").read_bytes() == (tmp / "ref.n.jsonl").read_bytes()
+        assert (tmp / "e.csv").read_bytes() == (tmp / "ref.e.csv").read_bytes()
+        # the text is kept exactly where it is what the writer writes
+        assert net.text.nodes in (None, nodes_text)
+        assert (net.text.nodes == nodes_text) == (
+            (tmp / "ref.n.jsonl").read_text(encoding="utf-8") == nodes_text)
+        assert (net.text.edges == edges_text) == (
+            (tmp / "ref.e.csv").read_text(encoding="utf-8") == edges_text)
+
+    @pytest.mark.parametrize("nodes, edges, copied", [
+        ('{"id": "a", "basic_terms": 0, "clinical_terms": 0}\n'
+         '{"id": "b", "basic_terms": 0, "clinical_terms": 0}\n',
+         "citing,cited\na,b\nb,a\n", (True, True)),
+        ('{"id": "b", "basic_terms": 0, "clinical_terms": 0}\n'
+         '{"id": "a", "basic_terms": 0, "clinical_terms": 0}\n',
+         "citing,cited\nb,a\na,b\n", (False, False)),  # not in id order
+        ('{"id": "a"}\n{"id": "b"}\n', "citing,cited\na,b\n\n", (False, False)),
+        ('{"id": "a", "basic_terms": 0, "clinical_terms": 0}',  # no final newline
+         "citing,cited\n", (False, True)),
+    ])
+    def test_kept_text(self, nodes, edges, copied):
+        net = parse_corpus(io.StringIO(nodes), io.StringIO(edges), keep_text=True)
+        assert (net.text.nodes is not None, net.text.edges is not None) == copied
+        assert parse_corpus(io.StringIO(nodes), io.StringIO(edges)).text is None
+
+    def test_replaced_documents_drop_the_nodes_text(self):
+        nodes = '{"id": "a", "basic_terms": 0, "clinical_terms": 0}\n'
+        net = parse_corpus(io.StringIO(nodes), io.StringIO("citing,cited\n"),
+                           keep_text=True)
+        new = net.with_documents([Document(id="a", basic_terms=1)])
+        assert new.text == (None, "citing,cited\n") and net.text.nodes == nodes
 
 
 class TestWithDocuments:

@@ -8,18 +8,23 @@ perfbench's reference digests use. A digest may change only with a change
 that CHANGES.md records as an intended change of the report.
 """
 
+import dataclasses
 import glob
 import hashlib
 import json
 import os
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ktmap.corpus import CitationNetwork, Document, write_corpus
-from ktmap.report import PipelineConfig, run_pipeline
+from ktmap.corpus import CitationNetwork, Document, load_corpus, write_corpus
+from ktmap.report import PipelineConfig, _with_lexicon, run_pipeline
+from ktmap.selection import select_top_cited
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
+
+from conftest import reference_write_corpus
 
 TOY = resources.files("ktmap.data").joinpath("toy")
 
@@ -96,3 +101,27 @@ def test_report_digest_unchanged(case, tmp_path):
     config = config_for(case, tmp_path)
     run_pipeline(config)
     assert report_digest(config.out_dir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN) + ["toy-lexicon"])
+def test_written_corpora_are_the_reference_writers(case, tmp_path):
+    """corpus.* (copied from the input where it can be) and core.* hold the
+    bytes of the line-at-a-time reference writer of conftest."""
+    if case == "toy-lexicon":
+        from test_report_cli import write_lexicon_toy
+        nodes, basic, clinical = write_lexicon_toy(tmp_path)
+        config = config_for("toy-citation", tmp_path)
+        config = dataclasses.replace(config, nodes=nodes, lexicon_basic=basic,
+                                     lexicon_clinical=clinical)
+    else:
+        config = config_for(case, tmp_path)
+    run_pipeline(config)
+    net = _with_lexicon(config, load_corpus(config.nodes, config.edges))
+    core = select_top_cited(net, config.fraction, rank_by=config.rank_by)
+    out = Path(config.out_dir)
+    for prefix, expected in (("corpus", net), ("core", core)):
+        reference_write_corpus(expected, tmp_path / "ref.nodes.jsonl",
+                               tmp_path / "ref.edges.csv")
+        for part in ("nodes.jsonl", "edges.csv"):
+            assert ((out / f"{prefix}.{part}").read_bytes()
+                    == (tmp_path / f"ref.{part}").read_bytes()), (prefix, part)

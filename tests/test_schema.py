@@ -9,7 +9,9 @@ import copy
 import functools
 import math
 import operator
+import typing
 from collections import Counter
+from typing import Literal
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ktmap.errors import ReportSchemaError
-from ktmap.report import load_report_schema, run_pipeline, validate_json, validate_report
+from ktmap.hubs import HubConfig
+from ktmap.report import (PipelineConfig, load_report_schema, run_pipeline,
+                          validate_json, validate_report)
 from test_golden import config_for
 
 try:
@@ -149,19 +153,26 @@ def test_every_edge_value_at_every_place(reports):
     # one edit at a time, so no other violation hides the one under test:
     # at one path of each place in the toy report, the value deleted, each
     # edge value put there and, for a list, each edge value appended
+    # the value of every place is pinned: some edge value fails there
     reference = jsonschema.Draft7Validator(load_report_schema())
     seen: Counter = Counter()
-    for path, *_ in places(reports[0]).values():
+    unpinned = []
+    for place, (path, *_) in places(reports[0]).items():
         edits = [("delete", None)] + [("replace", v) for v in EDGE_VALUES]
         if isinstance(at(reports[0], path), list):
             edits += [("append", v) for v in EDGE_VALUES]
+        rejected = False
         for action, value in edits:
             doc = copy.deepcopy(reports[0])
             edit(doc, path, action, value)
             ours = is_valid(doc)
             assert ours == reference.is_valid(doc), (path, action, value)
             seen[ours] += 1
+            rejected |= action == "replace" and not ours
+        if not rejected:
+            unpinned.append(place)
     assert seen[True] and seen[False], seen
+    assert not unpinned
 
 
 NAN = math.nan
@@ -271,4 +282,33 @@ def test_shipped_schema_uses_supported_keywords():
     for sub in subschemas(schema):
         assert isinstance(sub, dict) and set(sub) <= SUPPORTED, sub
         types = sub.get("type", [])
-        assert set(types if isinstance(types, list) else [types]) <= JSON_TYPES
+        types = types if isinstance(types, list) else [types]
+        assert set(types) <= JSON_TYPES
+        # every value is constrained, down to the config and thresholds
+        assert {"type", "enum", "const"} & set(sub), sub
+        if "object" in types:
+            assert set(sub["properties"]) >= set(sub["required"]), sub
+
+
+_JSON_TYPE_OF = {str: "string", bool: "boolean", int: "integer", float: "number"}
+
+
+@pytest.mark.parametrize("place, config_class", [
+    ("config", PipelineConfig), ("thresholds", HubConfig)])
+def test_config_values_typed_by_their_annotations(place, config_class):
+    """report.config and report.hubs.thresholds have a property for each
+    field, typed as its annotation says: a Literal is an enum of its
+    values, and a field that takes None has "null" among its types."""
+    schema = load_report_schema()["properties"]
+    if place == "thresholds":
+        schema = schema["hubs"]["properties"]
+    properties = schema[place]["properties"]
+    expected = {}
+    for name, hint in typing.get_type_hints(config_class).items():
+        if typing.get_origin(hint) is Literal:
+            expected[name] = {"enum": list(typing.get_args(hint))}
+            continue
+        args = typing.get_args(hint) or (hint,)  # T | None gives (T, NoneType)
+        kind = _JSON_TYPE_OF[args[0]]
+        expected[name] = {"type": [kind, "null"] if type(None) in args else kind}
+    assert properties == expected
