@@ -144,9 +144,10 @@ def bench_parse(leaf: int) -> None:
         t2 = time.perf_counter()
         CitationNetwork._from_edges_text(docs, text, lenient=False)
         t3 = time.perf_counter()
-        parsed = load_corpus(nodes, edges, keep_text=True)
+        parsed, text = load_corpus(nodes, edges, keep_text=True)
         t4 = time.perf_counter()
-        write_corpus(parsed, os.path.join(tmp, "n.jsonl"), os.path.join(tmp, "e.csv"))
+        write_corpus(parsed, os.path.join(tmp, "n.jsonl"), os.path.join(tmp, "e.csv"),
+                     text)
         t5 = time.perf_counter()
     print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  nodes {t1 - t0:.3f}s"
           f"  edges {t2 - t1:.3f}s  network {t3 - t2 - (t2 - t1):.3f}s"

@@ -30,23 +30,27 @@ use.
 
 Whole-file reading
 ------------------
-Both readers take a seekable stream in one read. The nodes text, split on
-"\n" alone, goes through one json.loads and one batch check of every
-record; when every line is ``a,b`` (as ``write_corpus`` writes it,
-optionally under its header), the edges text is split in a few whole-text
-operations and its ids are looked up straight to int codes. Any other
-stream or text, down to one record the line loop would reject or one line
-it would read differently, is read line by line, and only that path
-reports malformed lines, so errors, warnings and their line numbers do not
-depend on the path taken.
+``parse_corpus`` (and ``load_corpus``) read each seekable stream in one
+piece. The nodes text, split on "\n" alone, goes through one json.loads
+and one batch check of every record (``iter_node_records`` reads a
+seekable stream this way too). When every line of the edges text is
+``a,b`` (as ``write_corpus`` writes it, optionally under its header) with
+two known ids and no self-loop, it is split a block at a time and its ids
+are looked up straight to int codes. Any other stream or text, down to
+one record the line loop would reject or one line it would read
+differently, is read line by line, and only the line loops report
+malformed lines, so errors, warnings and their line numbers do not depend
+on the path taken.
 
-``write_corpus`` writes the input text itself where ``parse_corpus`` with
-``keep_text`` has shown it to be exactly what would be written: for the
-edges file, a plain text under the header ``citing,cited`` whose edges
-come sorted, distinct and all kept, ending in one newline; for the nodes
-file, every line in the encoder's form and in id order, as long as no
-document was replaced. The report's parse stage writes corpus.* this way,
-so a corpus that ``write_corpus`` wrote is copied, not re-encoded.
+``parse_corpus(..., keep_text=True)`` also returns the input texts that
+are exactly what ``write_corpus`` would write for the network: the edges
+text when its header is ``citing,cited``, its edges come sorted, distinct
+and all kept, and it ends in exactly one newline; the nodes text when
+every line is in the encoder's form and the ids come in sorted order.
+``write_corpus(..., text=...)`` writes those as they are. The report's
+parse stage does so, dropping the nodes text when a lexicon changes the
+documents, so a corpus that ``write_corpus`` wrote is copied, not
+re-encoded.
 """
 
 from __future__ import annotations
@@ -283,9 +287,6 @@ class CitationNetwork:
     within the corpus.
     """
 
-    # the input text write_corpus may copy (parse_corpus(keep_text=True))
-    text: CorpusText | None = None
-
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
         docs, ids, index = _intern(documents)
@@ -332,7 +333,7 @@ class CitationNetwork:
         net._store(docs, ids, index, ordered, skipped, pairs if in_order else None)
         return net, (pairs is not None and in_order
                      and text.startswith("citing,cited\n")
-                     and not text.endswith("\n\n"))
+                     and text.endswith("\n") and not text.endswith("\n\n"))
 
     def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
                index: dict[str, int], codes: list[int],
@@ -421,8 +422,6 @@ class CitationNetwork:
             raise ValueError("replacement documents must have the network's ids")
         net = copy.copy(self)
         net.docs = docs
-        if net.text is not None:  # the nodes text no longer describes docs
-            net.text = net.text._replace(nodes=None)
         return net
 
     def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
@@ -542,28 +541,32 @@ class CorpusText(NamedTuple):
 
 
 def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
-                 lenient: bool = False, keep_text: bool = False) -> CitationNetwork:
+                 lenient: bool = False, keep_text: bool = False
+                 ) -> CitationNetwork | tuple[CitationNetwork, CorpusText]:
     """Parse node and edge streams into a validated CitationNetwork.
 
-    With keep_text, the network's ``text`` keeps each input text that is
-    exactly what write_corpus would write (see the module docstring).
+    With keep_text, return (network, CorpusText): the texts, for
+    write_corpus, that are exactly what it would write for this network
+    (see the module docstring).
     """
     nodes_text, docs = _read_documents(nodes_stream)
     edges_text = _read_whole(edges_stream)
     if edges_text is None:
-        return CitationNetwork(docs, _edge_lines(edges_stream, {d.id for d in docs}),
-                               lenient=lenient)
-    net, edges_written = CitationNetwork._from_edges_text(docs, edges_text, lenient)
-    if keep_text:
-        nodes_written = (nodes_text is not None and tuple(net.docs) == net.ids
-                         and _is_written_nodes(nodes_text))
-        net.text = CorpusText(nodes_text if nodes_written else None,
-                              edges_text if edges_written else None)
-    return net
+        net = CitationNetwork(docs, iter_edge_records(edges_stream, {d.id for d in docs}),
+                              lenient=lenient)
+        edges_written = False
+    else:
+        net, edges_written = CitationNetwork._from_edges_text(docs, edges_text, lenient)
+    if not keep_text:
+        return net
+    nodes_written = (nodes_text is not None and tuple(net.docs) == net.ids
+                     and _is_written_nodes(nodes_text))
+    return net, CorpusText(nodes_text if nodes_written else None,
+                           edges_text if edges_written else None)
 
 
-def load_corpus(nodes_path, edges_path, lenient: bool = False,
-                keep_text: bool = False) -> CitationNetwork:
+def load_corpus(nodes_path, edges_path, lenient: bool = False, keep_text: bool = False
+                ) -> CitationNetwork | tuple[CitationNetwork, CorpusText]:
     with open(nodes_path, encoding="utf-8") as nf, \
             open(edges_path, encoding="utf-8") as ef:
         return parse_corpus(nf, ef, lenient=lenient, keep_text=keep_text)
@@ -728,65 +731,17 @@ def _is_written_nodes(text: str) -> bool:
     return lines.pop() == "" and all(map(re.compile(_WRITTEN_NODE).fullmatch, lines))
 
 
-def iter_edge_records(stream: Iterable[str],
-                      doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
-    """(citing, cited) pairs of an edges stream, without header or comments.
-
-    A header line whose two fields are both in `doc_ids` is still skipped,
-    with a WARNING (see the module docstring).
-
-    A seekable stream in which every line is ``a,b`` is read and split in
-    one piece; any other stream, or one that fails that test, is rewound
-    and read line by line, and only that path reports malformed lines.
-    """
-    fields = _plain_edge_fields(stream)
-    if fields is None:
-        yield from _edge_lines(stream, doc_ids)
-        return
-    pairs = iter(fields)
-    if fields[0].lower() == "citing" and fields[1].lower() == "cited":
-        citing, cited = next(pairs), next(pairs)
-        if citing in doc_ids and cited in doc_ids:
-            _warn_header_names_documents(1, f"{citing},{cited}")
-    yield from zip(pairs, pairs)
-
-
-def _plain_edge_fields(stream) -> list[str] | None:
-    """The flat [citing, cited, citing, cited, ...] fields of a seekable
-    stream whose every line is one ``a,b`` with no whitespace, blank line
-    or comment (trailing newlines aside); else None, the stream rewound."""
-    try:
-        start = stream.tell()
-    except (AttributeError, OSError):
-        return None
-    text = _read_whole(stream)
-    fields = None if text is None else _plain_fields(text.rstrip("\n"))
-    if text is not None and fields is None:
-        stream.seek(start)
-    return fields
-
-
 # every byte but the comma and the newline
 _NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _one_comma_per_line(body: str) -> bool:
     """Whether each line of `body` (newline-separated) holds one comma."""
-    return (body.encode().translate(None, _NOT_COMMA_OR_NEWLINE)
-            == b",\n" * body.count("\n") + b",")
-
-
-def _plain_fields(body: str) -> list[str] | None:
-    """The flat fields of lines that are each one ``a,b``, with no blank
-    line, comment or whitespace (`body` has no final newline); else None.
-    Characters that are not printable count as whitespace."""
-    flat = body.replace("\n", ",")
-    if (not _one_comma_per_line(body)
-            or ",," in flat or flat.startswith(",") or flat.endswith(",")
-            or body.startswith("#") or "\n#" in body
-            or " " in flat or not flat.isprintable()):
-        return None
-    return flat.split(",")
+    # surrogatepass: a lone surrogate, from a \ud800 escape in a nodes
+    # file, is neither
+    skeleton = body.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_COMMA_OR_NEWLINE)
+    return skeleton == b",\n" * body.count("\n") + b","
 
 
 # characters per block of edges text: the per-block work is negligible,
@@ -825,9 +780,12 @@ def _edge_text_nodes(body: str, index: dict[str, int]
     return us, vs, header
 
 
-def _edge_lines(stream: Iterable[str],
-                doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
-    """iter_edge_records, one line at a time."""
+def iter_edge_records(stream: Iterable[str],
+                      doc_ids: Container[str]) -> Iterator[tuple[str, str]]:
+    """(citing, cited) pairs of an edges stream, one line at a time, without
+    header or comments. A header line whose two fields are both in
+    `doc_ids` is still skipped, with a WARNING (see the module docstring).
+    The only edges reader that reports malformed lines."""
     first_data_line = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -862,11 +820,16 @@ def _warn_header_names_documents(lineno: int, line: str) -> None:
 _to_json = json.JSONEncoder().encode
 
 
-def write_corpus(net: CitationNetwork, nodes_path, edges_path) -> None:
+def write_corpus(net: CitationNetwork, nodes_path, edges_path,
+                 text: CorpusText | None = None) -> None:
     """Write the standard nodes/edges files; re-parsing round-trips exactly.
-    An input text that ``net.text`` keeps is written as it is: it is
-    exactly the text that would be written."""
-    nodes, edges = net.text or (None, None)
+
+    `text` is what parse_corpus(keep_text=True) returned with `net`: each
+    text it holds is exactly what would be written, and is written as it
+    is. Leave it out, or drop its nodes text, once the network's documents
+    are not the ones parsed.
+    """
+    nodes, edges = text or (None, None)
     if nodes is None:
         docs = net.docs
         nodes = "".join([_to_json(document_to_record(docs[v])) + "\n"

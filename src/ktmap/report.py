@@ -340,13 +340,14 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
 def _parse_stage(config: PipelineConfig, out: Path):
     if config.nodes is None or config.edges is None:
         raise ValueError("nodes and edges files must be given")
-    net = load_corpus(config.nodes, config.edges, lenient=config.lenient,
-                      keep_text=True)
-    if net.n_docs == 0:
+    parsed, text = load_corpus(config.nodes, config.edges, lenient=config.lenient,
+                               keep_text=True)
+    if parsed.n_docs == 0:
         raise KTMapError("corpus has no documents")
-    net = _with_lexicon(config, net)
-    write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv")
-    net.text = None  # copied where it could be; the run needs it no more
+    net = _with_lexicon(config, parsed)
+    if net is not parsed:  # the nodes text no longer describes the documents
+        text = text._replace(nodes=None)
+    write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv", text)
     write_json(out / "corpus.summary.json", {
         "n_documents": net.n_docs,
         "n_edges": net.n_edges,

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktmap import corpus
-from ktmap.corpus import (CitationNetwork, Document, Lexicon, UGraph,
-                          _plain_edge_fields, co_citation_projection,
-                          count_terms, iter_edge_records, iter_node_records,
-                          load_corpus, parse_corpus, write_corpus)
+from ktmap.corpus import (CitationNetwork, CorpusText, Document, Lexicon,
+                          UGraph, co_citation_projection, count_terms,
+                          iter_edge_records, iter_node_records, load_corpus,
+                          parse_corpus, write_corpus)
 from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           MalformedRecordError, SelfLoopError,
                           UnknownEndpointError)
+from ktmap.report import PipelineConfig, _parse_stage
 
 from conftest import (StringCitationNetwork, line_edge_records,
                       line_node_records, make_net, reference_write_corpus)
@@ -409,8 +410,15 @@ class TestAgainstStringOracle:
         "x#y,a\n",
     ])
     def test_plain_text_read_whole(self, text):
-        assert _plain_edge_fields(io.StringIO(text)) == text.replace(
-            "\n", ",").rstrip(",").split(",")
+        # the int-code path takes it: one comma per line, every field an id
+        index = {v: i for i, v in enumerate(["a", "b", "c", "x#y"])}
+        fields = text.rstrip("\n").replace("\n", ",").split(",")
+        if fields[:2] == ["citing", "cited"]:
+            del fields[:2]
+        found = corpus._edge_text_nodes(text.rstrip("\n"), index)
+        assert found is not None
+        assert found[:2] == ([index[v] for v in fields[::2]],
+                             [index[v] for v in fields[1::2]])
 
     @pytest.mark.parametrize("text", [
         "",
@@ -426,9 +434,40 @@ class TestAgainstStringOracle:
         "a\tb\n",
     ])
     def test_other_text_rewound_for_the_line_loop(self, text):
-        stream = io.StringIO(text)
-        assert _plain_edge_fields(stream) is None
-        assert stream.tell() == 0
+        # the int-code path leaves it to the line loop, which reads the
+        # text from its start, as the reference reader does
+        ids = ["a", "b", "c", "d"]
+        index = {v: i for i, v in enumerate(ids)}
+        found = corpus._edge_text_nodes(text.rstrip("\n"), index)
+        assert found is None or None in found[0] + found[1]
+        nodes = "".join(f'{{"id": "{v}"}}\n' for v in ids)
+        net, exc, logged = _outcome(lambda: parse_corpus(
+            io.StringIO(nodes), io.StringIO(text)))
+        ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
+            [Document(id=v) for v in ids],
+            line_edge_records(io.StringIO(text), set(ids))))
+        assert logged == ref_logged
+        if ref_exc is not None:
+            assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
+        else:
+            _assert_same_network(net, ref)
+
+    @pytest.mark.parametrize("text", ["a,\ud800\n", "citing,cited\n\ud800,a\n",
+                                      "\ud800,b\na,\ud800\n", "a,\ud800,b\n"])
+    def test_lone_surrogate_id(self, text):
+        # a \ud800 escape in a nodes file gives an id no file can hold, but
+        # a StringIO can
+        nodes = '{"id": "a"}\n{"id": "b"}\n{"id": "\\ud800"}\n'
+        net, exc, logged = _outcome(lambda: parse_corpus(
+            io.StringIO(nodes), io.StringIO(text)))
+        ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
+            list(line_node_records(io.StringIO(nodes))),
+            line_edge_records(io.StringIO(text), {"a", "b", "\ud800"})))
+        assert logged == ref_logged
+        if ref_exc is not None:
+            assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
+        else:
+            _assert_same_network(net, ref)
 
     def test_undecodable_text_read_by_lines(self, tmp_path):
         # the bad byte lies past the first block the text layer decodes, so
@@ -436,17 +475,20 @@ class TestAgainstStringOracle:
         path = tmp_path / "edges.csv"
         path.write_bytes(b"a,ghost\n" + b"a,b\n" * 5000 + b"\xff,b\n")
         docs = [Document(id="a"), Document(id="b")]
+        nodes = '{"id": "a"}\n{"id": "b"}\n'
         for lenient, error in ((False, UnknownEndpointError),
                                (True, UnicodeDecodeError)):
-            for reader in (iter_edge_records, line_edge_records):
+            for build in (
+                    lambda fh: parse_corpus(io.StringIO(nodes), fh, lenient=lenient),
+                    lambda fh: CitationNetwork(docs, line_edge_records(fh, {"a", "b"}),
+                                               lenient=lenient)):
                 with open(path, encoding="utf-8") as fh, pytest.raises(error):
-                    CitationNetwork(docs, reader(fh, {"a", "b"}), lenient=lenient)
+                    build(fh)
 
     def test_unseekable_stream_read_by_lines(self):
-        docs = [Document(id="a"), Document(id="b")]
-        net = CitationNetwork(docs, iter_edge_records(iter(["a,b\n", "b,a"]),
-                                                      {"a", "b"}))
-        assert net.edges == (("a", "b"), ("b", "a"))
+        net, text = parse_corpus(io.StringIO('{"id": "a"}\n{"id": "b"}\n'),
+                                 iter(["a,b\n", "b,a"]), keep_text=True)
+        assert net.edges == (("a", "b"), ("b", "a")) and text.edges is None
 
 
 # -- whole-file nodes path against the line loop of conftest ---------------
@@ -632,7 +674,7 @@ def corpus_texts(draw):
     lenient = False
     change = draw(st.sampled_from([
         None, "unsorted", "duplicate", "CITING,CITED", "no header",
-        "newlines", "lenient", "kind paper", "key order", "terms case"]))
+        "newlines", "no final newline", "lenient", "kind paper", "key order", "terms case"]))
     if change == "unsorted":
         pairs = draw(st.permutations(pairs))
     elif change == "duplicate" and pairs:
@@ -654,29 +696,31 @@ def corpus_texts(draw):
     edges = header + "".join(f"{u},{v}\n" for u, v in pairs)
     if change == "newlines":
         edges += "\n\n"
+    elif change == "no final newline":
+        edges = edges.removesuffix("\n")
     return nodes, edges, lenient
 
 
 class TestWrittenCorpus:
-    """write_corpus after parse_corpus(keep_text=True) writes the bytes of
-    the reference writer of conftest, by copy or by encoding."""
+    """write_corpus with the texts of parse_corpus(keep_text=True) writes
+    the bytes of the reference writer of conftest, by copy or by encoding."""
 
     @settings(max_examples=200, deadline=None)
     @given(texts=corpus_texts())
     def test_same_bytes_as_reference_writer(self, texts, tmp_path_factory):
         nodes_text, edges_text, lenient = texts
         tmp = tmp_path_factory.mktemp("written")
-        net = parse_corpus(io.StringIO(nodes_text), io.StringIO(edges_text),
-                           lenient=lenient, keep_text=True)
-        write_corpus(net, tmp / "n.jsonl", tmp / "e.csv")
+        net, text = parse_corpus(io.StringIO(nodes_text), io.StringIO(edges_text),
+                                 lenient=lenient, keep_text=True)
+        write_corpus(net, tmp / "n.jsonl", tmp / "e.csv", text)
         reference_write_corpus(net, tmp / "ref.n.jsonl", tmp / "ref.e.csv")
         assert (tmp / "n.jsonl").read_bytes() == (tmp / "ref.n.jsonl").read_bytes()
         assert (tmp / "e.csv").read_bytes() == (tmp / "ref.e.csv").read_bytes()
         # the text is kept exactly where it is what the writer writes
-        assert net.text.nodes in (None, nodes_text)
-        assert (net.text.nodes == nodes_text) == (
+        assert text.nodes in (None, nodes_text) and text.edges in (None, edges_text)
+        assert (text.nodes == nodes_text) == (
             (tmp / "ref.n.jsonl").read_text(encoding="utf-8") == nodes_text)
-        assert (net.text.edges == edges_text) == (
+        assert (text.edges == edges_text) == (
             (tmp / "ref.e.csv").read_text(encoding="utf-8") == edges_text)
 
     @pytest.mark.parametrize("nodes, edges, copied", [
@@ -689,18 +733,40 @@ class TestWrittenCorpus:
         ('{"id": "a"}\n{"id": "b"}\n', "citing,cited\na,b\n\n", (False, False)),
         ('{"id": "a", "basic_terms": 0, "clinical_terms": 0}',  # no final newline
          "citing,cited\n", (False, True)),
+        ('{"id": "a"}\n{"id": "b"}\n', "citing,cited\na,b", (False, False)),
+        ('{"id": "a"}\n{"id": "b"}\n', "citing,cited", (False, False)),
     ])
     def test_kept_text(self, nodes, edges, copied):
-        net = parse_corpus(io.StringIO(nodes), io.StringIO(edges), keep_text=True)
-        assert (net.text.nodes is not None, net.text.edges is not None) == copied
-        assert parse_corpus(io.StringIO(nodes), io.StringIO(edges)).text is None
+        net, text = parse_corpus(io.StringIO(nodes), io.StringIO(edges), keep_text=True)
+        assert (text.nodes is not None, text.edges is not None) == copied
+        assert isinstance(text, CorpusText)
+        assert isinstance(parse_corpus(io.StringIO(nodes), io.StringIO(edges)),
+                          CitationNetwork)
 
-    def test_replaced_documents_drop_the_nodes_text(self):
-        nodes = '{"id": "a", "basic_terms": 0, "clinical_terms": 0}\n'
-        net = parse_corpus(io.StringIO(nodes), io.StringIO("citing,cited\n"),
-                           keep_text=True)
-        new = net.with_documents([Document(id="a", basic_terms=1)])
-        assert new.text == (None, "citing,cited\n") and net.text.nodes == nodes
+    def test_counted_terms_written_not_the_input(self, tmp_path):
+        # a canonical nodes file whose counts the lexicon fills in: the
+        # parse stage writes the counts, and still copies the edges text
+        lines = [{"id": v, "basic_terms": 0, "clinical_terms": 0, "terms": [t]}
+                 for v, t in (("a", "kinase"), ("b", "trial"), ("c", "other"))]
+        paths = {name: tmp_path / name for name in
+                 ("nodes.jsonl", "edges.csv", "basic.txt", "clinical.txt")}
+        texts = ("".join(json.dumps(rec) + "\n" for rec in lines),
+                 "citing,cited\na,b\nc,a\n", "kinase\n", "trial\n")
+        for path, text in zip(paths.values(), texts):
+            path.write_text(text, encoding="utf-8")
+        config = PipelineConfig(nodes=str(paths["nodes.jsonl"]),
+                                edges=str(paths["edges.csv"]),
+                                lexicon_basic=str(paths["basic.txt"]),
+                                lexicon_clinical=str(paths["clinical.txt"]))
+        (net,) = _parse_stage(config, tmp_path)
+        assert [(d.basic_terms, d.clinical_terms) for d in net.docs.values()] == [
+            (1, 0), (0, 1), (0, 0)]
+        reference_write_corpus(net, tmp_path / "ref.n.jsonl", tmp_path / "ref.e.csv")
+        for part, ref in (("nodes.jsonl", "ref.n.jsonl"), ("edges.csv", "ref.e.csv")):
+            assert ((tmp_path / f"corpus.{part}").read_bytes()
+                    == (tmp_path / ref).read_bytes())
+        assert (tmp_path / "corpus.nodes.jsonl").read_text() != texts[0]
+        assert (tmp_path / "corpus.edges.csv").read_text() == texts[1]
 
 
 class TestWithDocuments:
