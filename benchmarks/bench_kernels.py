@@ -59,7 +59,9 @@ def bench_greedy_cocitation() -> None:
 def bench_refine(leaf: int) -> None:
     """``fast_greedy`` minus its greedy merge (refinement, relabelling and
     the final Q) on a 4x5 nested planted projection; leaf=500 gives about
-    10k nodes and 55k edges."""
+    10k nodes and 55k edges. Also prints the refinement's ``best_move``
+    evaluations and the sweep skips by the drift bound, from its DEBUG
+    record."""
     scale = 500 / leaf  # same expected degree at every size
     cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
                         p_within=(0.002 * scale, 0.01 * scale),
@@ -74,13 +76,24 @@ def bench_refine(leaf: int) -> None:
         merge_s.append(time.perf_counter() - t0)
         return out
 
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("ktmap.fronts")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
     _kernels.greedy_merge_seq = timed_merge
     try:
         t = time_call(fronts.fast_greedy, g)
     finally:
         _kernels.greedy_merge_seq = kernel
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    counts = records[-1].refine
     print(f"refinement    n={g.n_nodes:5d} m={g.n_edges:6d}  {t - merge_s[0]:8.3f}s"
-          f"  (merge {merge_s[0]:.3f}s)")
+          f"  (merge {merge_s[0]:.3f}s; {counts['evaluations']} evaluations,"
+          f" {counts['skips']} skips)")
 
 
 def bench_triangles(n: int, p: float) -> None:
@@ -165,7 +178,7 @@ def main() -> None:
     for blocks, leaf in sizes:
         bench_greedy(blocks, leaf)
     bench_greedy_cocitation()
-    for leaf in [100] if args.quick else [100, 250, 500]:
+    for leaf in [100] if args.quick else [100, 250, 500, 1000]:
         bench_refine(leaf)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):
         bench_triangles(n, p)

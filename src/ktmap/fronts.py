@@ -10,7 +10,10 @@ edge counts in the modularity sums.
 from __future__ import annotations
 
 import logging
+import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from . import _kernels
@@ -95,6 +98,14 @@ def fast_greedy(graph: UGraph) -> Partition:
       chain of best moves, each allowed to lose Q, and keeps its best
       prefix if that gains.
 
+    Refinement evaluates a node only when it might move: each node keeps
+    its last best gain, and a move elsewhere shifts that gain by a bounded
+    amount, so a sweep or a chain step skips nodes whose bound cannot win
+    (``_Refinement``). The moves are exactly those of evaluating every node.
+    Weights so small or large that 2 m^2 would leave the float range are
+    scaled by a power of two first, which is exact. One DEBUG record per
+    call counts sweeps, merges, KL chains, evaluations and skips.
+
     Deterministic; isolated nodes end up as singleton fronts. Front ids are
     renumbered 1..K in order of each front's smallest member.
     """
@@ -150,6 +161,14 @@ _REFINE_MAX_PASSES = 100
 _REFINE_TOL = 1e-12
 _KL_CHAIN = 8
 _NEG_INF = float("-inf")
+_INF = float("inf")
+# a graph whose total weight m lies outside 2**-256 .. 2**256 is refined with
+# its weights scaled by a power of two, so that 2 m^2 stays a normal float
+_SCALE_EXP = 256
+# rounding slack added to a cached best gain, in units of k / m (128 ulps)
+_GAIN_SLACK = 2.0 ** -46
+# binary exponent of the drift quantum relative to m's
+_DRIFT_QUANTUM_EXP = -40
 
 
 def _refine_moves(graph: UGraph, comm: list[int]) -> list[int]:
@@ -167,22 +186,46 @@ def _refine_moves(graph: UGraph, comm: list[int]) -> list[int]:
     Only boundary nodes (with a neighbor in another front) can move, and a
     node's weight to each front changes only when a neighbor moves, so
     each phase works on the boundary and recomputes a node's front weights
-    only after a neighbor moved. Every sum is taken in the same order as a
-    full rescan would take it, so the result is bit-identical to rescanning
+    only after a neighbor moved. A node whose cached best gain, widened by
+    the weight moved since, provably cannot win is not evaluated at all
+    (``_Refinement``). Every sum is taken in the same order as a full
+    rescan would take it, so the result is bit-identical to rescanning
     every node at every step, for any weights.
+
+    Logs one DEBUG record with the phase counts, also as the record's
+    ``refine`` dict.
     """
     state = _Refinement(graph, comm)
+    sweeps = merges = chains = accepted = 0
+    capped = False
     for _ in range(_REFINE_MAX_PASSES):
+        sweeps += 1
         if state.sweep():
             continue
         if state.merge_pass():
+            merges += 1
             continue
+        chains += 1
         if not state.kl_escape():
             break
+        accepted += 1
     else:
+        capped = True
         log.warning("front refinement stopped at the %d-pass cap on a "
                     "%d-node graph before converging", _REFINE_MAX_PASSES,
                     graph.n_nodes)
+    if log.isEnabledFor(logging.DEBUG):
+        counts = {"nodes": graph.n_nodes, "sweeps": sweeps,
+                  "merge_passes": merges + chains, "merges": merges,
+                  "kl_chains": chains, "kl_accepted": accepted,
+                  "evaluations": state.evals, "skips": state.skips,
+                  "pass_cap_hit": capped}
+        log.debug("refined a %(nodes)d-node graph: %(sweeps)d sweeps, "
+                  "%(merge_passes)d merge passes (%(merges)d merged), "
+                  "%(kl_chains)d KL chains (%(kl_accepted)d accepted), "
+                  "%(evaluations)d best-move evaluations, %(skips)d sweep "
+                  "skips by the drift bound, pass cap hit: %(pass_cap_hit)s",
+                  counts, extra={"refine": counts})
     return state.comm
 
 
@@ -198,32 +241,89 @@ class _Refinement:
     node i is on the boundary, and can move, iff n_out[i] > 0. A cached
     list is replaced, never mutated, so ``copy`` shares them (copy on
     write).
+
+    Drift bound. gain[i] is node i's best move gain at its last evaluation
+    plus a rounding slack, and at[i] the value of ``drift``, the running
+    total of moved weight, at that moment. gain[i] is +inf once that value
+    no longer bounds anything: when i moved, when a neighbor of i moved
+    (w_to[i] turned None) and after a merge pass. Otherwise the weights
+    from i to each front are unchanged, and a move of node j changes only
+    deg_sum at j's old and new front, by k_j each, so the gain of moving i
+    to any front (see ``best_move``) changes by at most k_i k_j / m^2 (when
+    j leaves i's front for the target). Hence i's best gain now is at most
+    gain[i] + ks[i] * (drift - at[i]), with ks[i] = k_i / m^2; a sweep
+    skips i when that cannot exceed _REFINE_TOL, and a Kernighan-Lin step
+    when it is below the best gain found.
+
+    Rounding slack (u = 2**-53; w_to entries are at most k_i and deg_sum
+    entries at most 2m). The k w / m part of a gain is rounded twice on a
+    value at most k/m, the deg_sum part four times on a value at most k/m
+    after two subtractions of values at most 2m, and the difference once,
+    so every computed gain is within 10 u k/m of its exact value on the
+    current floats. A skip compares the cached evaluation, the current one
+    it stands for, the slack added to the first and at most three float
+    additions forming the bound (3u k/m each, plus u of the drift term):
+    under 40 u k/m, against the slack _GAIN_SLACK k/m = 128 u k/m. A move
+    also rounds two deg_sum updates by up to 2um each, worth 2u k/m of
+    gain. So a move adds k_j to drift rounded up to a multiple of the
+    quantum q = 2**(e - 40), where m < 2**e, plus one more q: q >= 2**-40 m
+    covers those 2u k/m and the relative roundings of ks[i] and of the
+    drift term (4u of k_i k_j / m^2, k_j <= m) many times over. Sums of
+    multiples of q stay exact below 2**53 q >= 2**13 m, and drift stays far
+    below that (at most 100 passes, each moving at most 10 m of weight), so
+    drift - at[i] is exact.
+
+    Weights are scaled by a power of two when m is outside 2**+-_SCALE_EXP,
+    which is exact: a gain is a ratio of weights, so the moves are those of
+    the unscaled graph in a float range wide enough for it.
     """
 
     __slots__ = ("adj", "m", "two_m2", "wdeg", "comm", "deg_sum", "w_to",
-                 "n_out")
+                 "n_out", "ks", "ks_max", "slack_m", "quantum", "gain", "at",
+                 "drift", "evals", "skips")
 
     def __init__(self, graph: UGraph, comm: list[int]):
-        self.adj = graph.adj
-        self.m = graph.total_weight
-        self.two_m2 = 2.0 * self.m * self.m
-        self.wdeg = [sum(nbrs.values()) for nbrs in self.adj]
+        adj, m = graph.adj, graph.total_weight
+        mant, exp = math.frexp(m)
+        if abs(exp) > _SCALE_EXP:
+            scale = math.ldexp(1.0, -exp)
+            adj = [{j: w * scale for j, w in nbrs.items()} for nbrs in adj]
+            m, exp = mant, 0
+        self.adj = adj
+        self.m = m
+        self.two_m2 = 2.0 * m * m
+        self.wdeg = [sum(nbrs.values()) for nbrs in adj]
         self.comm = comm
         self.deg_sum: dict[int, float] = {}
         for idx in range(len(comm)):
             self.deg_sum[comm[idx]] = self.deg_sum.get(comm[idx], 0.0) + self.wdeg[idx]
         self.w_to: list[dict[int, float] | None] = [None] * len(comm)
         self.n_out = [sum(1 for j in nbrs if comm[j] != comm[i])
-                      for i, nbrs in enumerate(self.adj)]
+                      for i, nbrs in enumerate(adj)]
+        m2 = m * m
+        self.ks = array("d", [k / m2 for k in self.wdeg])
+        self.ks_max = max(self.ks, default=0.0)
+        self.slack_m = _GAIN_SLACK * m
+        self.quantum = math.ldexp(1.0, exp + _DRIFT_QUANTUM_EXP)
+        self.gain = array("d", [_INF]) * len(comm)
+        self.at = array("d", [0.0]) * len(comm)
+        self.drift = 0.0
+        self.evals = self.skips = 0
 
     def copy(self) -> "_Refinement":
         """A trial state that can be thrown away; shares the cached lists."""
         new = object.__new__(_Refinement)
         new.adj, new.m, new.two_m2, new.wdeg = self.adj, self.m, self.two_m2, self.wdeg
+        new.ks, new.ks_max, new.slack_m = self.ks, self.ks_max, self.slack_m
+        new.quantum = self.quantum
         new.comm = list(self.comm)
         new.deg_sum = dict(self.deg_sum)
         new.w_to = list(self.w_to)
         new.n_out = list(self.n_out)
+        new.gain = array("d", self.gain)
+        new.at = array("d", self.at)
+        new.drift = self.drift
+        new.evals = new.skips = 0
         return new
 
     def best_move(self, idx: int, floor: float) -> tuple[float, int | None]:
@@ -261,14 +361,19 @@ class _Refinement:
 
     def move(self, idx: int, target: int) -> None:
         """Move node idx to front `target`, updating the caches it affects."""
-        comm, n_out, w_to = self.comm, self.n_out, self.w_to
+        comm, n_out, w_to, gain = self.comm, self.n_out, self.w_to, self.gain
         own = comm[idx]
-        self.deg_sum[own] -= self.wdeg[idx]
-        self.deg_sum[target] += self.wdeg[idx]
+        k = self.wdeg[idx]
+        self.deg_sum[own] -= k
+        self.deg_sum[target] += k
+        q = self.quantum
+        self.drift += (math.ceil(k / q) + 1) * q  # exact: see the class docstring
         comm[idx] = target
+        gain[idx] = _INF
         out = 0
         for nbr in self.adj[idx]:
             w_to[nbr] = None
+            gain[nbr] = _INF
             front = comm[nbr]
             if front == own:
                 n_out[nbr] += 1
@@ -282,18 +387,35 @@ class _Refinement:
     def sweep(self) -> bool:
         """One pass of Q-improving moves in index order; True if any moved.
 
-        A node off the boundary has no target, so it is skipped; the
-        boundary is read as it stands when each node's turn comes.
+        A node off the boundary has no target, and a node whose drift bound
+        cannot exceed _REFINE_TOL no helpful one, so both are skipped; the
+        boundary and the bounds are read as they stand when each node's
+        turn comes. Any other node is evaluated with no floor, which picks
+        the same target as a floor of _REFINE_TOL whenever the best gain
+        exceeds it, and moves if it does; otherwise its gain is cached.
         """
         moved = False
-        n_out = self.n_out
+        n_out, gain, at, ks = self.n_out, self.gain, self.at, self.ks
+        slack_m = self.slack_m
+        drift = self.drift
+        evals = skips = 0
         for idx in range(len(n_out)):
             if not n_out[idx]:
                 continue
-            _, target = self.best_move(idx, _REFINE_TOL)
-            if target is not None:
+            if gain[idx] + ks[idx] * (drift - at[idx]) <= _REFINE_TOL:
+                skips += 1
+                continue
+            evals += 1
+            best, target = self.best_move(idx, _NEG_INF)
+            if best > _REFINE_TOL:
                 self.move(idx, target)
+                drift = self.drift
                 moved = True
+            else:
+                gain[idx] = best + ks[idx] * slack_m
+                at[idx] = drift
+        self.evals += evals
+        self.skips += skips
         return moved
 
     def kl_escape(self) -> bool:
@@ -306,31 +428,57 @@ class _Refinement:
         chain prefix with the largest cumulative gain if strictly positive;
         otherwise the trial is dropped. Deterministic and Q-increasing, so
         the caller may loop on it safely.
+
+        A step finds that minimum without evaluating the whole boundary.
+        The boundary is sorted once by its drift bounds at the chain's
+        start (+inf where nothing is cached). The neighbors of the chain's
+        movers, whose front weights changed, are evaluated again at the
+        step after each move and keep their own bounds from then on. Any
+        other node's gain stays within its start bound widened by
+        max(ks) * (drift since the start), so each step walks the sorted
+        boundary only while that can still reach the best gain found, and
+        evaluates a node there only if its own bound can. Both tests skip
+        on a strict ``<``, so a node that might tie the best is evaluated
+        and the tie-break is that of a full scan.
         """
+        n_out, ks, gain, at = self.n_out, self.ks, self.gain, self.at
+        drift0 = self.drift
+        start = sorted(((gain[i] + ks[i] * (drift0 - at[i]), i)
+                        for i in range(len(n_out)) if n_out[i]),
+                       key=itemgetter(0), reverse=True)
         trial = self.copy()
+        t_out = trial.n_out
         locked: set[int] = set()
+        touched: list[int] = []  # neighbors of the chain's movers
+        seen: set[int] = set()
         moves: list[tuple[int, int]] = []  # idx, new front
         gains: list[float] = []
         total = 0.0
         for _ in range(min(_KL_CHAIN, len(self.comm))):
-            step_best = None  # (-gain, idx, target)
-            for idx, out in enumerate(trial.n_out):
-                if not out or idx in locked:
-                    continue
-                gain, target = trial.best_move(idx, _NEG_INF)
-                if target is None:
-                    continue
-                key = (-gain, idx, target)
-                if step_best is None or key < step_best:
-                    step_best = key
-            if step_best is None:
+            drift = trial.drift
+            step: list = [_NEG_INF, -1, None]  # best gain, idx, target
+            for idx in touched:
+                if idx not in locked and t_out[idx]:
+                    trial._offer(idx, drift, step)
+            widen = self.ks_max * (drift - drift0)
+            for bound, idx in start:
+                if bound + widen < step[0]:
+                    break
+                if idx not in seen and idx not in locked and t_out[idx]:
+                    trial._offer(idx, drift, step)
+            step_gain, idx, target = step
+            if target is None:
                 break
-            gain, idx, target = -step_best[0], step_best[1], step_best[2]
             moves.append((idx, target))
             trial.move(idx, target)
             locked.add(idx)
-            total += gain
+            for nbr in self.adj[idx]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    touched.append(nbr)
+            total += step_gain
             gains.append(total)
+        self.evals += trial.evals
 
         best_prefix = 0
         best_total = _REFINE_TOL
@@ -342,13 +490,27 @@ class _Refinement:
             self.move(idx, target)
         return best_prefix > 0
 
+    def _offer(self, idx: int, drift: float, step: list) -> None:
+        """Evaluate node idx unless its drift bound is below step[0], caching
+        its gain, and make its best move the step's if it is better under
+        (-gain, idx, target) than step = [gain, idx, target]."""
+        ks = self.ks[idx]
+        if self.gain[idx] + ks * (drift - self.at[idx]) < step[0]:
+            return
+        self.evals += 1
+        gain, target = self.best_move(idx, _NEG_INF)
+        self.gain[idx] = gain + ks * self.slack_m
+        self.at[idx] = drift
+        if gain > step[0] or (gain == step[0] and idx < step[1]):
+            step[:] = gain, idx, target
+
     def merge_pass(self) -> bool:
         """Merge the adjacent front pair with the largest positive Q gain.
 
         Merge gain of fronts (r, s): w_rs / m - 2 a_r a_s. w_rs sums the
         edges between r and s in (lower endpoint, adjacency) order; both
         ends of such an edge are on the boundary. Returns whether a merge
-        happened.
+        happened; a merge drops every cached gain.
         """
         comm, adj, m, n_out = self.comm, self.adj, self.m, self.n_out
         w_between: dict[tuple[int, int], float] = {}
@@ -383,6 +545,7 @@ class _Refinement:
         for idx in members:
             comm[idx] = r
         deg_sum[r] += deg_sum.pop(s)
+        self.gain = array("d", [_INF]) * len(comm)
         return True
 
 

@@ -1,4 +1,7 @@
 import logging
+import math
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy, hierarchical_fronts, modularity
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
-from conftest import (best_partition_bruteforce, brute_modularity,
-                      scan_refine_moves, ugraph)
+import conftest
+from conftest import (_scan_best_move, best_partition_bruteforce,
+                      brute_modularity, scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -128,6 +132,16 @@ class TestFastGreedy:
             hits += nmi(part.assignment, truth.leaf_labels()) >= 0.9
         assert hits >= 4
 
+    @pytest.mark.parametrize("weight", [1e-170, 1e160])
+    def test_extreme_weights_give_unit_partition(self, weight):
+        # 2 m^2 underflows to 0 at 1e-170 and overflows at 1e160, where
+        # every single-move gain would be NaN and no node would move
+        g = numbered_graph(MERGE_THEN_MOVES, 9)
+        cut = merge_cut(g)
+        assert fronts._refine_moves(g, list(cut)) != cut  # refinement matters
+        heavy = UGraph(g.ids, [(u, v, weight) for u, v, _ in g.edges()])
+        assert fast_greedy(heavy).assignment == fast_greedy(g).assignment
+
 
 class TestHierarchicalFronts:
     def two_level_cliques(self, k=6):
@@ -216,13 +230,110 @@ def merge_cut(g: UGraph) -> list[int]:
     return fronts._merge_cut(g.n_nodes, *g.edge_arrays())
 
 
-def assert_refines_like_scan(g: UGraph, comm: list[int]) -> dict:
-    """The incremental refinement returns the scan oracle's labels; returns
-    the oracle's phase counts."""
+def scaled(g: UGraph, scale: float) -> UGraph:
+    """g with every weight times `scale`, adjacency order kept."""
+    return UGraph._trusted(g.ids, [{j: w * scale for j, w in nbrs.items()}
+                                   for nbrs in g.adj])
+
+
+def replay_sweep(state, evaluated: list[int]) -> None:
+    """Replay a sweep on `state`, a copy taken before it, given the nodes it
+    evaluated: every boundary node it skipped must have a best gain,
+    computed from scratch, inside its drift bound, and so no move."""
+    turns = iter(evaluated)
+    turn = next(turns, None)
+    graph = SimpleNamespace(adj=state.adj)
+    for idx in range(len(state.comm)):
+        if not state.n_out[idx]:
+            continue
+        exact, target = _scan_best_move(graph, state.comm, state.deg_sum,
+                                        state.m, 2.0 * state.m, state.wdeg,
+                                        idx, floor=-math.inf)
+        if idx == turn:
+            turn = next(turns, None)
+            if exact > fronts._REFINE_TOL:
+                state.move(idx, target)
+            continue
+        drift_term = state.ks[idx] * (state.drift - state.at[idx])
+        bound = state.gain[idx] + drift_term
+        slack = state.ks[idx] * state.slack_m
+        assert bound <= fronts._REFINE_TOL
+        assert state.gain[idx] - 2.0 * slack - drift_term <= exact <= bound
+    assert turn is None
+
+
+@contextmanager
+def checked_skips():
+    """Inside the block, every ``_Refinement.sweep`` records the nodes it
+    evaluates and is then replayed on a copy of its starting state by
+    ``replay_sweep``, which must make the same moves."""
+    cls = fronts._Refinement
+    sweep, best_move = cls.sweep, cls.best_move
+
+    def checked_sweep(state):
+        before = state.copy()
+        evaluated: list[int] = []
+
+        def recording(self, idx, floor):
+            evaluated.append(idx)
+            return best_move(self, idx, floor)
+
+        cls.best_move = recording
+        try:
+            moved = sweep(state)
+        finally:
+            cls.best_move = best_move
+        replay_sweep(before, evaluated)
+        assert before.comm == state.comm
+        return moved
+
+    cls.sweep = checked_sweep
+    try:
+        yield
+    finally:
+        cls.sweep = sweep
+
+
+def assert_refines_like_scan(g: UGraph, comm: list[int], scale: float = 1.0) -> dict:
+    """The incremental refinement of g with its weights times `scale` (a
+    power of two) returns the scan oracle's labels for g, and each node a
+    sweep skips is inside its drift bound; returns the oracle's phase
+    counts."""
     stats: dict = {}
     want = scan_refine_moves(g, list(comm), stats)
-    assert fronts._refine_moves(g, list(comm)) == want
+    with checked_skips():
+        assert fronts._refine_moves(scaled(g, scale), list(comm)) == want
     return stats
+
+
+def with_weight(g: UGraph, u: int, v: int, w: float) -> UGraph:
+    """g with edge (u, v) reweighted to w, adjacency order kept."""
+    adj = [dict(nbrs) for nbrs in g.adj]
+    adj[u][v] = adj[v][u] = w
+    return UGraph._trusted(g.ids, adj)
+
+
+def tolerance_crossing(g: UGraph, comm: list[int], x: int) -> tuple[int, float, float]:
+    """(neighbor y, lo, hi): adjacent floats lo < hi such that node x's best
+    gain in `comm` lies on one side of _REFINE_TOL with edge (x, y) weighing
+    lo and on the other side at hi."""
+    def above(w):
+        state = fronts._Refinement(with_weight(g, x, y, w), list(comm))
+        return state.best_move(x, -math.inf)[0] > fronts._REFINE_TOL
+
+    for y, w in g.adj[x].items():
+        lo, hi = w / 16, w * 16
+        if above(lo) == above(hi):
+            continue
+        rising = above(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            if above(mid) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return y, lo, hi
+    raise AssertionError("no edge of x moves its gain across _REFINE_TOL")
 
 
 def shuffled_weighted(g: UGraph, weight, seed: int) -> UGraph:
@@ -265,8 +376,10 @@ class TestRefineExact:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(),
            weights=st.sampled_from(["unweighted", "integer", "real"]),
-           start=st.sampled_from(["cut", "random"]))
-    def test_matches_scan_oracle(self, data, weights, start):
+           start=st.sampled_from(["cut", "random"]),
+           # about 1e-170 and 1e160, where 2 m^2 leaves the float range
+           scale=st.sampled_from([1.0, 2.0 ** -565, 2.0 ** 532]))
+    def test_matches_scan_oracle(self, data, weights, start, scale):
         n = data.draw(st.integers(2, 14))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         # drawn order is insertion order: adjacency dicts come out unsorted
@@ -288,14 +401,31 @@ class TestRefineExact:
             comm = merge_cut(g)
         else:
             comm = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        assert_refines_like_scan(g, comm)
+        assert_refines_like_scan(g, comm, scale)
 
-    def test_planted_projections(self):
+    def test_planted_projections(self, monkeypatch, caplog):
         cfg = PlantedConfig(branching=(3,), leaf_size=30, p_within=(0.2,),
                             p_between=0.02)
+        scans = []
+        scan = conftest._scan_best_move
+
+        def counted(*args, **kwargs):
+            scans.append(args[-1])
+            return scan(*args, **kwargs)
+
         for seed in range(3):
             g = gen_planted_kt_network(cfg, seed)[0].projection
             assert_refines_like_scan(g, merge_cut(g))
+            # the bound spares most of the oracle's evaluations
+            scans.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(conftest, "_scan_best_move", counted)
+                scan_refine_moves(g, merge_cut(g))
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="ktmap.fronts"):
+                fronts._refine_moves(g, merge_cut(g))
+            evaluations = caplog.records[-1].refine["evaluations"]
+            assert 0 < evaluations < len(scans) / 2
 
     def test_cocitation_and_real_weights(self):
         cfg = PlantedConfig(branching=(2, 2), leaf_size=20, p_within=(0.1, 0.3),
@@ -311,6 +441,29 @@ class TestRefineExact:
         stats = assert_refines_like_scan(
             real, [int(c) for c in rng.integers(0, 6, real.n_nodes)])
         assert stats["merges"] > 0 and stats["kl_accepted"] > 0
+
+    def test_gains_at_the_tolerance(self):
+        # weights put the first visited node's best gain, at the start of a
+        # refinement that then moves many nodes, on either side of
+        # _REFINE_TOL by a few float steps of one edge weight
+        cfg = PlantedConfig(branching=(2, 2), leaf_size=20, p_within=(0.1, 0.3),
+                            p_between=0.02)
+        g = co_citation_projection(gen_planted_kt_network(cfg, 4)[0])
+        rng = np.random.default_rng(5)
+        comm = [int(c) for c in rng.integers(0, 6, g.n_nodes)]
+        x = next(i for i, out in enumerate(fronts._Refinement(g, comm).n_out) if out)
+        y, lo, hi = tolerance_crossing(g, comm, x)
+        gains = [fronts._Refinement(with_weight(g, x, y, w), comm).best_move(x, -math.inf)[0]
+                 for w in (lo, hi)]
+        assert min(gains) <= fronts._REFINE_TOL < max(gains)
+        assert max(abs(gain - fronts._REFINE_TOL) for gain in gains) < 1e-17
+        w = lo
+        for _ in range(3):
+            w = math.nextafter(w, 0.0)
+        for _ in range(7):
+            stats = assert_refines_like_scan(with_weight(g, x, y, w), comm)
+            assert stats["moves"] > 10
+            w = math.nextafter(w, math.inf)
 
     def test_kl_chain_accepted(self):
         g = numbered_graph(KL_ACCEPTED, 9)
@@ -369,6 +522,41 @@ class TestRefineExact:
         records = [r for r in caplog.records if r.name == "ktmap.fronts"]
         assert len(records) == 1
         assert "1-pass cap" in records[0].getMessage()
+
+    def test_debug_record_counts_the_phases(self, monkeypatch, caplog):
+        g = numbered_graph(MERGE_THEN_MOVES, 9)
+        stats: dict = {}
+        scan_refine_moves(g, merge_cut(g), stats)
+        calls = []
+        best_move = fronts._Refinement.best_move
+
+        def counted(self, idx, floor):
+            calls.append(idx)
+            return best_move(self, idx, floor)
+
+        monkeypatch.setattr(fronts._Refinement, "best_move", counted)
+        with caplog.at_level(logging.DEBUG, logger="ktmap.fronts"):
+            fast_greedy(g)
+        records = [r for r in caplog.records if r.name == "ktmap.fronts"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        counts = records[0].refine
+        assert counts["merges"] == stats["merges"] == 1
+        assert counts["kl_accepted"] == stats["kl_accepted"]
+        assert counts["kl_chains"] == stats["kl_accepted"] + stats["kl_rolled_back"]
+        assert counts["merge_passes"] == counts["merges"] + counts["kl_chains"]
+        assert counts["sweeps"] > counts["merge_passes"]  # some sweeps moved
+        assert counts["evaluations"] == len(calls) > 0
+        assert counts["skips"] > 0
+        assert counts["pass_cap_hit"] is False
+        assert "pass cap hit: False" in records[0].getMessage()
+
+        monkeypatch.setattr(fronts, "_REFINE_MAX_PASSES", 1)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ktmap.fronts"):
+            fast_greedy(g)
+        records = [r for r in caplog.records if r.name == "ktmap.fronts"]
+        assert [r.levelno for r in records] == [logging.WARNING, logging.DEBUG]
+        assert records[1].refine["pass_cap_hit"] is True
 
     def test_no_warning_when_converged(self, caplog):
         g = numbered_graph(MERGE_THEN_MOVES, 9)
