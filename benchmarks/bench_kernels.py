@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time the hot kernels in isolation.
 
-Runs the greedy modularity merge (on citation projections and on one
-weighted co-citation graph), front refinement and triangle counting on
-synthetic graphs, cycle breaking plus search path counts (SPC) on undated
-random citation digraphs, and corpus parsing and writing on written
-planted corpora, at increasing sizes, and prints a timing table. This is a
-kernel-only microbenchmark; ``perfbench/`` measures the whole
-``ktmap report``.
+Runs the greedy modularity merge (on citation projections, one of them the
+size of a 50k-doc report's top level, and on one weighted co-citation
+graph, printing the counts of its DEBUG record), front refinement and
+triangle counting on synthetic graphs, cycle breaking plus search path
+counts (SPC) on undated random citation digraphs, and corpus parsing and
+writing on written planted corpora, at increasing sizes, and prints a
+timing table. This is a kernel-only microbenchmark; ``perfbench/``
+measures the whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -19,6 +20,7 @@ import logging
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,14 +36,52 @@ def time_call(fn, *args):
     return time.perf_counter() - t0
 
 
+@contextmanager
+def debug_records(name: str):
+    """Collect the DEBUG records of logger `name` inside the block."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger(name)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def time_merge(label: str, g) -> None:
+    """Time the greedy merge on g and print its DEBUG record's counts."""
+    eu, ev, ew = g.edge_arrays()
+    with debug_records("ktmap.kernels") as records:
+        t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
+    c = records[-1].merge
+    print(f"{label}  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s"
+          f"  ({c['merges']} merges, {c['pushes']} pushes, {c['skipped_pushes']}"
+          f" skipped, {c['stale_rekeys']} stale, {c['dead_pops']} dead,"
+          f" {c['rebuilds']} rebuilds)")
+
+
 def bench_greedy(n_blocks: int, leaf: int) -> None:
     cfg = PlantedConfig(branching=(n_blocks,), leaf_size=leaf,
                         p_within=(0.05,), p_between=0.002)
     net, _ = gen_planted_kt_network(cfg, 42)
-    g = net.projection
-    eu, ev, ew = g.edge_arrays()
-    t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
-    print(f"greedy merge  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
+    time_merge("greedy merge", net.projection)
+
+
+def bench_greedy_50k_top() -> None:
+    """A 4x5 nested planted projection of 11.5k nodes and 45k edges, the
+    size of the top-level graph of a 50k-doc planted report (11,475 core
+    nodes, 42,288 edges)."""
+    scale = 0.7 * 500 / 575
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=575,
+                        p_within=(0.002 * scale, 0.01 * scale),
+                        p_between=0.0003 * scale)
+    time_merge("greedy merge (50k-doc top level)",
+               gen_planted_kt_network(cfg, 42)[0].projection)
 
 
 def bench_greedy_cocitation() -> None:
@@ -50,10 +90,8 @@ def bench_greedy_cocitation() -> None:
     cfg = PlantedConfig(branching=(4, 5), leaf_size=70,
                         p_within=(0.012, 0.1), p_between=0.003,
                         homophily=0.5, n_hubs=0)
-    g = co_citation_projection(gen_planted_kt_network(cfg, 42)[0])
-    eu, ev, ew = g.edge_arrays()
-    t = time_call(_kernels.greedy_merge_seq, g.n_nodes, eu, ev, ew)
-    print(f"greedy merge (co-citation)  n={g.n_nodes:5d} m={g.n_edges:6d}  {t:8.3f}s")
+    time_merge("greedy merge (co-citation)",
+               co_citation_projection(gen_planted_kt_network(cfg, 42)[0]))
 
 
 def bench_refine(leaf: int) -> None:
@@ -76,20 +114,12 @@ def bench_refine(leaf: int) -> None:
         merge_s.append(time.perf_counter() - t0)
         return out
 
-    records: list[logging.LogRecord] = []
-    handler = logging.Handler(logging.DEBUG)
-    handler.emit = records.append
-    logger = logging.getLogger("ktmap.fronts")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
     _kernels.greedy_merge_seq = timed_merge
     try:
-        t = time_call(fronts.fast_greedy, g)
+        with debug_records("ktmap.fronts") as records:
+            t = time_call(fronts.fast_greedy, g)
     finally:
         _kernels.greedy_merge_seq = kernel
-        logger.removeHandler(handler)
-        logger.setLevel(level)
     counts = records[-1].refine
     print(f"refinement    n={g.n_nodes:5d} m={g.n_edges:6d}  {t - merge_s[0]:8.3f}s"
           f"  (merge {merge_s[0]:.3f}s; {counts['evaluations']} evaluations,"
@@ -177,6 +207,8 @@ def main() -> None:
     sizes = [(4, 75), (8, 100)] if args.quick else [(4, 75), (8, 100), (8, 250), (10, 400)]
     for blocks, leaf in sizes:
         bench_greedy(blocks, leaf)
+    if not args.quick:
+        bench_greedy_50k_top()
     bench_greedy_cocitation()
     for leaf in [100] if args.quick else [100, 250, 500, 1000]:
         bench_refine(leaf)

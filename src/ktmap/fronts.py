@@ -102,18 +102,20 @@ def fast_greedy(graph: UGraph) -> Partition:
     its last best gain, and a move elsewhere shifts that gain by a bounded
     amount, so a sweep or a chain step skips nodes whose bound cannot win
     (``_Refinement``). The moves are exactly those of evaluating every node.
-    Weights so small or large that 2 m^2 would leave the float range are
-    scaled by a power of two first, which is exact. One DEBUG record per
-    call counts sweeps, merges, KL chains, evaluations and skips.
+    Weights whose total m is so small or large that m or 2 m^2 would leave
+    the float range are scaled by a power of two first, for the merge, the
+    refinement and Q alike (``_in_range``). One DEBUG record per call
+    counts sweeps, merges, KL chains, evaluations and skips.
 
     Deterministic; isolated nodes end up as singleton fronts. Front ids are
     renumbered 1..K in order of each front's smallest member.
     """
     if graph.n_nodes == 0:
         raise InsufficientDataError("cannot cluster an empty graph")
-    edge_u, edge_v, edge_w = graph.edge_arrays()
-    if not edge_u:
+    if not any(graph.adj):
         raise InsufficientDataError("cannot cluster a graph with no edges")
+    graph = _in_range(graph)
+    edge_u, edge_v, edge_w = graph.edge_arrays()
 
     comm = _refine_moves(graph, _merge_cut(graph.n_nodes, edge_u, edge_v, edge_w))
 
@@ -129,6 +131,25 @@ def fast_greedy(graph: UGraph) -> Partition:
     # accumulated one
     q = _modularity(graph.total_weight, labels, edge_u, edge_v, edge_w)
     return Partition(assignment=assignment, q=q)
+
+
+def _in_range(graph: UGraph) -> UGraph:
+    """graph, or a copy with every weight scaled by the same power of two
+    when its total weight m overflows or its binary exponent is beyond
+    +-_SCALE_EXP.
+
+    The copy's largest weight is in [1/2, 1), so its m lies between 1/2 and
+    the edge count. Scaling by a power of two is exact, and the merge
+    keys, the refinement gains and Q are all ratios of weights, so the
+    result is that of the unscaled graph computed in a float range wide
+    enough for it. A graph in range is returned as it is and keeps its bits.
+    """
+    m = graph.total_weight
+    if m < _INF and abs(math.frexp(m)[1]) <= _SCALE_EXP:
+        return graph
+    exp = -math.frexp(max(max(nbrs.values(), default=0.0) for nbrs in graph.adj))[1]
+    return UGraph._trusted(graph.ids, [{j: math.ldexp(w, exp) for j, w in nbrs.items()}
+                                       for nbrs in graph.adj], graph.index)
 
 
 def _merge_cut(n_nodes, edge_u, edge_v, edge_w) -> list[int]:
@@ -162,8 +183,8 @@ _REFINE_TOL = 1e-12
 _KL_CHAIN = 8
 _NEG_INF = float("-inf")
 _INF = float("inf")
-# a graph whose total weight m lies outside 2**-256 .. 2**256 is refined with
-# its weights scaled by a power of two, so that 2 m^2 stays a normal float
+# a graph whose total weight m lies outside 2**-256 .. 2**256 is clustered
+# with its weights scaled by a power of two, so that 2 m^2 stays a normal float
 _SCALE_EXP = 256
 # rounding slack added to a cached best gain, in units of k / m (128 ulps)
 _GAIN_SLACK = 2.0 ** -46
@@ -181,7 +202,8 @@ def _refine_moves(graph: UGraph, comm: list[int]) -> list[int]:
     ties by smallest pair) and moving resumes; when no merge helps either,
     a Kernighan-Lin chain (``_Refinement.kl_escape``) gets one try. Q
     strictly increases throughout, so the loop terminates; the pass cap is
-    a safety net, and hitting it is logged.
+    a safety net, and hitting it is logged. The graph's total weight must
+    lie within 2**+-_SCALE_EXP (``_in_range``).
 
     Only boundary nodes (with a neighbor in another front) can move, and a
     node's weight to each front changes only when a neighbor moves, so
@@ -190,7 +212,7 @@ def _refine_moves(graph: UGraph, comm: list[int]) -> list[int]:
     the weight moved since, provably cannot win is not evaluated at all
     (``_Refinement``). Every sum is taken in the same order as a full
     rescan would take it, so the result is bit-identical to rescanning
-    every node at every step, for any weights.
+    every node at every step, for any weights in that range.
 
     Logs one DEBUG record with the phase counts, also as the record's
     ``refine`` dict.
@@ -245,15 +267,19 @@ class _Refinement:
     Drift bound. gain[i] is node i's best move gain at its last evaluation
     plus a rounding slack, and at[i] the value of ``drift``, the running
     total of moved weight, at that moment. gain[i] is +inf once that value
-    no longer bounds anything: when i moved, when a neighbor of i moved
-    (w_to[i] turned None) and after a merge pass. Otherwise the weights
+    no longer bounds anything: when i changed front, or a neighbor of i did
+    (w_to[i] turned None), by a move or a merge pass. Otherwise the weights
     from i to each front are unchanged, and a move of node j changes only
     deg_sum at j's old and new front, by k_j each, so the gain of moving i
     to any front (see ``best_move``) changes by at most k_i k_j / m^2 (when
-    j leaves i's front for the target). Hence i's best gain now is at most
-    gain[i] + ks[i] * (drift - at[i]), with ks[i] = k_i / m^2; a sweep
-    skips i when that cannot exceed _REFINE_TOL, and a Kernighan-Lin step
-    when it is below the best gain found.
+    j leaves i's front for the target). A merge pass of front s into r
+    changes only deg_sum[r], by D = deg_sum[s]: that moves either i's own
+    front's rest or one target's deg_sum, so each gain of i by at most
+    k_i D / (2 m^2), and the merge adds D to drift like a move of weight D.
+    Hence i's best gain now is at most gain[i] + ks[i] * (drift - at[i]),
+    with ks[i] = k_i / m^2; a sweep skips i when that cannot exceed
+    _REFINE_TOL, and a Kernighan-Lin step when it is below the best gain
+    found.
 
     Rounding slack (u = 2**-53; w_to entries are at most k_i and deg_sum
     entries at most 2m). The k w / m part of a gain is rounded twice on a
@@ -265,17 +291,14 @@ class _Refinement:
     additions forming the bound (3u k/m each, plus u of the drift term):
     under 40 u k/m, against the slack _GAIN_SLACK k/m = 128 u k/m. A move
     also rounds two deg_sum updates by up to 2um each, worth 2u k/m of
-    gain. So a move adds k_j to drift rounded up to a multiple of the
-    quantum q = 2**(e - 40), where m < 2**e, plus one more q: q >= 2**-40 m
-    covers those 2u k/m and the relative roundings of ks[i] and of the
-    drift term (4u of k_i k_j / m^2, k_j <= m) many times over. Sums of
-    multiples of q stay exact below 2**53 q >= 2**13 m, and drift stays far
-    below that (at most 100 passes, each moving at most 10 m of weight), so
-    drift - at[i] is exact.
-
-    Weights are scaled by a power of two when m is outside 2**+-_SCALE_EXP,
-    which is exact: a gain is a ratio of weights, so the moves are those of
-    the unscaled graph in a float range wide enough for it.
+    gain, and a merge pass one, worth u k/m. So a move adds k_j to drift,
+    and a merge D, rounded up to a multiple of the quantum q = 2**(e - 40),
+    where m < 2**e, plus one more q: q >= 2**-40 m covers those roundings
+    and the relative roundings of ks[i] and of the drift term (4u of
+    k_i k_j / m^2 or of k_i D / m^2, k_j <= m, D <= 2m) many times over.
+    Sums of multiples of q stay exact below 2**53 q >= 2**13 m, and drift
+    stays far below that (at most 100 passes, each moving or merging at
+    most 10 m of weight), so drift - at[i] is exact.
     """
 
     __slots__ = ("adj", "m", "two_m2", "wdeg", "comm", "deg_sum", "w_to",
@@ -284,11 +307,6 @@ class _Refinement:
 
     def __init__(self, graph: UGraph, comm: list[int]):
         adj, m = graph.adj, graph.total_weight
-        mant, exp = math.frexp(m)
-        if abs(exp) > _SCALE_EXP:
-            scale = math.ldexp(1.0, -exp)
-            adj = [{j: w * scale for j, w in nbrs.items()} for nbrs in adj]
-            m, exp = mant, 0
         self.adj = adj
         self.m = m
         self.two_m2 = 2.0 * m * m
@@ -304,7 +322,7 @@ class _Refinement:
         self.ks = array("d", [k / m2 for k in self.wdeg])
         self.ks_max = max(self.ks, default=0.0)
         self.slack_m = _GAIN_SLACK * m
-        self.quantum = math.ldexp(1.0, exp + _DRIFT_QUANTUM_EXP)
+        self.quantum = math.ldexp(1.0, math.frexp(m)[1] + _DRIFT_QUANTUM_EXP)
         self.gain = array("d", [_INF]) * len(comm)
         self.at = array("d", [0.0]) * len(comm)
         self.drift = 0.0
@@ -366,8 +384,7 @@ class _Refinement:
         k = self.wdeg[idx]
         self.deg_sum[own] -= k
         self.deg_sum[target] += k
-        q = self.quantum
-        self.drift += (math.ceil(k / q) + 1) * q  # exact: see the class docstring
+        self._add_drift(k)
         comm[idx] = target
         gain[idx] = _INF
         out = 0
@@ -383,6 +400,12 @@ class _Refinement:
             else:
                 out += 1
         n_out[idx] = out
+
+    def _add_drift(self, weight: float) -> None:
+        """Count `weight` as moved, in whole quanta (see the class docstring:
+        the sum stays exact and covers the roundings)."""
+        q = self.quantum
+        self.drift += (math.ceil(weight / q) + 1) * q
 
     def sweep(self) -> bool:
         """One pass of Q-improving moves in index order; True if any moved.
@@ -510,7 +533,8 @@ class _Refinement:
         Merge gain of fronts (r, s): w_rs / m - 2 a_r a_s. w_rs sums the
         edges between r and s in (lower endpoint, adjacency) order; both
         ends of such an edge are on the boundary. Returns whether a merge
-        happened; a merge drops every cached gain.
+        happened. A merge drops the cached gains of the members of s and of
+        their neighbors, and counts deg_sum[s] as moved weight for the rest.
         """
         comm, adj, m, n_out = self.comm, self.adj, self.m, self.n_out
         w_between: dict[tuple[int, int], float] = {}
@@ -535,17 +559,21 @@ class _Refinement:
         if best_pair is None:
             return False
         r, s = best_pair
+        w_to, gain = self.w_to, self.gain
         members = [idx for idx in range(len(comm)) if comm[idx] == s]
         for idx in members:
+            gain[idx] = _INF
             for nbr in adj[idx]:
-                self.w_to[nbr] = None
+                w_to[nbr] = None
+                gain[nbr] = _INF
                 if comm[nbr] == r:  # an edge between r and s turns internal
                     n_out[idx] -= 1
                     n_out[nbr] -= 1
         for idx in members:
             comm[idx] = r
-        deg_sum[r] += deg_sum.pop(s)
-        self.gain = array("d", [_INF]) * len(comm)
+        moved = deg_sum.pop(s)
+        deg_sum[r] += moved
+        self._add_drift(moved)
         return True
 
 

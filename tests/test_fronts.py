@@ -132,15 +132,19 @@ class TestFastGreedy:
             hits += nmi(part.assignment, truth.leaf_labels()) >= 0.9
         assert hits >= 4
 
-    @pytest.mark.parametrize("weight", [1e-170, 1e160])
+    @pytest.mark.parametrize("weight", [5e-324, 1e-170, 1e160, 1e308])
     def test_extreme_weights_give_unit_partition(self, weight):
         # 2 m^2 underflows to 0 at 1e-170 and overflows at 1e160, where
-        # every single-move gain would be NaN and no node would move
+        # every single-move gain would be NaN and no node would move; at
+        # 1e308 m itself overflows, and so would every merge key; at the
+        # smallest subnormal the scale factor itself is out of range
         g = numbered_graph(MERGE_THEN_MOVES, 9)
         cut = merge_cut(g)
         assert fronts._refine_moves(g, list(cut)) != cut  # refinement matters
         heavy = UGraph(g.ids, [(u, v, weight) for u, v, _ in g.edges()])
-        assert fast_greedy(heavy).assignment == fast_greedy(g).assignment
+        got, want = fast_greedy(heavy), fast_greedy(g)
+        assert got.assignment == want.assignment
+        assert got.q == pytest.approx(want.q)
 
 
 class TestHierarchicalFronts:
@@ -296,13 +300,14 @@ def checked_skips():
 
 def assert_refines_like_scan(g: UGraph, comm: list[int], scale: float = 1.0) -> dict:
     """The incremental refinement of g with its weights times `scale` (a
-    power of two) returns the scan oracle's labels for g, and each node a
-    sweep skips is inside its drift bound; returns the oracle's phase
-    counts."""
+    power of two), brought into range as ``fast_greedy`` brings it, returns
+    the scan oracle's labels for g, and each node a sweep skips is inside
+    its drift bound; returns the oracle's phase counts."""
     stats: dict = {}
     want = scan_refine_moves(g, list(comm), stats)
     with checked_skips():
-        assert fronts._refine_moves(scaled(g, scale), list(comm)) == want
+        in_range = fronts._in_range(scaled(g, scale))
+        assert fronts._refine_moves(in_range, list(comm)) == want
     return stats
 
 
@@ -464,6 +469,35 @@ class TestRefineExact:
             stats = assert_refines_like_scan(with_weight(g, x, y, w), comm)
             assert stats["moves"] > 10
             w = math.nextafter(w, math.inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_merge_keeps_gain_bounds(self, data):
+        # a merge pass after each sweep, from a random start: every cached
+        # gain a merge pass keeps must still bound its node's best gain,
+        # computed from scratch, once deg_sum[s] is counted as moved weight
+        n = data.draw(st.integers(4, 14))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), min_size=3,
+                                   max_size=30, unique=True))
+        ws = data.draw(st.lists(st.floats(0.1, 10.0), min_size=len(edges),
+                                max_size=len(edges)))
+        ids = [f"n{i:02d}" for i in range(n)]
+        g = UGraph(ids, [(ids[u], ids[v], w) for (u, v), w in zip(edges, ws)])
+        comm = data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+        state = fronts._Refinement(g, comm)
+        graph = SimpleNamespace(adj=state.adj)
+        for _ in range(4):
+            state.sweep()
+            if not state.merge_pass():
+                break
+            for idx in range(n):
+                if state.n_out[idx] and state.gain[idx] < math.inf:
+                    exact = _scan_best_move(graph, state.comm, state.deg_sum,
+                                            state.m, 2.0 * state.m, state.wdeg,
+                                            idx, floor=-math.inf)[0]
+                    drift_term = state.ks[idx] * (state.drift - state.at[idx])
+                    assert exact <= state.gain[idx] + drift_term
 
     def test_kl_chain_accepted(self):
         g = numbered_graph(KL_ACCEPTED, 9)

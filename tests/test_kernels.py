@@ -1,7 +1,11 @@
 """Kernel exactness: the lazy-heap greedy merge must reproduce the full-scan
 oracle (``conftest.scan_merge_seq``) bit for bit: merge sequence, q0 and
-every Q. Tie-heavy graphs check the (low id, high id) tie-break, and graphs
-large enough for the heap to be rebuilt check the rebuild path."""
+every Q. Tie-heavy graphs check the (low id, high id) tie-break, graphs
+large enough for the heap to be rebuilt check the rebuild path, and dense
+graphs, where a merged pair shares most neighbours, check the pushes that
+are skipped when a pair's gain did not rise."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -118,6 +122,18 @@ class TestMergeExact:
             min_size=len(edges), max_size=len(edges)))
         assert_same_merge(n, [e[0] for e in edges], [e[1] for e in edges], ew)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), tied=st.booleans())
+    def test_dense_weighted(self, data, tied):
+        n = data.draw(st.integers(6, 14))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        missing = data.draw(st.sets(st.sampled_from(pairs), max_size=n // 2))
+        edges = [pair for pair in pairs if pair not in missing]
+        weight = (st.sampled_from([1.0, 2.0, 3.0]) if tied
+                  else st.floats(1e-3, 1e3))
+        ew = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+        assert_same_merge(n, [e[0] for e in edges], [e[1] for e in edges], ew)
+
     @pytest.mark.parametrize("leaf,seed", [(15, 0), (15, 1), (30, 0), (30, 1)])
     def test_rebuilt_heap_planted(self, monkeypatch, leaf, seed):
         net = planted_4x5(leaf, seed)
@@ -143,4 +159,53 @@ class TestMergeExact:
     def test_no_edges_raises(self):
         with pytest.raises(ValueError):
             _kernels.greedy_merge_seq(3, [], [], [])
+
+
+def neighbour_moves(n, eu, ev, merges):
+    """Neighbours that leave s for r, summed over the merges (r, s)."""
+    adj = [set() for _ in range(n)]
+    for u, v in zip(eu, ev):
+        adj[u].add(v)
+        adj[v].add(u)
+    total = 0
+    for r, s in merges:
+        adj[r].discard(s)
+        adj[s].discard(r)
+        total += len(adj[s])
+        for t in adj[s]:
+            adj[t].discard(s)
+            adj[t].add(r)
+            adj[r].add(t)
+        adj[s] = set()
+    return total
+
+
+class TestMergeDebugRecord:
+    def test_counts_agree_with_the_oracle(self, monkeypatch, caplog):
+        g = co_citation_projection(planted_4x5(15, 0))
+        eu, ev, ew = g.edge_arrays()
+        merges = scan_merge_seq(g.n_nodes, eu, ev, ew)[1]
+        moves = neighbour_moves(g.n_nodes, eu, ev, merges)
+        # a move onto a pair r already had merges two pairs into one
+        shared = len(eu) - len(merges)
+        sizes = heapify_calls(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="ktmap.kernels"):
+            _kernels.greedy_merge_seq(g.n_nodes, eu, ev, ew)
+        records = [r for r in caplog.records if r.name == "ktmap.kernels"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        counts = records[0].merge
+        assert counts["nodes"] == g.n_nodes and counts["edges"] == len(eu)
+        assert counts["merges"] == len(merges)
+        assert counts["rebuilds"] == len(sizes) - 1 > 0
+        assert counts["pushes"] + counts["skipped_pushes"] == moves
+        # a pair new to r is always pushed; the rule skips only shared ones
+        assert 0 < counts["skipped_pushes"] <= shared
+        assert counts["stale_rekeys"] > 0 and counts["dead_pops"] > 0
+        assert f"{counts['merges']} merges" in records[0].getMessage()
+
+    def test_silent_above_debug(self, caplog):
+        n, eu, ev, ew = unweighted(4, [(0, 1), (1, 2), (2, 3)])
+        with caplog.at_level(logging.INFO, logger="ktmap.kernels"):
+            _kernels.greedy_merge_seq(n, eu, ev, ew)
+        assert not [r for r in caplog.records if r.name == "ktmap.kernels"]
 
