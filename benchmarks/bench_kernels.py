@@ -153,7 +153,7 @@ def bench_cycles_spc(n: int) -> None:
     t0 = time.perf_counter()
     edges, removed = hubs.acyclic_reduction(net)
     t1 = time.perf_counter()
-    hubs._spc_on_edges(net.ids, edges)
+    hubs._spc_on_edges(net.n_docs, *hubs._edge_nodes(net, edges))  # as main_path
     t2 = time.perf_counter()
     print(f"cycle break   n={net.n_docs:5d} m={net.n_edges:6d}  {t1 - t0:8.3f}s"
           f"  ({len(removed)} removed)")

@@ -20,10 +20,8 @@ from .fronts import (FrontNode, FrontTree, Partition, fast_greedy,
 from .hubs import (HubCandidate, HubConfig, MainPath, acyclic_reduction,
                    detect_translational_hubs, hub_regions, main_path,
                    search_path_counts)
-from .metrics import (NodeMetrics, ScalingFit, ck_scaling,
-                      clustering_coefficient, local_clustering,
-                      node_metrics_table, participation_coefficient,
-                      within_module_z)
+from .metrics import (NodeMetrics, ScalingFit, ck_scaling, local_clustering,
+                      node_metrics_table)
 from .selection import (PowerLawFit, fit_power_law, sample_discrete_power_law,
                         select_top_cited)
 from .synth import (GroundTruth, PlantedConfig, gen_deterministic_hierarchical,
@@ -41,9 +39,8 @@ __all__ = [
     "HubCandidate", "HubConfig", "MainPath", "acyclic_reduction",
     "detect_translational_hubs", "hub_regions", "main_path",
     "search_path_counts",
-    "NodeMetrics", "ScalingFit", "ck_scaling", "clustering_coefficient",
-    "local_clustering", "node_metrics_table", "participation_coefficient",
-    "within_module_z",
+    "NodeMetrics", "ScalingFit", "ck_scaling", "local_clustering",
+    "node_metrics_table",
     "PowerLawFit", "fit_power_law", "sample_discrete_power_law",
     "select_top_cited",
     "GroundTruth", "PlantedConfig", "gen_deterministic_hierarchical",

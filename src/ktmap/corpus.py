@@ -208,21 +208,6 @@ class UGraph:
     def total_weight(self) -> float:
         return sum(sum(nbrs.values()) for nbrs in self.adj) / 2.0
 
-    def degree(self, node: str) -> int:
-        return len(self.adj[self.index[node]])
-
-    def neighbors(self, node: str) -> list[str]:
-        return [self.ids[j] for j in sorted(self.adj[self.index[node]])]
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return self.index[v] in self.adj[self.index[u]]
-
-    def edges(self) -> Iterator[tuple[str, str, float]]:
-        """Yield each edge once as (u, v, weight) with index(u) < index(v),
-        in edge_arrays order."""
-        for i, j, w in zip(*self.edge_arrays()):
-            yield self.ids[i], self.ids[j], w
-
     def edge_arrays(self) -> tuple[list[int], list[int], list[float]]:
         """Edge list as parallel index/weight arrays, in deterministic order."""
         us, vs, ws = [], [], []
@@ -283,8 +268,8 @@ class CitationNetwork:
     (citing id, cited id) pairs. ``out_adj[u]`` lists the nodes u cites and
     ``in_adj[v]`` the nodes citing v, both ascending. The string pairs of
     ``edges`` are built on first use. Immutable after construction and
-    safe for concurrent reads. in_degree(v) is the citation count of v
-    within the corpus.
+    safe for concurrent reads. ``len(in_adj[v])`` is the citation count of
+    v within the corpus.
     """
 
     def __init__(self, documents: Iterable[Document],
@@ -379,31 +364,6 @@ class CitationNetwork:
         ids = self.ids
         return tuple((ids[u], ids[v])
                      for u, cited in enumerate(self.out_adj) for v in cited)
-
-    def document(self, node: str) -> Document:
-        return self.docs[node]
-
-    def __contains__(self, node: str) -> bool:
-        return node in self.docs
-
-    def in_degree(self, node: str) -> int:
-        return len(self.in_adj[self.index[node]])
-
-    def out_degree(self, node: str) -> int:
-        return len(self.out_adj[self.index[node]])
-
-    def citers(self, node: str) -> list[str]:
-        """Documents citing `node`, sorted."""
-        ids = self.ids
-        return [ids[u] for u in self.in_adj[self.index[node]]]
-
-    def cited_by(self, node: str) -> list[str]:
-        """Documents cited by `node`, sorted."""
-        ids = self.ids
-        return [ids[v] for v in self.out_adj[self.index[node]]]
-
-    def in_degrees(self) -> dict[str, int]:
-        return {i: self.in_degree(i) for i in self.docs}
 
     # -- derived networks and graphs ----------------------------------------
 

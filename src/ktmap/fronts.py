@@ -660,6 +660,8 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     """
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
+    if not math.isfinite(min_q_gain):  # a NaN gain test passes every split
+        raise ValueError("min_q_gain must be a finite number")
     if graph.n_nodes == 0 or graph.n_edges == 0:
         raise InsufficientDataError("cannot cluster a graph with no edges")
 

@@ -14,17 +14,16 @@ the strongest source edge.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .axis import front_score_summary
-from .corpus import CitationNetwork
+from .corpus import CitationNetwork, UGraph
 from .errors import InsufficientDataError
-from .metrics import local_clustering, participation_coefficient
+from .metrics import clustering_by_index, front_labels, participation
 
 log = logging.getLogger("ktmap.hubs")
 
@@ -35,6 +34,7 @@ class HubConfig:
 
     c_max=None means "the median defined clustering coefficient of the
     graph"; a node with undefined c (degree < 2) is treated as c = 0.
+    A NaN bound is rejected: it would switch its filter off.
     """
 
     degree_pct: float = 0.90
@@ -47,8 +47,10 @@ class HubConfig:
             raise ValueError("degree_pct must lie in [0, 1]")
         if not 0.0 <= self.p_min <= 1.0:
             raise ValueError("p_min must lie in [0, 1]")
-        if self.t_spread_min < 0.0:
-            raise ValueError("t_spread_min must be >= 0")
+        if self.c_max is not None and not 0.0 <= self.c_max <= 1.0:
+            raise ValueError("c_max must lie in [0, 1] or be None")
+        if not 0.0 <= self.t_spread_min < math.inf:
+            raise ValueError("t_spread_min must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,33 +67,32 @@ class HubCandidate:
     rank: int
 
 
-def detect_translational_hubs(net: CitationNetwork,
+def detect_translational_hubs(graph: UGraph,
                               partition: Mapping[str, int],
                               scores: Mapping[str, float | None],
                               config: HubConfig = HubConfig()) -> list[HubCandidate]:
-    """Rank the nodes bridging fronts across the basic-clinical axis.
+    """Rank the nodes of `graph` bridging fronts across the basic-clinical
+    axis.
 
     Candidates must have degree at or above the degree_pct quantile,
     clustering coefficient <= c_max, participation >= p_min, and a spread
     of bridged-front mean scores >= t_spread_min. Returns an empty list
     when nothing qualifies.
     """
-    graph = net.projection
-    missing = [v for v in graph.ids if v not in partition]
-    if missing:
-        raise ValueError(f"partition does not cover node {missing[0]!r}")
-    missing = [v for v in graph.ids if v not in scores]
-    if missing:
-        raise ValueError(f"scores do not cover node {missing[0]!r}")
+    ids, adj = graph.ids, graph.adj
+    labels = front_labels(graph, partition)
+    missing = next((v for v in ids if v not in scores), None)
+    if missing is not None:
+        raise ValueError(f"scores do not cover node {missing!r}")
 
-    degrees = sorted(graph.degree(v) for v in graph.ids)
+    degrees = sorted(map(len, adj))
     k_max = degrees[-1]
     if k_max == 0:
         return []
     k_threshold = sorted_quantile(degrees, config.degree_pct)
 
-    cs = local_clustering(graph)
-    defined_c = sorted(c for c in cs.values() if c is not None)
+    cs = clustering_by_index(graph)
+    defined_c = sorted(c for c in cs if c is not None)
     c_max = config.c_max
     if c_max is None:
         c_max = sorted_median(defined_c) if defined_c else 0.0
@@ -100,17 +101,17 @@ def detect_translational_hubs(net: CitationNetwork,
                    for fid, s in front_score_summary(partition, scores).items()}
 
     accepted = []
-    for node in graph.ids:
-        k = graph.degree(node)
+    for i, nbrs in enumerate(adj):
+        k = len(nbrs)
         if k < k_threshold or k == 0:
             continue
-        c = cs[node]
+        c = cs[i]
         if (c if c is not None else 0.0) > c_max:
             continue
-        p = participation_coefficient(graph, node, partition)
+        p, per_front = participation(nbrs, labels)
         if p < config.p_min:
             continue
-        bridged = sorted({partition[u] for u in graph.neighbors(node)})
+        bridged = sorted(per_front)
         bridged_means = [front_means[fid] for fid in bridged
                          if front_means[fid] is not None]
         if len(bridged_means) < 2:
@@ -119,16 +120,14 @@ def detect_translational_hubs(net: CitationNetwork,
         if t_spread < config.t_spread_min:
             continue
         score = p * t_spread * (k / k_max)
-        accepted.append(HubCandidate(id=node, k=k, c=c, p=p,
+        accepted.append(HubCandidate(id=ids[i], k=k, c=c, p=p,
                                      bridged_fronts=tuple(bridged),
                                      t_spread=t_spread, hub_score=score,
                                      rank=0))
 
     accepted.sort(key=lambda h: (-h.hub_score, h.id))
-    return [HubCandidate(id=h.id, k=h.k, c=h.c, p=h.p,
-                         bridged_fronts=h.bridged_fronts, t_spread=h.t_spread,
-                         hub_score=h.hub_score, rank=i + 1)
-            for i, h in enumerate(accepted)]
+    return [replace(h, rank=rank)
+            for rank, h in enumerate(accepted, start=1)]
 
 
 def sorted_quantile(values: list, q: float) -> float:
@@ -163,28 +162,26 @@ def sorted_median(values: list) -> float:
     return (values[half - 1] + values[half]) / 2
 
 
-def hub_regions(net: CitationNetwork,
+def hub_regions(graph: UGraph,
                 hubs: list[HubCandidate]) -> list[tuple[str, ...]]:
-    """Connected components of the hub-induced subgraph, as sorted tuples."""
-    hub_ids = {h.id for h in hubs}
-    graph = net.projection
-    seen: set[str] = set()
+    """Connected components of the hub-induced subgraph of `graph`, as
+    sorted tuples of ids, in the order of their smallest ids."""
+    unreached = [False] * graph.n_nodes  # hubs not yet in a region
+    for h in hubs:
+        unreached[graph.index[h.id]] = True
     regions = []
-    for start in sorted(hub_ids):
-        if start in seen:
+    for start in range(graph.n_nodes):
+        if not unreached[start]:
             continue
-        component = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for u in graph.neighbors(v):
-                if u in hub_ids and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        regions.append(tuple(sorted(component)))
-    return regions
+        unreached[start] = False
+        component = [start]
+        for v in component:  # grows while it is walked: breadth-first
+            for u in graph.adj[v]:
+                if unreached[u]:
+                    unreached[u] = False
+                    component.append(u)
+        regions.append(tuple(sorted(graph.ids[v] for v in component)))
+    return sorted(regions)
 
 
 # -- main path ---------------------------------------------------------------
@@ -385,39 +382,50 @@ def search_path_counts(net: CitationNetwork) -> dict[tuple[str, str], int]:
     virtual super-source and super-sink are attached. Big-int exact.
     """
     edges, _ = acyclic_reduction(net)
-    return _spc_on_edges(net.ids, edges)
+    tails, heads = _edge_nodes(net, edges)
+    return dict(zip(edges, _spc_on_edges(net.n_docs, tails, heads)))
 
 
-def _spc_on_edges(ids, edges) -> dict[tuple[str, str], int]:
-    succ: dict[str, list[str]] = {v: [] for v in ids}
-    pred: dict[str, list[str]] = {v: [] for v in ids}
-    for u, v in edges:
+def _edge_nodes(net: CitationNetwork,
+                edges: list[tuple[str, str]]) -> tuple[list[int], list[int]]:
+    """The tail and head node indices of (citing id, cited id) pairs."""
+    index = net.index
+    return [index[u] for u, _ in edges], [index[v] for _, v in edges]
+
+
+def _spc_on_edges(n: int, tails: list[int], heads: list[int]) -> list[int]:
+    """SPC of each edge tails[e] -> heads[e] of an acyclic graph on nodes
+    0..n-1 (Batagelj 2003): the paths into the tail from any source times
+    the paths out of the head to any sink."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(tails, heads):
         succ[u].append(v)
         pred[v].append(u)
 
-    order = _topo_order(ids, succ, pred)
-    n_from: dict[str, int] = {}
+    order = _topo_order(succ, pred)
+    n_from = [1] * n
     for v in order:
-        n_from[v] = 1 if not pred[v] else sum(n_from[u] for u in pred[v])
-    n_to: dict[str, int] = {}
+        if pred[v]:
+            n_from[v] = sum(map(n_from.__getitem__, pred[v]))
+    n_to = [1] * n
     for v in reversed(order):
-        n_to[v] = 1 if not succ[v] else sum(n_to[w] for w in succ[v])
-    return {(u, v): n_from[u] * n_to[v] for u, v in edges}
+        if succ[v]:
+            n_to[v] = sum(map(n_to.__getitem__, succ[v]))
+    return [n_from[u] * n_to[v] for u, v in zip(tails, heads)]
 
 
-def _topo_order(ids, succ, pred) -> list[str]:
-    indeg = {v: len(pred[v]) for v in ids}
-    ready = [v for v in ids if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
+def _topo_order(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+    """A topological order of the nodes (Kahn's algorithm). Path counts are
+    exact ints, so any order gives the same counts."""
+    indeg = list(map(len, pred))
+    order = [v for v, d in enumerate(indeg) if d == 0]
+    for v in order:
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != len(ids):
+                order.append(w)
+    if len(order) != len(succ):
         raise AssertionError("graph not acyclic after reduction")
     return order
 
@@ -428,7 +436,8 @@ def main_path(net: CitationNetwork) -> MainPath:
     Starts from the source edge of maximal SPC (a source has no incoming
     edge in the reduction); at each step follows the maximal-SPC outgoing
     edge, ties broken by the smallest head id. Ends at a node with no
-    outgoing edges.
+    outgoing edges. Nodes are indices into the sorted ids, so comparing
+    indices compares ids.
     """
     if net.n_edges == 0:
         raise InsufficientDataError("main path undefined: graph has no edges")
@@ -436,25 +445,24 @@ def main_path(net: CitationNetwork) -> MainPath:
     if not edges:
         raise InsufficientDataError(
             "main path undefined: no edges left after cycle removal")
-    spc = _spc_on_edges(net.ids, edges)
+    tails, heads = _edge_nodes(net, edges)
+    spc = _spc_on_edges(net.n_docs, tails, heads)
 
-    pred_count: dict[str, int] = {v: 0 for v in net.ids}
-    succ: dict[str, list[str]] = {v: [] for v in net.ids}
-    for u, v in edges:
-        succ[u].append(v)
-        pred_count[v] += 1
+    # out-edges per node as (-SPC, head): the smallest is the next step
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(net.n_docs)]
+    for u, v, count in zip(tails, heads, spc):
+        steps[u].append((-count, v))
+    cited = set(heads)
+    # from a source edge: maximal SPC first, ties by smallest (tail, head)
+    neg, tail, current = min((-count, u, v) for u, v, count in zip(tails, heads, spc)
+                             if u not in cited)
 
-    start_candidates = [(u, v) for u, v in edges if pred_count[u] == 0]
-    # maximal SPC first, ties by smallest (tail, head)
-    start = sorted(start_candidates, key=lambda e: (-spc[e], e))[0]
-
-    path = [start[0], start[1]]
-    weights = [spc[start]]
-    current = start[1]
-    while succ[current]:
-        nxt = sorted(succ[current], key=lambda w: (-spc[(current, w)], w))[0]
-        weights.append(spc[(current, nxt)])
-        path.append(nxt)
-        current = nxt
-    return MainPath(nodes=tuple(path), spc=tuple(weights),
+    path = [tail, current]
+    weights = [-neg]
+    while steps[current]:
+        neg, current = min(steps[current])
+        weights.append(-neg)
+        path.append(current)
+    ids = net.ids
+    return MainPath(nodes=tuple(ids[v] for v in path), spc=tuple(weights),
                     removed_edges=tuple(removed))

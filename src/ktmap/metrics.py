@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -22,31 +23,39 @@ from .errors import InsufficientDataError
 log = logging.getLogger("ktmap.metrics")
 
 
-def clustering_coefficient(graph: UGraph, node: str) -> float | None:
-    """c = 2 * (edges among neighbors) / (k * (k - 1)); None when k < 2."""
-    if node not in graph.index:
-        raise KeyError(f"unknown node {node!r}")
-    nbrs = graph.adj[graph.index[node]]
-    k = len(nbrs)
-    if k < 2:
-        return None
-    nbr_set = set(nbrs)
-    links = 0
-    for u in nbrs:
-        links += len(nbr_set & set(graph.adj[u]))
-    links //= 2
-    return 2.0 * links / (k * (k - 1))
+def clustering_by_index(graph: UGraph) -> list[float | None]:
+    """Clustering coefficient c = 2 * (edges among neighbours) / (k * (k - 1))
+    of every node, by node index; None where k < 2. From the graph's
+    triangle counts, computed once per graph."""
+    return [None if k < 2 else 2.0 * t / (k * (k - 1))
+            for k, t in zip(map(len, graph.adj), graph.triangle_counts())]
 
 
 def local_clustering(graph: UGraph) -> dict[str, float | None]:
-    """Clustering coefficient for every node, from the graph's triangle
-    counts (computed once per graph)."""
-    counts = graph.triangle_counts()
-    out: dict[str, float | None] = {}
-    for i, node in enumerate(graph.ids):
-        k = len(graph.adj[i])
-        out[node] = None if k < 2 else 2.0 * counts[i] / (k * (k - 1))
-    return out
+    """Clustering coefficient for every node, by id."""
+    return dict(zip(graph.ids, clustering_by_index(graph)))
+
+
+def front_labels(graph: UGraph, partition: Mapping[str, int]) -> list[int]:
+    """The front of every node, by node index; a ValueError names the first
+    node the partition leaves out."""
+    try:
+        return [partition[v] for v in graph.ids]
+    except KeyError as exc:
+        raise ValueError(f"partition does not cover node {exc.args[0]!r}") from None
+
+
+def participation(nbrs: Collection[int], labels: list[int]) -> tuple[float, Counter[int]]:
+    """P = 1 - sum_s (k_s / k)^2 of a node with neighbour indices `nbrs`
+    (k >= 1), and its link count k_s per front s it links into.
+
+    The fronts are summed in the order they first appear along the
+    ascending neighbour indices. P is 0 when all neighbours share one
+    front, and approaches 1 - 1/S for links spread evenly over S fronts.
+    """
+    per_front = Counter(map(labels.__getitem__, sorted(nbrs)))
+    k = len(nbrs)
+    return 1.0 - sum((ks / k) ** 2 for ks in per_front.values()), per_front
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,8 @@ def ck_scaling(graph: UGraph, binning: str = "log2") -> ScalingFit:
     """
     if binning not in ("log2", "none"):
         raise ValueError(f"unknown binning {binning!r}")
-    cs = local_clustering(graph)
-    pairs = [(graph.degree(node), c) for node, c in cs.items() if c is not None]
+    pairs = [(len(nbrs), c) for nbrs, c in zip(graph.adj, clustering_by_index(graph))
+             if c is not None]
     if len({k for k, _ in pairs}) < 3:
         raise InsufficientDataError(
             "need >= 3 distinct degrees with a defined clustering coefficient")
@@ -107,48 +116,15 @@ def ck_scaling(graph: UGraph, binning: str = "log2") -> ScalingFit:
                       r2=r2, n_bins=len(xs))
 
 
-def participation_coefficient(graph: UGraph, node: str,
-                              partition: Mapping[str, int]) -> float:
-    """P = 1 - sum_s (k_s / k)^2 over the fronts s the node links into.
+@dataclass(frozen=True)
+class NodeMetrics:
+    """Degree, clustering, and module-role metrics of one node."""
 
-    0 when all neighbors share the node's front; approaches 1 - 1/S for
-    links spread evenly over S fronts.
-    """
-    nbrs = graph.neighbors(node)
-    if not nbrs:
-        raise InsufficientDataError(f"node {node!r} is isolated")
-    per_front: dict[int, int] = {}
-    for u in nbrs:
-        if u not in partition:
-            raise ValueError(f"partition does not cover neighbor {u!r}")
-        per_front[partition[u]] = per_front.get(partition[u], 0) + 1
-    k = len(nbrs)
-    return 1.0 - sum((ks / k) ** 2 for ks in per_front.values())
-
-
-def within_module_degree(graph: UGraph, node: str,
-                         partition: Mapping[str, int]) -> int:
-    """Number of the node's links inside its own front."""
-    own = partition[node]
-    return sum(1 for u in graph.neighbors(node) if partition[u] == own)
-
-
-def within_module_z(graph: UGraph, node: str,
-                    partition: Mapping[str, int]) -> float | None:
-    """z-score of the node's internal degree within its front.
-
-    None (absent) when the front's internal degrees have zero spread,
-    including singleton fronts.
-    """
-    own = partition[node]
-    members = [v for v, fid in partition.items() if fid == own]
-    kappas = [within_module_degree(graph, v, partition) for v in members]
-    mean = sum(kappas) / len(kappas)
-    var = sum((x - mean) ** 2 for x in kappas) / len(kappas)
-    if var == 0.0:
-        return None
-    kappa = within_module_degree(graph, node, partition)
-    return (kappa - mean) / math.sqrt(var)
+    id: str
+    k: int
+    c: float | None
+    p: float | None
+    z: float | None
 
 
 @dataclass(frozen=True)
@@ -166,34 +142,33 @@ def node_metrics_table(graph: UGraph,
                        partition: Mapping[str, int] | None = None) -> list[NodeMetrics]:
     """Per-node metrics for every node, sorted by id.
 
-    Participation and z require a partition covering the graph; isolated
-    nodes report P as None, zero-spread fronts report z as None.
+    Participation P and within-front z (Guimera & Amaral 2005) need a
+    partition covering the graph. z is the node's number of links inside
+    its own front, kappa, standardised by the mean and population standard
+    deviation of kappa over the front's members, taken in node order.
+    Isolated nodes report P as None, zero-spread fronts report z as None.
     """
-    cs = local_clustering(graph)
-    zs: dict[str, float | None] = {}
+    ids, adj = graph.ids, graph.adj
+    cs = clustering_by_index(graph)
+    ps: list[float | None] = [None] * len(ids)
+    zs: list[float | None] = [None] * len(ids)
     if partition is not None:
-        kappa_by_front: dict[int, list[int]] = {}
-        kappas: dict[str, int] = {}
-        for v in graph.ids:
-            kappa = within_module_degree(graph, v, partition)
-            kappas[v] = kappa
-            kappa_by_front.setdefault(partition[v], []).append(kappa)
+        labels = front_labels(graph, partition)
+        kappas = [0] * len(ids)
+        for i, nbrs in enumerate(adj):
+            if nbrs:
+                ps[i], per_front = participation(nbrs, labels)
+                kappas[i] = per_front[labels[i]]
+        by_front: dict[int, list[int]] = {}
+        for fid, kappa in zip(labels, kappas):
+            by_front.setdefault(fid, []).append(kappa)
         stats = {}
-        for fid, vals in kappa_by_front.items():
+        for fid, vals in by_front.items():
             mean = sum(vals) / len(vals)
             var = sum((x - mean) ** 2 for x in vals) / len(vals)
             stats[fid] = (mean, math.sqrt(var))
-        for v in graph.ids:
-            mean, std = stats[partition[v]]
-            zs[v] = None if std == 0.0 else (kappas[v] - mean) / std
-
-    rows = []
-    for node in sorted(graph.ids):
-        k = graph.degree(node)
-        if partition is None or k == 0:
-            p = None
-        else:
-            p = participation_coefficient(graph, node, partition)
-        rows.append(NodeMetrics(id=node, k=k, c=cs[node],
-                                p=p, z=zs.get(node)))
-    return rows
+        for i, (fid, kappa) in enumerate(zip(labels, kappas)):
+            mean, std = stats[fid]
+            zs[i] = None if std == 0.0 else (kappa - mean) / std
+    return [NodeMetrics(id=ids[i], k=len(adj[i]), c=cs[i], p=ps[i], z=zs[i])
+            for i in sorted(range(len(ids)), key=ids.__getitem__)]

@@ -389,7 +389,7 @@ def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
 
 
 def _fit_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
-    values = [net.in_degree(i) for i in net.ids]
+    values = list(map(len, net.in_adj))
     fit = fit_power_law(values, bootstrap=config.bootstrap, seed=config.seed)
     doc = {"alpha": fit.alpha, "xmin": fit.xmin, "ks": fit.ks_distance,
            "n_tail": fit.n_tail, "p_value": fit.p_value}
@@ -462,17 +462,17 @@ def _metrics_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
 
 def _hubs_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
                 partition, scores):
-    if set(partition) != set(core.ids):
+    graph = core.projection
+    if set(partition) != set(graph.ids):
         # co-citation partitions cover only cited documents
-        core = core.induced(partition.keys())
-        scores = {i: scores[i] for i in core.ids}
+        graph = graph.subgraph(partition)
     hub_config = config.hub_config()
-    hubs = detect_translational_hubs(core, partition, scores, hub_config)
+    hubs = detect_translational_hubs(graph, partition, scores, hub_config)
     doc = {
         "thresholds": dataclasses.asdict(hub_config),
         "candidates": [dict(dataclasses.asdict(h),
                             bridged_fronts=list(h.bridged_fronts)) for h in hubs],
-        "regions": [list(r) for r in hub_regions(core, hubs)],
+        "regions": [list(r) for r in hub_regions(graph, hubs)],
     }
     write_json(out / "hubs.json", doc)
     return (doc,)
@@ -565,8 +565,9 @@ _STAGE_FILES = {
 def load_artifacts(names, config: PipelineConfig) -> dict:
     """Read the named artifacts back from their stage files in config.out_dir;
     a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks. A
-    missing or malformed file raises a StageFileError tagged with the stage
-    that writes it."""
+    missing or malformed file, or fronts or scores that do not cover the
+    core read with them, raises a StageFileError tagged with the stage that
+    writes it."""
     out = Path(config.out_dir)
     artifacts = {}
     for name in names:
@@ -582,11 +583,30 @@ def load_artifacts(names, config: PipelineConfig) -> dict:
                 artifacts[name] = _read_rows(files[0], _score)
             else:
                 artifacts[name] = load_corpus(*files)
+            if name in ("partition", "scores") and "core" in artifacts:
+                _check_covers_core(artifacts[name], artifacts["core"],
+                                   cited_only=name == "partition")
         except (KTMapError, ValueError) as exc:
             raise StageFileError(maker, f"{where}: {exc}") from None
         if name in ("net", "core"):
             artifacts[name] = _with_lexicon(config, artifacts[name])
     return artifacts
+
+
+def _check_covers_core(rows: dict, core: CitationNetwork, cited_only: bool) -> None:
+    """Raise a ValueError naming the first id of `rows` that is not a core
+    document, else the first core document `rows` leaves out. With
+    `cited_only`, rows of exactly the core documents cited inside the core
+    (the co-citation nodes) cover it too."""
+    unknown = next((v for v in rows if v not in core.index), None)
+    if unknown is not None:
+        raise ValueError(f"id {unknown!r} is not a core document")
+    expected = core.ids
+    if cited_only and all(core.in_adj[core.index[v]] for v in rows):
+        expected = [v for v, citing in zip(core.ids, core.in_adj) if citing]
+    missing = next((v for v in expected if v not in rows), None)
+    if missing is not None:
+        raise ValueError(f"no row for core document {missing!r}")
 
 
 def read_front_paths(out: Path) -> dict[str, str]:

@@ -1,7 +1,8 @@
 """Shared test helpers: graph factories and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own computation paths:
-modularity is evaluated from the adjacency-matrix definition, search path
+modularity is evaluated from the adjacency-matrix definition, the module
+roles P and z from their definitions one id string at a time, search path
 counts by explicit enumeration of every source-to-sink path, the greedy
 merge sequence by rescanning every community pair at every step, front
 refinement by re-deriving every node's front weights at every step, and
@@ -33,6 +34,13 @@ def ugraph(edges, extra_nodes=()) -> UGraph:
     """Build an unweighted UGraph from (u, v) pairs."""
     ids = sorted({v for e in edges for v in e} | set(extra_nodes))
     return UGraph(ids, ((u, v, 1.0) for u, v in edges))
+
+
+def graph_edges(graph: UGraph) -> list[tuple[str, str, float]]:
+    """Each edge of a UGraph once, as (u, v, weight) with index(u) <
+    index(v), in edge_arrays order."""
+    ids = graph.ids
+    return [(ids[i], ids[j], w) for i, j, w in zip(*graph.edge_arrays())]
 
 
 def make_net(edges, nodes=None, years=None, terms=None) -> CitationNetwork:
@@ -82,7 +90,7 @@ def brute_modularity(graph: UGraph, assignment) -> float:
     """Q from the adjacency-matrix definition, independent of the library."""
     n = graph.n_nodes
     a = np.zeros((n, n))
-    for u, v, w in graph.edges():
+    for u, v, w in graph_edges(graph):
         iu, iv = graph.index[u], graph.index[v]
         a[iu, iv] = w
         a[iv, iu] = w
@@ -95,6 +103,27 @@ def brute_modularity(graph: UGraph, assignment) -> float:
             if labels[i] == labels[j]:
                 q += a[i, j] / two_m - k[i] * k[j] / (two_m * two_m)
     return q
+
+
+def module_roles(graph: UGraph, partition) -> dict[str, tuple]:
+    """{id: (P, z)} from the definitions of Guimera & Amaral 2005, one id
+    string at a time: P = 1 - sum_s (k_s / k)^2 over the fronts s of the
+    node's neighbours (None when isolated), and z the node's links inside
+    its own front standardised over the front's members (None when they
+    all have as many)."""
+    nbrs = {v: [graph.ids[j] for j in graph.adj[graph.index[v]]] for v in graph.ids}
+    kappa = {v: sum(partition[u] == partition[v] for u in nbrs[v]) for v in graph.ids}
+    roles = {}
+    for v in graph.ids:
+        k = len(nbrs[v])
+        fronts_hit = {partition[u] for u in nbrs[v]}
+        p = None if k == 0 else 1.0 - sum(
+            (sum(partition[u] == s for u in nbrs[v]) / k) ** 2 for s in fronts_hit)
+        front = [kappa[u] for u in graph.ids if partition[u] == partition[v]]
+        mean = sum(front) / len(front)
+        var = sum((x - mean) ** 2 for x in front) / len(front)
+        roles[v] = (p, None if var == 0.0 else (kappa[v] - mean) / var ** 0.5)
+    return roles
 
 
 def best_partition_bruteforce(graph: UGraph) -> tuple[float, list[list[str]]]:
@@ -492,20 +521,11 @@ class StringCitationNetwork:
     def ids(self):
         return tuple(sorted(self.docs))
 
-    def in_degree(self, node):
-        return len(self._in[node])
-
-    def out_degree(self, node):
-        return len(self._out[node])
-
     def citers(self, node):
         return sorted(self._in[node])
 
     def cited_by(self, node):
         return sorted(self._out[node])
-
-    def in_degrees(self):
-        return {i: len(self._in[i]) for i in self.docs}
 
     @property
     def projection(self):

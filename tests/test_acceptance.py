@@ -163,7 +163,8 @@ def test_criterion_06_hub_detection():
     top-5 precision >= 0.8 on >= 16/20 seeds."""
     net = barbell_net()
     part = fast_greedy(net.projection)
-    hubs = detect_translational_hubs(net, part.assignment, score_documents(net))
+    hubs = detect_translational_hubs(net.projection, part.assignment,
+                                     score_documents(net))
     barbell_ok = bool(hubs) and hubs[0].id == "m" and hubs[0].rank == 1
 
     cfg = PlantedConfig(branching=(4,), leaf_size=50, p_within=(0.10,),
@@ -172,7 +173,7 @@ def test_criterion_06_hub_detection():
     for seed in SEEDS:
         net, truth = gen_planted_kt_network(cfg, seed)
         part = fast_greedy(net.projection)
-        ranked = detect_translational_hubs(net, part.assignment,
+        ranked = detect_translational_hubs(net.projection, part.assignment,
                                            score_documents(net))
         top5 = {h.id for h in ranked[:5]}
         passes += len(top5 & set(truth.hub_ids)) / 5 >= 0.8

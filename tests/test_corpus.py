@@ -17,7 +17,7 @@ from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           UnknownEndpointError)
 from ktmap.report import PipelineConfig, _parse_stage
 
-from conftest import (StringCitationNetwork, line_edge_records,
+from conftest import (StringCitationNetwork, graph_edges, line_edge_records,
                       line_node_records, make_net, reference_write_corpus)
 
 
@@ -83,7 +83,7 @@ class TestParse:
 
     def test_in_degree_and_projection(self):
         net = parse('{"id": "a"}\n{"id": "b"}\n{"id": "c"}\n', "a,b\nc,b\n")
-        assert net.in_degree("b") == 2
+        assert len(net.in_adj[net.index["b"]]) == 2
         assert net.projection.n_edges == 2
 
     def test_duplicate_id(self):
@@ -166,7 +166,7 @@ class TestParse:
 class TestNetworkInvariants:
     def test_in_degree_sum_equals_edge_count(self):
         net = make_net([("a", "b"), ("c", "b"), ("c", "a"), ("d", "a")])
-        assert sum(net.in_degree(i) for i in net.ids) == net.n_edges
+        assert sum(map(len, net.in_adj)) == net.n_edges
 
     def test_projection_simple_and_bounded(self):
         # a->b and b->a collapse to one undirected edge
@@ -199,6 +199,21 @@ class TestNetworkInvariants:
         assert back.ids == net.ids and back.edges == net.edges
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_projection_subgraph_is_induced_projection(self, data):
+        # hub detection on a co-citation partition takes the first
+        ids = [f"p{i}" for i in range(data.draw(st.integers(2, 12)))]
+        pairs = [(u, v) for u in ids for v in ids if u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=30, unique=True))
+        net = make_net(edges, nodes=ids)
+        keep = data.draw(st.lists(st.sampled_from(ids)))
+        sub, ref = net.projection.subgraph(keep), net.induced(keep).projection
+        assert sub.ids == ref.ids
+        assert ([list(nbrs.items()) for nbrs in sub.adj]
+                == [list(nbrs.items()) for nbrs in ref.adj])
+
+
 class TestUGraph:
     @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf"),
                                    float("-inf")])
@@ -215,7 +230,7 @@ class TestCoCitation:
     def test_single_co_citing_source(self):
         net = make_net([("a", "b"), ("a", "c")])
         g = co_citation_projection(net)
-        assert g.has_edge("b", "c")
+        assert g.index["c"] in g.adj[g.index["b"]]
         assert g.adj[g.index["b"]][g.index["c"]] == 1.0
 
     def test_never_co_cited(self):
@@ -312,7 +327,7 @@ def _outcome(build):
 
 
 def _graph_view(graph):
-    return graph.ids, list(graph.edges()), [list(nbrs.items()) for nbrs in graph.adj]
+    return graph.ids, graph_edges(graph), [list(nbrs.items()) for nbrs in graph.adj]
 
 
 def _assert_same_network(net, ref):
@@ -321,12 +336,11 @@ def _assert_same_network(net, ref):
     assert net.edges == ref.edges
     assert net.n_edges == len(ref.edges)
     assert net.skipped_edges == ref.skipped_edges
-    assert list(net.in_degrees().items()) == list(ref.in_degrees().items())
-    for v in ref.ids:
-        assert net.in_degree(v) == ref.in_degree(v)
-        assert net.out_degree(v) == ref.out_degree(v)
-        assert net.citers(v) == ref.citers(v)
-        assert net.cited_by(v) == ref.cited_by(v)
+    ids = net.ids
+    assert [[ids[u] for u in citing] for citing in net.in_adj] == [
+        ref.citers(v) for v in ref.ids]
+    assert [[ids[v] for v in cited] for cited in net.out_adj] == [
+        ref.cited_by(v) for v in ref.ids]
     assert _graph_view(net.projection) == _graph_view(ref.projection)
     assert (_graph_view(co_citation_projection(net))
             == _graph_view(ref.co_citation_projection()))

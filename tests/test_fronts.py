@@ -16,7 +16,7 @@ from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
 import conftest
 from conftest import (_scan_best_move, best_partition_bruteforce,
-                      brute_modularity, scan_refine_moves, ugraph)
+                      brute_modularity, graph_edges, scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -81,7 +81,7 @@ class TestFastGreedy:
         assert fast_greedy(g).n_fronts == 1
 
     def test_isolated_nodes_become_singletons(self, two_triangles):
-        g = ugraph(list({(u, v) for u, v, _ in two_triangles.edges()}),
+        g = ugraph(list({(u, v) for u, v, _ in graph_edges(two_triangles)}),
                    extra_nodes=["x", "y"])
         part = fast_greedy(g)
         assert part.assignment["x"] != part.assignment["y"]
@@ -141,7 +141,7 @@ class TestFastGreedy:
         g = numbered_graph(MERGE_THEN_MOVES, 9)
         cut = merge_cut(g)
         assert fronts._refine_moves(g, list(cut)) != cut  # refinement matters
-        heavy = UGraph(g.ids, [(u, v, weight) for u, v, _ in g.edges()])
+        heavy = UGraph(g.ids, [(u, v, weight) for u, v, _ in graph_edges(g)])
         got, want = fast_greedy(heavy), fast_greedy(g)
         assert got.assignment == want.assignment
         assert got.q == pytest.approx(want.q)
@@ -345,7 +345,7 @@ def shuffled_weighted(g: UGraph, weight, seed: int) -> UGraph:
     """Same nodes and edges, new weights, edges inserted in random order so
     that adjacency dicts are not sorted."""
     rng = np.random.default_rng(seed)
-    edges = list(g.edges())
+    edges = graph_edges(g)
     order = rng.permutation(len(edges))
     return UGraph(g.ids, [(edges[i][0], edges[i][1], weight(rng, edges[i][2]))
                           for i in order])
@@ -436,7 +436,7 @@ class TestRefineExact:
         cfg = PlantedConfig(branching=(2, 2), leaf_size=20, p_within=(0.1, 0.3),
                             p_between=0.02)
         g = co_citation_projection(gen_planted_kt_network(cfg, 4)[0])
-        assert len({w for _, _, w in g.edges()}) > 1  # genuinely weighted
+        assert len({w for _, _, w in graph_edges(g)}) > 1  # genuinely weighted
         stats = assert_refines_like_scan(g, merge_cut(g))
         assert stats["moves"] > 0
         real = shuffled_weighted(g, lambda rng, w: w * float(rng.uniform(0.5, 1.5)), 0)

@@ -35,6 +35,9 @@ GOLDEN = {
         "037e2e65bbe5e180a59efd4bbcca7e8fbaf3bc9019e8c72cd45a0c560943d0bb",
     "planted":
         "8895328a439d173f62b17ff460c49f2aa6aabd25ed14efaf1bd5074b0b06f69a",
+    # co-citation fronts cover 68 of the 72 core documents; 2 hubs, 2 regions
+    "planted-cocitation":
+        "fc47089d7fafd10fb8b20f3f2444919f599c5b47ec3b92a6f7dd07c27707e777",
     "cyclic":
         "2a6fd165a22d9f37006b62e76dc329a3b84105ae712a523a158365bce9e97676",
 }
@@ -83,11 +86,12 @@ def config_for(case: str, tmp_path) -> PipelineConfig:
         return PipelineConfig.from_file(
             str(TOY / "config.cfg"),
             {"out_dir": out, "mode": case.removeprefix("toy-")})
-    if case == "planted":
+    if case.startswith("planted"):
         net, _ = gen_planted_kt_network(PlantedConfig(
             branching=(3, 2), leaf_size=20, p_within=(0.1, 0.3),
             p_between=0.01, n_hubs=3), seed=11)
-        overrides = {"fraction": 0.5, "min_front_size": 8}
+        overrides = {"fraction": 0.5, "min_front_size": 8,
+                     "mode": "cocitation" if case.endswith("cocitation") else "citation"}
     else:
         net = cyclic_corpus()
         overrides = {"fraction": 1.0}
@@ -101,6 +105,19 @@ def test_report_digest_unchanged(case, tmp_path):
     config = config_for(case, tmp_path)
     run_pipeline(config)
     assert report_digest(config.out_dir) == GOLDEN[case]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_written_json_is_strict(case, tmp_path):
+    """No NaN or Infinity token, which json.dumps writes but JSON lacks."""
+    config = config_for(case, tmp_path)
+    run_pipeline(config)
+    for path in sorted(Path(config.out_dir).glob("*.json")):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN) + ["toy-lexicon"])

@@ -225,8 +225,11 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"{field} must be "):
             PipelineConfig(**{field: "sideways"})
 
-    @pytest.mark.parametrize("line", ["fraction = none", "lenient = maybe",
-                                      "max_depth = 2.5"])
+    @pytest.mark.parametrize("line", [
+        "fraction = none", "lenient = maybe", "max_depth = 2.5",
+        # values of the right type that the stage using them rejects
+        "min_q_gain = nan", "c_max = nan", "c_max = -1", "t_spread_min = nan",
+        "t_spread_min = inf"])
     def test_bad_value_names_key_exit_1(self, tmp_path, capsys, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text((TOY / "config.cfg").read_text() + line + "\n")
@@ -237,7 +240,28 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         key = line.partition(" ")[0]
         assert len(err) == 1
-        assert err[0].startswith(f"ktmap: invalid parameter: {cfg_file}: {key}: ")
+        if err[0].startswith("ktmap: "):
+            assert err[0].startswith(f"ktmap: invalid parameter: {cfg_file}: {key}: ")
+        else:
+            stage = "fronts" if key == "min_q_gain" else "hubs"
+            assert err[0].startswith(f"ktmap {stage}: stage '{stage}' failed: {key} ")
+        assert not (tmp_path / "o" / "report.json").exists()
+        assert not (tmp_path / "o" / "hubs.json").exists()
+
+    @pytest.mark.parametrize("argv", [["hubs", "--c-max", "nan"],
+                                      ["hubs", "--c-max", "1.5"],
+                                      ["hubs", "--t-spread", "inf"],
+                                      ["fronts", "--min-q", "nan"]],
+                             ids=" ".join)
+    def test_non_finite_or_out_of_range_flag_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        run_pipeline(toy_config(out))
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ktmap {argv[0]}: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_values_by_annotation(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
@@ -310,21 +334,39 @@ class TestCliStages:
             "run `ktmap select` first\n")
 
     @pytest.mark.parametrize("name,stage,bad,expect", [
-        ("fronts.csv", "fronts", "m00,x.y", "invalid literal for int()"),
-        ("scores.csv", "score", "m00", "not enough values to unpack"),
+        pytest.param("fronts.csv", "fronts", "m00,x.y",
+                     "line 4: invalid literal for int()",
+                     id="fronts.csv-fronts-m00,x.y-invalid literal for int()"),
+        pytest.param("scores.csv", "score", "m00",
+                     "line 4: not enough values to unpack",
+                     id="scores.csv-score-m00-not enough values to unpack"),
+        # rows that disagree with the core
+        pytest.param("fronts.csv", "fronts", lambda rows: rows + ["zz9,1"],
+                     "id 'zz9' is not a core document", id="fronts-unknown-id"),
+        pytest.param("fronts.csv", "fronts",
+                     lambda rows: [r for r in rows if not r.startswith("a01,")],
+                     "no row for core document 'a01'", id="fronts-cited-id-missing"),
+        pytest.param("scores.csv", "score",
+                     lambda rows: [r for r in rows if not r.startswith("a01,")],
+                     "no row for core document 'a01'", id="scores-id-missing"),
     ])
     def test_malformed_stage_file_exit_2(self, tmp_path, capsys, name, stage,
                                          bad, expect):
         out = tmp_path / "o"
         run_pipeline(toy_config(out))
         lines = (out / name).read_text().splitlines()
-        lines[3] = bad
+        if callable(bad):
+            lines = bad(lines)
+        else:
+            lines[3] = bad
         (out / name).write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert self.run_cli("hubs", "--out", str(out)) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"ktmap {stage}: {name} in {out}: line 4: {expect}")
+        readers = ["metrics", "hubs"] if name == "fronts.csv" else ["hubs"]
+        for command in readers:
+            assert self.run_cli(command, "--out", str(out)) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"ktmap {stage}: {name} in {out}: {expect}")
 
     def test_bad_parameter_in_stage_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
