@@ -149,14 +149,23 @@ def undated_digraph(n: int, out_degree: int, seed: int) -> CitationNetwork:
 
 
 def bench_cycles_spc(n: int) -> None:
+    """Cycle breaking and SPC on an undated digraph. The cycle row also
+    prints the counts of the cycle-breaking DEBUG record, from a second,
+    untimed call (with DEBUG on, every removed edge is logged)."""
     net = undated_digraph(n, 3, 5)
     t0 = time.perf_counter()
     edges, removed = hubs.acyclic_reduction(net)
     t1 = time.perf_counter()
     hubs._spc_on_edges(net.n_docs, *hubs._edge_nodes(net, edges))  # as main_path
     t2 = time.perf_counter()
+    with debug_records("ktmap.hubs") as records:
+        hubs.acyclic_reduction(net)
+    c = next(r.cycles for r in records if hasattr(r, "cycles"))
     print(f"cycle break   n={net.n_docs:5d} m={net.n_edges:6d}  {t1 - t0:8.3f}s"
-          f"  ({len(removed)} removed)")
+          f"  ({len(removed)} removed; {c['sccs']} cyclic SCCs,"
+          f" {c['settled']} settled, {c['rehangs']} re-hangs,"
+          f" {c['orphans']} orphans ({c['orphans'] / max(1, c['rehangs']):.1f}"
+          f" per re-hang), {c['splits']} splits, {c['tarjan_nodes']} to Tarjan)")
     print(f"spc           n={net.n_docs:5d} m={len(edges):6d}  {t2 - t1:8.3f}s")
 
 
@@ -214,7 +223,7 @@ def main() -> None:
         bench_refine(leaf)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):
         bench_triangles(n, p)
-    for n in [800] if args.quick else [800, 1600, 3200]:
+    for n in [800] if args.quick else [800, 1600, 3200, 6400]:
         bench_cycles_spc(n)
     for leaf in [100] if args.quick else [100, 250, 500, 1000]:
         bench_parse(leaf)

@@ -208,17 +208,22 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
 
     Deleting an edge can only split an SCC, and an edge between two SCCs
     stays between two, so each SCC is reduced on its own. Tarjan runs once
-    over the whole graph; a worklist then holds the cyclic SCCs, each with
-    its internal edges sorted. After the victim (u, v) is deleted, a search
-    from u that reaches v shows the SCC is still strongly connected, and the
-    next victim is taken at once. Otherwise the SCC splits: the nodes u
-    reaches form one SCC, the nodes that reach v another, and Tarjan runs
-    only on the rest. The largest part keeps the sorted edge list and skips
-    the edges that now cross parts.
+    over the whole graph; each cyclic SCC then gets an out-tree and an
+    in-tree of reachability from its smallest node, its root (Even &
+    Shiloach 1981). Deleting the victim (u, v) leaves the SCC whole unless
+    (u, v) is v's parent edge in the out-tree or u's in the in-tree; then
+    the cut-off subtree is re-hung through edges from the nodes still
+    attached. The nodes left unattached in either tree are exactly those
+    that left the root's SCC, and Tarjan runs on them alone. The root's
+    part keeps its trees and its sorted edge list, skipping the edges that
+    now cross parts.
 
     Returns the kept edges in input order, and the removed edges: the
     anti-chronological ones in input order, then the cycle edges in the
-    order they were broken.
+    order they were broken. The victims of one SCC come out in descending
+    (tail, head) order. The root's part is reduced to acyclic before the
+    parts it splits off, and those wait on a stack: the last part found is
+    reduced first.
     """
     ids, n = net.ids, net.n_docs
     years = [net.docs[v].year for v in ids]
@@ -235,7 +240,15 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     if removed:
         log.warning("dropped %d anti-chronological citation edge(s)", len(removed))
 
-    broken = _break_cycles(n, kept)
+    broken, counts = _break_cycles(n, kept)
+    if log.isEnabledFor(logging.DEBUG):
+        counts = {"anti_chronological": len(removed), **counts}
+        log.debug("cycle breaking: %(anti_chronological)d anti-chronological "
+                  "edge(s) dropped, %(sccs)d cyclic SCC(s), %(deletions)d "
+                  "deletions (%(settled)d settled with no re-hang), "
+                  "%(rehangs)d re-hangs visiting %(orphans)d orphaned nodes, "
+                  "%(splits)d splits handing %(tarjan_nodes)d nodes to Tarjan",
+                  counts, extra={"cycles": counts})
     if broken:
         cut = set(broken)
         kept = [code for code in kept if code not in cut]
@@ -248,9 +261,10 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     return [(ids[code // n], ids[code % n]) for code in kept], removed
 
 
-def _break_cycles(n: int, edge_codes: list[int]) -> list[int]:
+def _break_cycles(n: int, edge_codes: list[int]) -> tuple[list[int], dict[str, int]]:
     """The codes of the cycle edges acyclic_reduction deletes, in the order
-    it deletes them, among the edge codes u * n + v of nodes 0..n-1.
+    it deletes them, among the edge codes u * n + v of nodes 0..n-1, and
+    the counts of the work done.
 
     Nodes are numbered in sorted id order, so the codes of two edges
     compare as their (tail, head) ids do.
@@ -270,61 +284,120 @@ def _break_cycles(n: int, edge_codes: list[int]) -> list[int]:
         for x in part:
             comp[x] = label
 
-    def internal_codes(part: list[int]) -> list[int]:
-        label = comp[part[0]]
-        return sorted(x * n + y for x in part for y in succ[x] if comp[y] == label)
-
-    # (label, members, ascending codes of internal edges) per cyclic SCC
-    work: list[tuple[int, list[int], list[int]]] = []
+    work = []  # cyclic SCCs not yet reduced
     for part in _tarjan(range(n), succ, comp, 0):
         relabel(part)
         if len(part) > 1:
-            work.append((comp[part[0]], part, internal_codes(part)))
+            work.append(part)
+    counts = dict.fromkeys(("sccs", "deletions", "settled", "rehangs",
+                            "orphans", "splits", "tarjan_nodes"), 0)
+    counts["sccs"] = len(work)
+    if not work:
+        return [], counts
+
+    # Per SCC, an out-tree (paths from the root) and an in-tree (paths to
+    # it): a parent and the children per node. A children list may hold
+    # stale entries; x is a child of p only while parent[x] == p.
+    out_parent, in_parent = [-1] * n, [-1] * n
+    out_children: list[list[int]] = [[] for _ in range(n)]
+    in_children: list[list[int]] = [[] for _ in range(n)]
+    out_tree = (out_parent, out_children, succ, pred)
+    in_tree = (in_parent, in_children, pred, succ)
+    # mark[x] == s: x waits to be hung in the tree being (re)built with stamp s
+    mark = [0] * n
+    stamps = itertools.count(1)
+
+    def grow(todo: list[int], tree, s: int) -> None:
+        parent, children, down, _ = tree
+        for x in todo:  # grows while it is walked
+            for y in down[x]:
+                if mark[y] == s:
+                    mark[y] = 0
+                    parent[y] = x
+                    children[x].append(y)
+                    todo.append(y)
+
+    def plant(part: list[int], root: int, tree) -> None:
+        parent, children, _, _ = tree
+        s = next(stamps)
+        for x in part:
+            mark[x] = s
+            children[x] = []
+        mark[root] = 0
+        parent[root] = -1  # not a parent left from an earlier, larger SCC
+        grow([root], tree, s)
+
+    def rehang(top: int, tree, label: int) -> list[int]:
+        """Re-hang the subtree of top, whose parent edge was deleted, from
+        nodes outside it; returns the nodes that stay unattached."""
+        parent, children, _, up = tree
+        s = next(stamps)
+        mark[top] = s
+        orphans = [top]
+        for x in orphans:  # grows while it is walked
+            for c in children[x]:
+                if parent[c] == x and mark[c] != s and comp[c] == label:
+                    mark[c] = s
+                    orphans.append(c)
+            children[x] = []
+        for x in orphans:
+            if mark[x] != s:
+                continue  # hung by an earlier grow
+            for w in up[x]:
+                if mark[w] != s and comp[w] == label:
+                    mark[x] = 0
+                    parent[x] = w
+                    children[w].append(x)
+                    grow([x], tree, s)
+                    break
+        counts["rehangs"] += 1
+        counts["orphans"] += len(orphans)
+        return [x for x in orphans if mark[x] == s]
 
     broken = []
+    hung = 0  # deletions that cut a tree edge
     while work:
-        label, members, codes = work.pop()
-        code = codes.pop()
-        while comp[code // n] != label or comp[code % n] != label:
-            code = codes.pop()  # crosses an earlier split
-        u, v = divmod(code, n)
-        succ[u].discard(v)
-        pred[v].discard(u)
-        broken.append(code)
-        from_u = _reach(u, v, succ, comp, label)
-        if from_u is None:  # u still reaches v: still strongly connected
-            work.append((label, members, codes))
-            continue
-        to_v = _reach(v, None, pred, comp, label)
-        relabel(from_u)
-        relabel(to_v)
-        parts = [from_u, to_v]
-        for part in _tarjan([x for x in members if comp[x] == label],
-                            succ, comp, label):
-            relabel(part)
-            parts.append(part)
-        largest = max(parts, key=len)
-        for part in parts:
-            if len(part) > 1:
-                work.append((comp[part[0]], part,
-                             codes if part is largest else internal_codes(part)))
-    return broken
-
-
-def _reach(start: int, target: int | None, adj: list[set[int]],
-           comp: list[int], label: int) -> list[int] | None:
-    """Nodes labelled `label` reachable from start along adj, or None as soon
-    as target is reached."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        for y in adj[todo.pop()]:
-            if y not in seen and comp[y] == label:
-                if y == target:
-                    return None
-                seen.add(y)
-                todo.append(y)
-    return list(seen)
+        part = work.pop()
+        root = min(part)
+        label = comp[root]
+        size = len(part)
+        codes = sorted(x * n + y for x in part for y in succ[x] if comp[y] == label)
+        plant(part, root, out_tree)
+        plant(part, root, in_tree)
+        while size > 1:
+            code = codes.pop()
+            while comp[code // n] != label or comp[code % n] != label:
+                code = codes.pop()  # crosses an earlier split
+            u, v = divmod(code, n)
+            succ[u].discard(v)
+            pred[v].discard(u)
+            broken.append(code)
+            cut_out, cut_in = out_parent[v] == u, in_parent[u] == v
+            if not (cut_out or cut_in):
+                continue  # both trees intact: the SCC is whole
+            hung += 1
+            gone = rehang(v, out_tree, label) if cut_out else []
+            if cut_in:
+                gone += rehang(u, in_tree, label)
+            if not gone:
+                continue
+            # the nodes left unattached are those no longer in root's SCC
+            split_label = next(fresh)
+            split = []
+            for x in gone:
+                if comp[x] == label:
+                    comp[x] = split_label
+                    split.append(x)
+            size -= len(split)
+            counts["splits"] += 1
+            counts["tarjan_nodes"] += len(split)
+            for p in _tarjan(split, succ, comp, split_label):
+                relabel(p)
+                if len(p) > 1:
+                    work.append(p)
+    counts["deletions"] = len(broken)
+    counts["settled"] = len(broken) - hung
+    return broken, counts
 
 
 def _tarjan(nodes, succ: list[set[int]], comp: list[int],

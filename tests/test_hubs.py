@@ -14,7 +14,7 @@ from ktmap.hubs import (HubConfig, acyclic_reduction,
                         search_path_counts, sorted_median, sorted_quantile)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
-from conftest import (enumerate_spc, make_net, random_dag,
+from conftest import (_tarjan_sccs, enumerate_spc, make_net, random_dag,
                       rounds_acyclic_reduction)
 
 
@@ -208,7 +208,8 @@ def is_acyclic(edges) -> bool:
 
 
 def check_against_oracle(net):
-    """acyclic_reduction agrees with the round-based oracle; returns it."""
+    """acyclic_reduction agrees with the round-based oracle and with the
+    replay specification; returns it."""
     edges, removed = acyclic_reduction(net)
     ref_edges, ref_removed = rounds_acyclic_reduction(net)
     assert edges == ref_edges
@@ -216,7 +217,32 @@ def check_against_oracle(net):
     assert len(removed) == len(set(removed))
     assert sorted(edges + removed) == sorted(net.edges)
     assert is_acyclic(edges)
+    check_replay(net, edges, removed)
     return edges, removed
+
+
+def check_replay(net, edges, removed):
+    """Replayed in order, each removed cycle edge is, at its deletion, the
+    largest edge inside its current SCC (found from scratch), whatever
+    order the SCCs are worked on in."""
+    years = {v: net.docs[v].year for v in net.ids}
+    n_anti = sum(1 for u, v in net.edges if years[u] is not None
+                 and years[v] is not None and years[u] < years[v])
+    current = edges + removed[n_anti:]
+    for victim in removed[n_anti:]:
+        sccs = _tarjan_sccs(sorted({v for e in current for v in e}), current)
+        label = {v: i for i, scc in enumerate(sccs) for v in scc}
+        own = label[victim[0]]
+        assert label[victim[1]] == own, f"{victim} crosses SCCs"
+        inside = [e for e in current if label[e[0]] == own == label[e[1]]]
+        assert victim == max(inside)
+        current.remove(victim)
+
+
+def cycle_counts(caplog) -> dict:
+    """The counts of the one cycle-breaking DEBUG record in caplog."""
+    [counts] = [r.cycles for r in caplog.records if hasattr(r, "cycles")]
+    return counts
 
 
 class TestAcyclicReduction:
@@ -261,6 +287,17 @@ class TestAcyclicReduction:
                 and years[u] < years[v]]
         assert removed[:len(anti)] == anti
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_round_oracle_on_larger_digraphs(self, data):
+        n = data.draw(st.integers(30, 200))
+        out_degree = data.draw(st.integers(1, 4))
+        rng = data.draw(st.randoms(use_true_random=False))
+        ids = [f"u{i:03d}" for i in range(n)]
+        edges = [(ids[i], ids[j]) for i in range(n)
+                 for j in rng.sample([j for j in range(n) if j != i], out_degree)]
+        check_against_oracle(make_net(edges))
+
     def test_two_disjoint_cycles(self):
         net = make_net([("a", "b"), ("b", "c"), ("c", "a"),
                         ("x", "y"), ("y", "x")])
@@ -276,25 +313,83 @@ class TestAcyclicReduction:
         assert removed == [("e", "c"), ("c", "a")]
 
     def test_complete_digraph(self):
-        net = make_net([(u, v) for u in "abcde" for v in "abcde" if u != v])
-        edges, removed = check_against_oracle(net)
-        assert sorted(edges) == [(u, v) for u in "abcde" for v in "abcde"
-                                 if u < v]
-        assert len(removed) == 10
+        for nodes in ("abcde", "abcdefgh"):
+            net = make_net([(u, v) for u in nodes for v in nodes if u != v])
+            edges, removed = check_against_oracle(net)
+            assert sorted(edges) == [(u, v) for u in nodes for v in nodes
+                                     if u < v]
+            assert len(removed) == len(nodes) * (len(nodes) - 1) // 2
 
-    def test_scc_survives_removals_before_split(self, monkeypatch):
+    def test_root_peeled_first(self, caplog):
+        # the root a is entered only from h, whose one out-edge (h, a) is
+        # the largest: deleting it first leaves a alone, so the seven other
+        # nodes go to Tarjan and the cyclic part b..g gets new trees
+        ring = "abcdefgh"
+        net = make_net([(x, y) for x, y in zip(ring, ring[1:] + "a")]
+                       + [("f", "b"), ("g", "c"), ("e", "c")])
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            _, removed = check_against_oracle(net)
+        assert removed[0] == ("h", "a")
+        counts = cycle_counts(caplog)
+        assert counts["sccs"] == 1
+        assert counts["splits"] >= 1 and counts["tarjan_nodes"] >= 7
+
+    def test_long_ring_with_chords(self, caplog):
+        # deep trees: deleting a chord or ring edge cuts off long subtrees
+        # that are re-hung whole through the remaining ring edges
+        ids = [f"r{i:02d}" for i in range(60)]
+        edges = {(ids[i], ids[(i + 1) % 60]) for i in range(60)}
+        edges |= {(ids[i], ids[(i + 7) % 60]) for i in range(0, 60, 3)}
+        edges |= {(ids[i], ids[(i - 11) % 60]) for i in range(0, 60, 5)}
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            check_against_oracle(make_net(sorted(edges)))
+        counts = cycle_counts(caplog)
+        assert counts["rehangs"] > 0
+        assert counts["orphans"] > counts["rehangs"]  # whole subtrees moved
+
+    def test_split_part_root_has_no_parent(self, caplog):
+        # a->d->c->a and d->b->d; b is d's child in a's out-tree. Deleting
+        # (d, c) leaves a alone and splits off {b, d} with root b, whose
+        # old parent edge (d, b) is deleted next: only d's in-tree edge is
+        # cut, so that deletion re-hangs one node, not b's whole tree
+        net = make_net([("a", "d"), ("b", "d"), ("c", "a"), ("d", "b"),
+                        ("d", "c")])
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            _, removed = check_against_oracle(net)
+        assert removed == [("d", "c"), ("d", "b")]
+        assert cycle_counts(caplog) == {
+            "anti_chronological": 0, "sccs": 1, "deletions": 2, "settled": 0,
+            "rehangs": 3, "orphans": 4, "splits": 2, "tarjan_nodes": 4}
+
+    def test_two_sccs_joined_by_one_edge(self, caplog):
+        net = make_net([("a", "b"), ("b", "c"), ("c", "a"), ("c", "x"),
+                        ("x", "y"), ("y", "z"), ("z", "x"), ("z", "y")])
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            edges, removed = check_against_oracle(net)
+        assert ("c", "x") in edges
+        assert set(removed) == {("c", "a"), ("z", "y"), ("z", "x")}
+        assert cycle_counts(caplog)["sccs"] == 2
+
+    def test_scc_survives_removals_before_split(self, monkeypatch, caplog):
         # ring a->b->c->d->e->a with chords e->b, e->c, e->d: deleting the
         # three chords leaves the ring strongly connected, so only the
-        # fourth deletion (e, a) splits it, and Tarjan runs twice in all
+        # fourth deletion (e, a) splits it, and Tarjan runs twice in all.
+        # No chord is a tree edge, so each chord deletion is settled
+        # without a re-hang.
         calls = []
         tarjan = hubs._tarjan
         monkeypatch.setattr(hubs, "_tarjan",
                             lambda *a: calls.append(a) or tarjan(*a))
         net = make_net([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
                         ("e", "a"), ("e", "b"), ("e", "c"), ("e", "d")])
-        _, removed = check_against_oracle(net)
+        with caplog.at_level(logging.DEBUG, logger="ktmap.hubs"):
+            _, removed = check_against_oracle(net)
         assert removed == [("e", "d"), ("e", "c"), ("e", "b"), ("e", "a")]
         assert len(calls) == 2
+        counts = cycle_counts(caplog)
+        assert counts["deletions"] == 4 and counts["settled"] == 3
+        assert counts["rehangs"] == 1 and counts["splits"] == 1
+        assert counts["tarjan_nodes"] == 4
 
     def test_one_warning_per_reduction(self, caplog):
         net = make_net([(u, v) for i in range(4)
@@ -307,8 +402,11 @@ class TestAcyclicReduction:
         assert "4 edge(s)" in warnings[0].getMessage()
         assert str(removed[0]) in warnings[0].getMessage()
         assert str(removed[3]) not in warnings[0].getMessage()
-        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
-        assert len(debug) == len(removed) == 4
+        per_edge = [r for r in caplog.records if r.levelno == logging.DEBUG
+                    and "removing edge" in r.getMessage()]
+        assert len(per_edge) == len(removed) == 4
+        summaries = [r.cycles for r in caplog.records if hasattr(r, "cycles")]
+        assert len(summaries) == 1
 
 
 class TestSearchPathCounts:
