@@ -149,24 +149,24 @@ def undated_digraph(n: int, out_degree: int, seed: int) -> CitationNetwork:
 
 
 def bench_cycles_spc(n: int) -> None:
-    """Cycle breaking and SPC on an undated digraph. The cycle row also
-    prints the counts of the cycle-breaking DEBUG record, from a second,
-    untimed call (with DEBUG on, every removed edge is logged)."""
+    """Cycle breaking and SPC on an undated digraph, on node indices as
+    main_path runs them. The cycle row also prints the counts of the
+    cycle-breaking DEBUG record of the timed call."""
     net = undated_digraph(n, 3, 5)
-    t0 = time.perf_counter()
-    edges, removed = hubs.acyclic_reduction(net)
-    t1 = time.perf_counter()
-    hubs._spc_on_edges(net.n_docs, *hubs._edge_nodes(net, edges))  # as main_path
-    t2 = time.perf_counter()
     with debug_records("ktmap.hubs") as records:
-        hubs.acyclic_reduction(net)
+        t0 = time.perf_counter()
+        succ, pred, removed = hubs._reduce(net)
+        t1 = time.perf_counter()
+    hubs._path_counts(succ, pred)
+    t2 = time.perf_counter()
     c = next(r.cycles for r in records if hasattr(r, "cycles"))
     print(f"cycle break   n={net.n_docs:5d} m={net.n_edges:6d}  {t1 - t0:8.3f}s"
           f"  ({len(removed)} removed; {c['sccs']} cyclic SCCs,"
           f" {c['settled']} settled, {c['rehangs']} re-hangs,"
           f" {c['orphans']} orphans ({c['orphans'] / max(1, c['rehangs']):.1f}"
           f" per re-hang), {c['splits']} splits, {c['tarjan_nodes']} to Tarjan)")
-    print(f"spc           n={net.n_docs:5d} m={len(edges):6d}  {t2 - t1:8.3f}s")
+    print(f"spc           n={net.n_docs:5d} m={net.n_edges - len(removed):6d}"
+          f"  {t2 - t1:8.3f}s")
 
 
 def bench_parse(leaf: int) -> None:

@@ -225,22 +225,28 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
     parts it splits off, and those wait on a stack: the last part found is
     reduced first.
     """
+    succ, _, removed = _reduce(net)
+    ids, n = net.ids, net.n_docs
+    return ([(ids[u], ids[v]) for u, cited in enumerate(succ) for v in cited],
+            [(ids[code // n], ids[code % n]) for code in removed])
+
+
+def _reduce(net: CitationNetwork) -> tuple[list, list, list[int]]:
+    """acyclic_reduction on node indices: the kept edges as ascending
+    successor and predecessor lists, and the codes u * n + v of the removed
+    edges in acyclic_reduction's order. The lists are the network's own
+    out_adj and in_adj when nothing is removed, else copies; callers must
+    not change them."""
     ids, n = net.ids, net.n_docs
     years = [net.docs[v].year for v in ids]
-    removed = []
-    kept: list[int] = []  # edge codes u * n + v, as in CitationNetwork.codes
-    for u, cited in enumerate(net.out_adj):
-        y_citing = years[u]
-        for v in cited:
-            y_cited = years[v]
-            if y_citing is not None and y_cited is not None and y_citing < y_cited:
-                removed.append((ids[u], ids[v]))
-            else:
-                kept.append(u * n + v)
+    succ, pred = net.out_adj, net.in_adj
+    removed = [u * n + v for u, cited in enumerate(succ) if years[u] is not None
+               for v in cited if years[v] is not None and years[u] < years[v]]
     if removed:
         log.warning("dropped %d anti-chronological citation edge(s)", len(removed))
+        succ, pred = _without(succ, pred, removed)
 
-    broken, counts = _break_cycles(n, kept)
+    broken, counts = _break_cycles(succ, pred)
     if log.isEnabledFor(logging.DEBUG):
         counts = {"anti_chronological": len(removed), **counts}
         log.debug("cycle breaking: %(anti_chronological)d anti-chronological "
@@ -250,32 +256,31 @@ def acyclic_reduction(net: CitationNetwork) -> tuple[list[tuple[str, str]],
                   "%(splits)d splits handing %(tarjan_nodes)d nodes to Tarjan",
                   counts, extra={"cycles": counts})
     if broken:
-        cut = set(broken)
-        kept = [code for code in kept if code not in cut]
-        broken_edges = [(ids[code // n], ids[code % n]) for code in broken]
         log.warning("broke citation cycles by removing %d edge(s), e.g. %s",
-                    len(broken), ", ".join(map(str, broken_edges[:3])))
-        for victim in broken_edges:
-            log.debug("broke citation cycle by removing edge %s", victim)
-        removed += broken_edges
-    return [(ids[code // n], ids[code % n]) for code in kept], removed
+                    len(broken), ", ".join(str((ids[code // n], ids[code % n]))
+                                           for code in broken[:3]))
+        succ, pred = _without(succ, pred, broken)
+    return succ, pred, removed + broken
 
 
-def _break_cycles(n: int, edge_codes: list[int]) -> tuple[list[int], dict[str, int]]:
-    """The codes of the cycle edges acyclic_reduction deletes, in the order
-    it deletes them, among the edge codes u * n + v of nodes 0..n-1, and
-    the counts of the work done.
+def _without(succ: list, pred: list, codes: list[int]) -> tuple[list, list]:
+    """Copies of the successor and predecessor lists without the edges
+    u * n + v in `codes`."""
+    n, cut = len(succ), set(codes)
+    return ([[v for v in row if u * n + v not in cut] for u, row in enumerate(succ)],
+            [[u for u in row if u * n + v not in cut] for v, row in enumerate(pred)])
+
+
+def _break_cycles(succ: list, pred: list) -> tuple[list[int], dict[str, int]]:
+    """The codes u * n + v of the cycle edges acyclic_reduction deletes, in
+    the order it deletes them, from the graph on nodes 0..n-1 with the
+    successor lists `succ` and predecessor lists `pred`, which it only
+    reads, and the counts of the work done.
 
     Nodes are numbered in sorted id order, so the codes of two edges
     compare as their (tail, head) ids do.
     """
-    succ: list[set[int]] = [set() for _ in range(n)]
-    pred: list[set[int]] = [set() for _ in range(n)]
-    for code in edge_codes:
-        a, b = divmod(code, n)
-        succ[a].add(b)
-        pred[b].add(a)
-
+    n = len(succ)
     comp = [0] * n  # SCC label per node; every new part gets a fresh label
     fresh = itertools.count(1)
 
@@ -294,6 +299,12 @@ def _break_cycles(n: int, edge_codes: list[int]) -> tuple[list[int], dict[str, i
     counts["sccs"] = len(work)
     if not work:
         return [], counts
+
+    # deletions shrink the rows of the cyclic SCCs' nodes, copied to sets;
+    # every walk from here on stays inside a part and reads no other row
+    succ, pred = list(succ), list(pred)
+    for x in itertools.chain.from_iterable(work):
+        succ[x], pred[x] = set(succ[x]), set(pred[x])
 
     # Per SCC, an out-tree (paths from the root) and an in-tree (paths to
     # it): a parent and the children per node. A children list may hold
@@ -400,7 +411,7 @@ def _break_cycles(n: int, edge_codes: list[int]) -> tuple[list[int], dict[str, i
     return broken, counts
 
 
-def _tarjan(nodes, succ: list[set[int]], comp: list[int],
+def _tarjan(nodes, succ: list, comp: list[int],
             label: int) -> list[list[int]]:
     """SCCs of the subgraph induced by the nodes labelled `label`, found from
     the given roots (Tarjan's algorithm, iterative)."""
@@ -454,38 +465,27 @@ def search_path_counts(net: CitationNetwork) -> dict[tuple[str, str], int]:
     equivalently the number of source-to-sink paths through the edge when a
     virtual super-source and super-sink are attached. Big-int exact.
     """
-    edges, _ = acyclic_reduction(net)
-    tails, heads = _edge_nodes(net, edges)
-    return dict(zip(edges, _spc_on_edges(net.n_docs, tails, heads)))
+    succ, pred, _ = _reduce(net)
+    n_from, n_to = _path_counts(succ, pred)
+    ids = net.ids
+    return {(ids[u], ids[v]): n_from[u] * n_to[v]
+            for u, cited in enumerate(succ) for v in cited}
 
 
-def _edge_nodes(net: CitationNetwork,
-                edges: list[tuple[str, str]]) -> tuple[list[int], list[int]]:
-    """The tail and head node indices of (citing id, cited id) pairs."""
-    index = net.index
-    return [index[u] for u, _ in edges], [index[v] for _, v in edges]
-
-
-def _spc_on_edges(n: int, tails: list[int], heads: list[int]) -> list[int]:
-    """SPC of each edge tails[e] -> heads[e] of an acyclic graph on nodes
-    0..n-1 (Batagelj 2003): the paths into the tail from any source times
-    the paths out of the head to any sink."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(tails, heads):
-        succ[u].append(v)
-        pred[v].append(u)
-
+def _path_counts(succ: list, pred: list) -> tuple[list[int], list[int]]:
+    """Per node of an acyclic graph, the number of paths into it from any
+    source and the number out of it to any sink (Batagelj 2003): the SPC
+    of the edge u -> v is n_from[u] * n_to[v]."""
     order = _topo_order(succ, pred)
-    n_from = [1] * n
+    n_from = [1] * len(succ)
     for v in order:
         if pred[v]:
             n_from[v] = sum(map(n_from.__getitem__, pred[v]))
-    n_to = [1] * n
+    n_to = [1] * len(succ)
     for v in reversed(order):
         if succ[v]:
             n_to[v] = sum(map(n_to.__getitem__, succ[v]))
-    return [n_from[u] * n_to[v] for u, v in zip(tails, heads)]
+    return n_from, n_to
 
 
 def _topo_order(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
@@ -514,28 +514,20 @@ def main_path(net: CitationNetwork) -> MainPath:
     """
     if net.n_edges == 0:
         raise InsufficientDataError("main path undefined: graph has no edges")
-    edges, removed = acyclic_reduction(net)
-    if not edges:
+    succ, pred, removed = _reduce(net)
+    if len(removed) == net.n_edges:
         raise InsufficientDataError(
             "main path undefined: no edges left after cycle removal")
-    tails, heads = _edge_nodes(net, edges)
-    spc = _spc_on_edges(net.n_docs, tails, heads)
+    n_from, n_to = _path_counts(succ, pred)
 
-    # out-edges per node as (-SPC, head): the smallest is the next step
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(net.n_docs)]
-    for u, v, count in zip(tails, heads, spc):
-        steps[u].append((-count, v))
-    cited = set(heads)
-    # from a source edge: maximal SPC first, ties by smallest (tail, head)
-    neg, tail, current = min((-count, u, v) for u, v, count in zip(tails, heads, spc)
-                             if u not in cited)
-
-    path = [tail, current]
-    weights = [-neg]
-    while steps[current]:
-        neg, current = min(steps[current])
-        weights.append(-neg)
-        path.append(current)
-    ids = net.ids
-    return MainPath(nodes=tuple(ids[v] for v in path), spc=tuple(weights),
-                    removed_edges=tuple(removed))
+    # max keeps the first of equal keys, and the edges and the heads of
+    # each row come ascending: ties go to the smallest (tail, head) or head
+    path = list(max(((u, v) for u, cited in enumerate(succ) if not pred[u]
+                     for v in cited), key=lambda e: n_from[e[0]] * n_to[e[1]]))
+    while succ[path[-1]]:  # all out-edges share the factor n_from[path[-1]]
+        path.append(max(succ[path[-1]], key=n_to.__getitem__))
+    ids, n = net.ids, net.n_docs
+    return MainPath(nodes=tuple(ids[v] for v in path),
+                    spc=tuple(n_from[u] * n_to[v] for u, v in zip(path, path[1:])),
+                    removed_edges=tuple((ids[code // n], ids[code % n])
+                                        for code in removed))

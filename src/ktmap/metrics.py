@@ -127,17 +127,6 @@ class NodeMetrics:
     z: float | None
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
-    """Degree, clustering, and module-role metrics of one node."""
-
-    id: str
-    k: int
-    c: float | None
-    p: float | None
-    z: float | None
-
-
 def node_metrics_table(graph: UGraph,
                        partition: Mapping[str, int] | None = None) -> list[NodeMetrics]:
     """Per-node metrics for every node, sorted by id.
