@@ -194,7 +194,8 @@ def bench_parse(leaf: int) -> None:
             text = fh.read()
         corpus._edge_text_nodes(text.rstrip("\n"), net.index)
         t2 = time.perf_counter()
-        CitationNetwork._from_edges_text(docs, text, lenient=False)
+        with open(edges, encoding="utf-8") as fh:
+            CitationNetwork._from_edges(docs, fh, lenient=False)
         t3 = time.perf_counter()
         parsed, text = load_corpus(nodes, edges, keep_text=True)
         t4 = time.perf_counter()

@@ -31,16 +31,18 @@ use.
 Whole-file reading
 ------------------
 ``parse_corpus`` (and ``load_corpus``) read each seekable stream in one
-piece. The nodes text, split on "\n" alone, goes through one json.loads
-and one batch check of every record (``iter_node_records`` reads a
-seekable stream this way too). When every line of the edges text is
-``a,b`` (as ``write_corpus`` writes it, optionally under its header) with
-two known ids and no self-loop, it is split a block at a time and its ids
-are looked up straight to int codes. Any other stream or text, down to
-one record the line loop would reject or one line it would read
-differently, is read line by line, and only the line loops report
-malformed lines, so errors, warnings and their line numbers do not depend
-on the path taken.
+piece; a stream that cannot seek is read by the line loops. The nodes
+text, split on "\n" alone, is decoded by one json.loads over all its
+non-blank lines where that provably gives one object per line, and a line
+at a time otherwise. Either way each record is checked in line order by
+``_check_fields``, the one statement of the ``Document`` rules. When every
+line of the edges text is ``a,b`` (as ``write_corpus`` writes it,
+optionally under its header) with two known ids and no self-loop, it is
+split a block at a time and its ids are looked up straight to int codes.
+Any other edges text, down to one line the line loop would read
+differently, is read line by line, and only that loop reports malformed
+lines, so errors, warnings and their line numbers do not depend on the
+path taken.
 
 ``parse_corpus(..., keep_text=True)`` also returns the input texts that
 are exactly what ``write_corpus`` would write for the network: the edges
@@ -56,7 +58,6 @@ re-encoded.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import io
 import itertools
 import json
@@ -67,8 +68,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import compress, count, islice, repeat
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
 from .errors import (
@@ -92,7 +93,9 @@ _BAD_ID = re.compile(r'[\s,"]|^#')
 
 @dataclass(frozen=True)
 class Document:
-    """One paper or patent node of the corpus."""
+    """One paper or patent node of the corpus. Its fields obey the rules of
+    _check_fields, so the nodes reader reads back an equal Document from
+    the line write_corpus writes for it."""
 
     id: str
     year: int | None = None
@@ -103,22 +106,54 @@ class Document:
     ext_citations: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError("document id must be a non-empty string")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.basic_terms < 0 or self.clinical_terms < 0:
-            raise ValueError(f"term counts must be non-negative ({self.id})")
-        if self.year is not None and not isinstance(self.year, int):
-            raise ValueError(f"year must be an integer ({self.id})")
+        _check_fields(self.__dict__)
 
     @classmethod
     def _trusted(cls, fields: dict) -> "Document":
         """A Document from {field: value} in field order, values already
-        checked as __post_init__ checks them."""
+        passed through _check_fields."""
         doc = object.__new__(cls)
         object.__setattr__(doc, "__dict__", fields)
         return doc
+
+
+def _check_fields(fields: dict) -> None:
+    """The document rules, on {field: value} as a Document holds them.
+
+    The id is a non-empty string that the edges file can hold (_BAD_ID);
+    year, the term counts and ext_citations are ints, bools not included,
+    and the counts are not negative; kind is one of KINDS; raw_terms is
+    None or a tuple of lowercase strings. A ValueError names the first rule
+    broken, in the order, and with the words, of the nodes reader's errors.
+    """
+    doc_id = fields["id"]
+    if type(doc_id) is not str:
+        raise ValueError("document id must be a non-empty string")
+    if _BAD_ID.search(doc_id):
+        raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
+                         "whitespace, or starts with '#'")
+    terms = fields["raw_terms"]
+    if terms is not None and (type(terms) is not tuple or not all(
+            type(term) is str and term == term.lower() for term in terms)):
+        raise ValueError("'terms' must be an array of strings")
+    basic = fields["basic_terms"]
+    if type(basic) is not int:
+        raise ValueError("'basic_terms' must be an integer")
+    clinical = fields["clinical_terms"]
+    if type(clinical) is not int:
+        raise ValueError("'clinical_terms' must be an integer")
+    year = fields["year"]
+    if year is not None and type(year) is not int:
+        raise ValueError("'year' must be an integer")
+    ext = fields["ext_citations"]
+    if ext is not None and type(ext) is not int:
+        raise ValueError("'ext_citations' must be an integer")
+    if not doc_id:
+        raise ValueError("document id must be a non-empty string")
+    if fields["kind"] not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {fields['kind']!r}")
+    if basic < 0 or clinical < 0:
+        raise ValueError(f"term counts must be non-negative ({doc_id})")
 
 
 @dataclass(frozen=True)
@@ -279,21 +314,24 @@ class CitationNetwork:
         self._store(docs, ids, index, _sorted_codes(codes, skipped), skipped)
 
     @classmethod
-    def _from_edges_text(cls, documents: Iterable[Document], text: str,
-                         lenient: bool) -> tuple["CitationNetwork", bool]:
-        """The network of `documents` and the whole text of an edges file,
-        and whether write_corpus would write that text back byte for byte.
-        The documents come from the nodes reader, so no id is empty, holds
-        whitespace or starts with '#'.
+    def _from_edges(cls, documents: Iterable[Document], stream: Iterable[str],
+                    lenient: bool) -> tuple["CitationNetwork", str | None]:
+        """The network of `documents` and an edges stream, and the stream's
+        whole text if write_corpus would write it back byte for byte (else
+        None).
 
-        When every line is ``a,b`` with both fields known ids and no
-        self-loop, the fields are looked up in the index in bulk, straight
-        to int codes. Any other text goes through iter_edge_records and the
-        per-pair loop, so its errors and warnings are those of __init__.
+        A seekable stream is read whole. When every line is ``a,b`` with
+        both fields known ids and no self-loop, the fields are looked up in
+        the index in bulk, straight to int codes; as no document id holds
+        whitespace or a comma or starts with '#', each is read as the line
+        loop reads it. Any other stream or text goes through
+        iter_edge_records and the per-pair loop, so its errors and warnings
+        are those of __init__.
         """
+        text = _read_whole(stream)
         docs, ids, index = _intern(documents)
         n = len(ids)
-        found = _edge_text_nodes(text.rstrip("\n"), index)
+        found = None if text is None else _edge_text_nodes(text.rstrip("\n"), index)
         codes = None
         if found is not None:
             us, vs, header = found
@@ -309,16 +347,16 @@ class CitationNetwork:
             skipped: tuple = ()
             pairs = us, vs
         else:
-            codes, skipped = _pair_codes(
-                index, iter_edge_records(io.StringIO(text), index), lenient)
+            lines = stream if text is None else io.StringIO(text)
+            codes, skipped = _pair_codes(index, iter_edge_records(lines, index), lenient)
             pairs = None
         ordered = _sorted_codes(codes, skipped)
         in_order = ordered is codes
         net = cls.__new__(cls)
         net._store(docs, ids, index, ordered, skipped, pairs if in_order else None)
-        return net, (pairs is not None and in_order
-                     and text.startswith("citing,cited\n")
-                     and text.endswith("\n") and not text.endswith("\n\n"))
+        written = (pairs is not None and in_order and text.startswith("citing,cited\n")
+                   and text.endswith("\n") and not text.endswith("\n\n"))
+        return net, text if written else None
 
     def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
                index: dict[str, int], codes: list[int],
@@ -373,12 +411,8 @@ class CitationNetwork:
         The documents must carry exactly the network's ids; they are kept
         in the order given. Edges, skipped edges and adjacency are shared.
         """
-        docs: dict[str, Document] = {}
-        for doc in documents:
-            if doc.id in docs:
-                raise DuplicateIdError(f"duplicate document id {doc.id!r}")
-            docs[doc.id] = doc
-        if docs.keys() != self.docs.keys():
+        docs, ids, _ = _intern(documents)
+        if ids != self.ids:
             raise ValueError("replacement documents must have the network's ids")
         net = copy.copy(self)
         net.docs = docs
@@ -510,19 +544,12 @@ def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
     (see the module docstring).
     """
     nodes_text, docs = _read_documents(nodes_stream)
-    edges_text = _read_whole(edges_stream)
-    if edges_text is None:
-        net = CitationNetwork(docs, iter_edge_records(edges_stream, {d.id for d in docs}),
-                              lenient=lenient)
-        edges_written = False
-    else:
-        net, edges_written = CitationNetwork._from_edges_text(docs, edges_text, lenient)
+    net, edges_text = CitationNetwork._from_edges(docs, edges_stream, lenient)
     if not keep_text:
         return net
     nodes_written = (nodes_text is not None and tuple(net.docs) == net.ids
                      and _is_written_nodes(nodes_text))
-    return net, CorpusText(nodes_text if nodes_written else None,
-                           edges_text if edges_written else None)
+    return net, CorpusText(nodes_text if nodes_written else None, edges_text)
 
 
 def load_corpus(nodes_path, edges_path, lenient: bool = False, keep_text: bool = False
@@ -557,21 +584,28 @@ def iter_node_records(stream: Iterable[str]) -> Iterator[Document]:
 def _read_documents(stream: Iterable[str]) -> tuple[str | None, list[Document]]:
     """(whole text, or None if not read whole; documents) of a nodes stream.
 
-    A seekable stream is read in one piece, and _whole_file_documents
-    takes it where it can tell that the line loop would return the same
-    documents; any other stream or text goes through the line loop, the
-    only path that reports malformed records.
+    A seekable stream is read in one piece and decoded by _decoded_whole
+    where it can; any other stream or text is decoded a line at a time.
+    Either way, every record is checked, and its Document built, in line
+    order, so errors and their line numbers do not depend on the path.
     """
     text = _read_whole(stream)
-    docs = None if text is None else _whole_file_documents(text)
-    if docs is None:
-        docs = list(_node_lines(stream if text is None else text.split("\n")))
+    numbered = None if text is None else _decoded_whole(text)
+    if numbered is None:
+        numbered = _decoded_lines(stream if text is None else text.split("\n"))
+    docs = []
+    for lineno, rec in numbered:
+        try:
+            docs.append(_record_document(rec))
+        except (ValueError, TypeError) as exc:
+            raise MalformedRecordError(f"nodes line {lineno}: {exc}")
     return text, docs
 
 
-def _node_lines(stream: Iterable[str]) -> Iterator[Document]:
-    """iter_node_records, one line at a time."""
-    for lineno, line in enumerate(stream, start=1):
+def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of each non-blank nodes line, one json.loads
+    a line."""
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -581,59 +615,16 @@ def _node_lines(stream: Iterable[str]) -> Iterator[Document]:
             raise MalformedRecordError(f"nodes line {lineno}: invalid JSON ({exc})")
         if not isinstance(rec, dict):
             raise MalformedRecordError(f"nodes line {lineno}: expected an object")
-        try:
-            yield _record_to_document(rec)
-        except (ValueError, TypeError) as exc:
-            raise MalformedRecordError(f"nodes line {lineno}: {exc}")
+        yield lineno, rec
 
 
-def _record_to_document(rec: Mapping) -> Document:
-    raw_id = rec.get("id")
-    if raw_id is None:
-        raise ValueError("missing required field 'id'")
-    doc_id = str(raw_id)
-    if _BAD_ID.search(doc_id):
-        raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
-                         "whitespace, or starts with '#'")
-
-    terms = rec.get("terms")
-    if terms is not None:
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ValueError("'terms' must be an array of strings")
-        terms = tuple(t.lower() for t in terms)
-
-    basic = rec.get("basic_terms", 0)
-    clinical = rec.get("clinical_terms", 0)
-    for name, val in (("basic_terms", basic), ("clinical_terms", clinical)):
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ValueError(f"'{name}' must be an integer")
-
-    year = rec.get("year")
-    if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-        raise ValueError("'year' must be an integer")
-
-    ext = rec.get("ext_citations")
-    if ext is not None and (not isinstance(ext, int) or isinstance(ext, bool)):
-        raise ValueError("'ext_citations' must be an integer")
-
-    return Document(id=doc_id, year=year, kind=rec.get("kind", "paper"),
-                    basic_terms=basic, clinical_terms=clinical,
-                    raw_terms=terms, ext_citations=ext)
-
-
-# record key and default of each Document field, in field order
-_RECORD_KEYS = (("id", None), ("year", None), ("kind", "paper"),
-                ("basic_terms", 0), ("clinical_terms", 0), ("terms", None),
-                ("ext_citations", None))
-_DOC_FIELDS = tuple(f.name for f in dataclasses.fields(Document))
 # a record's closing brace before a comma on the same line
 _RECORD_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 
 
-def _whole_file_documents(text: str) -> list[Document] | None:
-    """The documents of a nodes text, from one json.loads over all its
-    lines and one batch check; None where the line loop must decide, which
-    is wherever it might not return the same documents.
+def _decoded_whole(text: str) -> Iterator[tuple[int, dict]] | None:
+    """_decoded_lines of a nodes text, from one json.loads over all its
+    non-blank lines; None where that might not give the same records.
 
     The array of all non-blank lines has one record per line when it has
     as many records as lines, all objects, and no line holds an object's
@@ -642,33 +633,37 @@ def _whole_file_documents(text: str) -> list[Document] | None:
     """
     if _RECORD_THEN_COMMA.search(text):
         return None
-    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    stripped = list(map(str.strip, text.split("\n")))
+    lines = list(filter(None, stripped))
     try:
         recs = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError):
         return None
     if len(recs) != len(lines) or not set(map(type, recs)) <= {dict}:
         return None
-    get = dict.get
-    columns = [list(map(get, recs, repeat(key), repeat(default)))
-               for key, default in _RECORD_KEYS]
-    ids, years, kinds, basic, clinical, terms, ext = columns
-    # the checks of _record_to_document and Document.__post_init__
-    if not (set(map(type, ids)) <= {str} and all(ids)
-            and not any(map(_BAD_ID.search, ids))
-            and set(map(type, basic + clinical)) <= {int}
-            and min(basic + clinical, default=0) >= 0
-            and set(map(type, years + ext)) <= {int, type(None)}
-            and set(map(type, kinds)) <= {str} and set(kinds) <= set(KINDS)):
-        return None
-    if terms.count(None) != len(terms):
-        for i, raw in enumerate(terms):
-            if raw is not None:
-                if type(raw) is not list or not set(map(type, raw)) <= {str}:
-                    return None
-                terms[i] = tuple(map(str.lower, raw))
-    return [Document._trusted(dict(zip(_DOC_FIELDS, values)))
-            for values in zip(*columns)]
+    return zip(compress(count(1), stripped), recs)
+
+
+def _record_document(rec: dict) -> Document:
+    """The Document of a decoded nodes record: a missing kind is "paper",
+    missing counts are 0, an id of another JSON type is taken as its str
+    and terms are lowercased. ValueError if it breaks a rule."""
+    get = rec.get
+    doc_id = get("id")
+    if doc_id is None:
+        raise ValueError("missing required field 'id'")
+    terms = get("terms")
+    if type(terms) is list:
+        try:
+            terms = tuple(map(str.lower, terms))
+        except TypeError:  # a term that is no string: the rules reject the list
+            pass
+    fields = {"id": str(doc_id), "year": get("year"), "kind": get("kind", "paper"),
+              "basic_terms": get("basic_terms", 0),
+              "clinical_terms": get("clinical_terms", 0), "raw_terms": terms,
+              "ext_citations": get("ext_citations")}
+    _check_fields(fields)
+    return Document._trusted(fields)
 
 
 # the line of each document as write_corpus writes it, where its strings

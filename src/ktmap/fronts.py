@@ -90,8 +90,9 @@ def fast_greedy(graph: UGraph) -> Partition:
     in the wrong front, so the cut is then refined, each phase only while Q
     strictly increases:
 
-    - sweeps of single-node moves: nodes are visited in sorted id order and
-      each moves to the neighboring front with the largest gain;
+    - sweeps of single-node moves: nodes are visited in index order (the
+      sorted id order of every graph the report builds) and each moves to
+      the neighboring front with the largest gain;
     - when a sweep moves nothing, a merge pass joins the adjacent pair of
       fronts with the largest merge gain, and sweeping resumes;
     - when no merge helps either, a Kernighan-Lin escape tries a short
@@ -195,15 +196,16 @@ _DRIFT_QUANTUM_EXP = -40
 def _refine_moves(graph: UGraph, comm: list[int]) -> list[int]:
     """Q-improving refinement: single-node moves alternated with front merges.
 
-    Nodes are visited in index (= sorted id) order; a node moves to the
-    neighboring front with the largest strictly positive gain, ties broken
-    by the smallest front label. When no move helps, adjacent front pairs
-    with a strictly positive merge gain are merged (largest gain first,
-    ties by smallest pair) and moving resumes; when no merge helps either,
-    a Kernighan-Lin chain (``_Refinement.kl_escape``) gets one try. Q
-    strictly increases throughout, so the loop terminates; the pass cap is
-    a safety net, and hitting it is logged. The graph's total weight must
-    lie within 2**+-_SCALE_EXP (``_in_range``).
+    Nodes are visited in index order, which is sorted id order only where
+    the graph's ids are sorted, as in every graph the report builds; a node
+    moves to the neighboring front with the largest strictly positive gain,
+    ties broken by the smallest front label. When no move helps, adjacent
+    front pairs with a strictly positive merge gain are merged (largest
+    gain first, ties by smallest pair) and moving resumes; when no merge
+    helps either, a Kernighan-Lin chain (``_Refinement.kl_escape``) gets
+    one try. Q strictly increases throughout, so the loop terminates; the
+    pass cap is a safety net, and hitting it is logged. The graph's total
+    weight must lie within 2**+-_SCALE_EXP (``_in_range``).
 
     Only boundary nodes (with a neighbor in another front) can move, and a
     node's weight to each front changes only when a neighbor moves, so

@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,17 @@ def parse(nodes_text, edges_text, **kwargs):
     return parse_corpus(io.StringIO(nodes_text), io.StringIO(edges_text), **kwargs)
 
 
+class _UnseekableBytes(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def pipe(text):
+    """A text stream of `text` that cannot seek, decoded as a pipe is."""
+    return io.TextIOWrapper(_UnseekableBytes(text.encode("utf-8", "surrogatepass")),
+                            encoding="utf-8")
+
+
 class TestDocument:
     def test_defaults(self):
         doc = Document(id="p1")
@@ -42,6 +54,16 @@ class TestDocument:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Document(id="p1", kind="novel")
+
+    @pytest.mark.parametrize("fields", [
+        {"year": True}, {"year": 2001.0}, {"year": np.int64(2001)},
+        {"basic_terms": True}, {"basic_terms": np.int64(3)},
+        {"clinical_terms": 2.0}, {"ext_citations": "7"}, {"ext_citations": False},
+        {"id": "a b"}, {"id": "x,y"}, {"id": 'x"y'}, {"id": "#x"}, {"id": 5},
+        {"raw_terms": ["hpv"]}, {"raw_terms": ("HPV",)}, {"raw_terms": (1,)}])
+    def test_rejects_what_the_reader_rejects(self, fields):
+        with pytest.raises(ValueError):
+            Document(**{"id": "a", **fields})
 
 
 class TestLexicon:
@@ -348,7 +370,8 @@ def _assert_same_network(net, ref):
 
 class TestAgainstStringOracle:
     """CitationNetwork and iter_edge_records against the string-keyed
-    network and line reader of conftest, on generated edge files."""
+    network and line reader of conftest, on generated edge files read from
+    a StringIO, a file and a stream that cannot seek."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -374,7 +397,8 @@ class TestAgainstStringOracle:
             lambda fh: parse_corpus(io.StringIO(nodes_text), fh, lenient=lenient),
         )
         for opener, build in itertools.product(
-                (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8")),
+                (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8"),
+                 lambda: pipe(text)),
                 builds):
             with opener() as fh:
                 net, exc, logged = _outcome(lambda: build(fh))
@@ -600,14 +624,15 @@ def _records(text, stream, reader):
 
 class TestNodesAgainstLineOracle:
     """iter_node_records, which reads a seekable stream whole where it can,
-    against the line loop of conftest on generated nodes files."""
+    against the line loop of conftest on generated nodes files, read from a
+    StringIO, a file and a stream that cannot seek."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=node_texts())
     def test_same_documents_or_error(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("nodes") / "nodes.jsonl"
         path.write_bytes(text.encode("utf-8", "surrogatepass"))
-        for stream in (io.StringIO, lambda _: open(path, encoding="utf-8")):
+        for stream in (io.StringIO, lambda _: open(path, encoding="utf-8"), pipe):
             got = _records(text, stream, iter_node_records)
             ref = _records(text, stream, line_node_records)
             if isinstance(ref, Exception):
@@ -658,6 +683,59 @@ class TestNodesAgainstLineOracle:
     def test_unseekable_stream_read_by_lines(self):
         docs = list(iter_node_records(iter(['{"id": "b"}\n', '{"id": "a"}'])))
         assert [doc.id for doc in docs] == ["b", "a"]
+
+
+# -- Document: what the constructor accepts, the reader reads back ---------
+
+# values wrong for an int field: bool, float, str and numpy values
+_not_ints = st.sampled_from([True, False, 2.0, float("nan"), "7", np.int64(3),
+                             np.bool_(True), np.float64(1.0)])
+_doc_fields = {
+    # ids fit for the edges file, and ids the reader rejects or of other types
+    "id": _good_or_bad(
+        st.text(min_size=1, max_size=4),
+        st.sampled_from(["", "a b", "x,y", 'x"y', "#x", "a\u2028", "\x85", 5,
+                         np.str_("a")])),
+    "year": _good_or_bad(st.none() | st.integers(-3000, 3000), _not_ints),
+    "kind": _good_or_bad(st.sampled_from(["paper", "patent"]),
+                         st.sampled_from(["Paper", "novel", None, 1])),
+    "basic_terms": _good_or_bad(st.integers(0, 10**20),
+                                _not_ints | st.integers(max_value=-1) | st.none()),
+    "clinical_terms": _good_or_bad(st.integers(0, 9), _not_ints | st.just(-1)),
+    # lowercase terms; mixed-case ones, lists and non-strings
+    "raw_terms": _good_or_bad(
+        st.none() | st.lists(st.text(max_size=4).map(str.lower)).map(tuple),
+        st.lists(st.text(max_size=4), min_size=1).map(tuple)
+        | st.lists(st.sampled_from(["hpv", "HPV"]))
+        | st.tuples(st.sampled_from([1, None, b"x", np.str_("x")]))),
+    "ext_citations": _good_or_bad(st.none() | st.integers(), _not_ints),
+}
+
+
+class TestDocumentRules:
+    """Document states the rules the nodes reader checks, so write_corpus
+    writes every Document to files load_corpus reads back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_accepted_documents_round_trip(self, data, tmp_path_factory):
+        docs = {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            fields = {key: data.draw(values) for key, values in _doc_fields.items()}
+            try:
+                doc = Document(**fields)
+            except ValueError:
+                continue
+            docs[doc.id] = doc
+        ids = sorted(docs)
+        edges = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                                   .filter(lambda e: e[0] != e[1]), max_size=4)
+                          if len(ids) > 1 else st.just([]))
+        net = CitationNetwork(docs.values(), edges)
+        tmp = tmp_path_factory.mktemp("doc")
+        write_corpus(net, tmp / "n.jsonl", tmp / "e.csv")
+        back = load_corpus(tmp / "n.jsonl", tmp / "e.csv")
+        assert back.docs == net.docs and back.edges == net.edges
 
 
 # -- corpus.* files: the input text where it is exactly what is written -----
