@@ -9,9 +9,8 @@ generators provide planted ground truth for validation.
 __version__ = "0.1.0"
 KERNEL_BACKEND = "pure"  # one backend left; kept because perfbench run records read it
 
-from .axis import (Stratum, classify, front_score_summary,
-                   homophily_assortativity, score_documents,
-                   translational_score)
+from .axis import (Stratum, classify, front_mean, homophily_assortativity,
+                   score_documents, translational_score)
 from .corpus import (CitationNetwork, Document, Lexicon, UGraph,
                      co_citation_projection, count_terms, load_corpus,
                      parse_corpus, write_corpus)
@@ -20,8 +19,7 @@ from .fronts import (FrontNode, FrontTree, Partition, fast_greedy,
 from .hubs import (HubCandidate, HubConfig, MainPath, acyclic_reduction,
                    detect_translational_hubs, hub_regions, main_path,
                    search_path_counts)
-from .metrics import (NodeMetrics, ScalingFit, ck_scaling, local_clustering,
-                      node_metrics_table)
+from .metrics import NodeMetrics, ScalingFit, ck_scaling, node_metrics_table
 from .selection import (PowerLawFit, fit_power_law, sample_discrete_power_law,
                         select_top_cited)
 from .synth import (GroundTruth, PlantedConfig, gen_deterministic_hierarchical,
@@ -32,15 +30,14 @@ __all__ = [
     "CitationNetwork", "Document", "Lexicon", "UGraph",
     "co_citation_projection", "count_terms", "load_corpus", "parse_corpus",
     "write_corpus",
-    "Stratum", "classify", "front_score_summary", "homophily_assortativity",
+    "Stratum", "classify", "front_mean", "homophily_assortativity",
     "score_documents", "translational_score",
     "FrontNode", "FrontTree", "Partition", "fast_greedy",
     "hierarchical_fronts", "modularity",
     "HubCandidate", "HubConfig", "MainPath", "acyclic_reduction",
     "detect_translational_hubs", "hub_regions", "main_path",
     "search_path_counts",
-    "NodeMetrics", "ScalingFit", "ck_scaling", "local_clustering",
-    "node_metrics_table",
+    "NodeMetrics", "ScalingFit", "ck_scaling", "node_metrics_table",
     "PowerLawFit", "fit_power_law", "sample_discrete_power_law",
     "select_top_cited",
     "GroundTruth", "PlantedConfig", "gen_deterministic_hierarchical",

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .corpus import CitationNetwork
 from .errors import InsufficientDataError
@@ -98,49 +97,16 @@ def homophily_assortativity(net: CitationNetwork,
     return cov / math.sqrt(var_x * var_y)
 
 
-@dataclass(frozen=True)
-class FrontScoreSummary:
-    """Aggregate of translational scores within one front."""
-
-    front: int
-    size: int
-    n_scored: int
-    mean_t: float | None
-    share_unscored: float
-    histogram: dict[Stratum, int]
-    all_unscored: bool
-
-
-def front_score_summary(partition: Mapping[str, int],
-                        scores: Mapping[str, float | None],
-                        low: float = DEFAULT_LOW,
-                        high: float = DEFAULT_HIGH) -> dict[int, FrontScoreSummary]:
-    """Per-front mean T, share of unscored members, and stratum histogram.
-
-    Fronts whose members are all unscored are flagged and carry no mean.
-    """
-    missing = [node for node in partition if node not in scores]
-    if missing:
-        raise ValueError(f"no score entry for node {missing[0]!r}")
-
-    members: dict[int, list[str]] = {}
-    for node, fid in partition.items():
-        members.setdefault(fid, []).append(node)
-
-    out: dict[int, FrontScoreSummary] = {}
-    for fid in sorted(members):
-        ts = [scores[node] for node in members[fid]]
-        scored = [t for t in ts if t is not None]
-        hist = {s: 0 for s in Stratum}
-        for t in ts:
-            hist[classify(t, low, high)] += 1
-        out[fid] = FrontScoreSummary(
-            front=fid,
-            size=len(ts),
-            n_scored=len(scored),
-            mean_t=sum(scored) / len(scored) if scored else None,
-            share_unscored=(len(ts) - len(scored)) / len(ts),
-            histogram=hist,
-            all_unscored=not scored,
-        )
-    return out
+def front_mean(members: Iterable[str],
+               scores: Mapping[str, float | None]) -> tuple[float | None, float]:
+    """(mean T, share unscored) of one front: the mean over its scored
+    members, summed in member order, or None when none is scored; and the
+    share of its members that are unscored. A member with no score entry
+    raises a ValueError."""
+    try:
+        ts = [scores[node] for node in members]
+    except KeyError as exc:
+        raise ValueError(f"no score entry for node {exc.args[0]!r}") from None
+    scored = [t for t in ts if t is not None]
+    return (sum(scored) / len(scored) if scored else None,
+            (len(ts) - len(scored)) / len(ts))

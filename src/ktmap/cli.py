@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -23,8 +22,9 @@ from . import __version__
 from .corpus import write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
-from .report import (STAGES, PipelineConfig, field_type, load_artifacts,
-                     read_front_paths, read_strata, run_pipeline, run_stage)
+from .fronts import path_string
+from .report import (STAGE_FILES, STAGES, PipelineConfig, field_type,
+                     load_artifacts, run_pipeline, run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -174,20 +174,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "export":
-        artifacts = load_artifacts(
-            ("core", "scores") if (out / "scores.csv").exists() else ("core",),
-            PipelineConfig(**fields))
-        core, scores = artifacts["core"], artifacts.get("scores")
-        front_paths = read_front_paths(out) if (out / "fronts.csv").exists() else None
-        strata = read_strata(out) if scores is not None else None
-        hub_ids = None
-        if (out / "hubs.json").exists():
-            with open(out / "hubs.json", encoding="utf-8") as fh:
-                hub_ids = {h["id"] for h in json.load(fh)["candidates"]}
+        names = ["core"] + [name for name in ("scores", "strata", "paths", "hubs")
+                            if (out / STAGE_FILES[name][1]).exists()]
+        found = load_artifacts(names, PipelineConfig(**fields))
+        front_paths = ({v: path_string(p) for v, p in found["paths"].items()}
+                       if "paths" in found else None)
+        hub_ids = ({h["id"] for h in found["hubs"]["candidates"]}
+                   if "hubs" in found else None)
         suffix = "graphml" if args.format == "graphml" else "dot"
         target = out / f"graph.{suffix}"
-        export_graph(core, target, args.format, front_paths=front_paths,
-                     scores=scores, strata=strata, hub_ids=hub_ids)
+        export_graph(found["core"], target, args.format, front_paths=front_paths,
+                     scores=found.get("scores"), strata=found.get("strata"),
+                     hub_ids=hub_ids)
         print(f"wrote {target}")
         return 0
 

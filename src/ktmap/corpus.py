@@ -87,8 +87,10 @@ KINDS = ("paper", "patent")
 # Ids are written unquoted into edges.csv and the stage CSVs. The edge
 # reader splits on commas or whitespace and skips lines starting with '#';
 # the stage CSVs are split on commas and not unquoted. An id that either
-# would mangle is rejected at parse time.
+# would mangle is rejected at parse time, as is an id with a lone surrogate
+# (a \ud800 escape in a nodes line), which no UTF-8 file can hold.
 _BAD_ID = re.compile(r'[\s,"]|^#')
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,12 @@ class Document:
 def _check_fields(fields: dict) -> None:
     """The document rules, on {field: value} as a Document holds them.
 
-    The id is a non-empty string that the edges file can hold (_BAD_ID);
-    year, the term counts and ext_citations are ints, bools not included,
-    and the counts are not negative; kind is one of KINDS; raw_terms is
-    None or a tuple of lowercase strings. A ValueError names the first rule
-    broken, in the order, and with the words, of the nodes reader's errors.
+    The id is a non-empty string that the edges file can hold (_BAD_ID,
+    _SURROGATE); year, the term counts and ext_citations are ints, bools
+    not included, and the counts are not negative; kind is one of KINDS;
+    raw_terms is None or a tuple of lowercase strings. A ValueError names
+    the first rule broken, in the order, and with the words, of the nodes
+    reader's errors.
     """
     doc_id = fields["id"]
     if type(doc_id) is not str:
@@ -132,6 +135,9 @@ def _check_fields(fields: dict) -> None:
     if _BAD_ID.search(doc_id):
         raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
                          "whitespace, or starts with '#'")
+    if _SURROGATE.search(doc_id):
+        raise ValueError(f"id {doc_id!r} holds a lone surrogate, which UTF-8 "
+                         "cannot encode")
     terms = fields["raw_terms"]
     if terms is not None and (type(terms) is not tuple or not all(
             type(term) is str and term == term.lower() for term in terms)):

@@ -1,13 +1,11 @@
 """Annotated graph export: GraphML for interchange, dot for rendering.
 
 Node attributes carried on export: front path, translational score, stratum,
-and the hub flag. A minimal GraphML reader is provided so round-trips can be
-verified.
+and the hub flag.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from typing import Mapping
 
 from .corpus import CitationNetwork
@@ -75,25 +73,6 @@ def _escape(text: str) -> str:
     """Escape &, < and > for XML character data and quoted attributes (ids
     never carry quotes: the corpus reader rejects them)."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def read_graphml(path) -> tuple[list[str], list[tuple[str, str]], dict[str, dict]]:
-    """Read node ids, directed edges, and node attributes back from GraphML."""
-    tree = ET.parse(path)
-    root = tree.getroot()
-    ns = {"g": _GRAPHML_NS}
-    key_names = {k.get("id"): k.get("attr.name")
-                 for k in root.findall("g:key", ns)}
-    nodes, attrs = [], {}
-    graph = root.find("g:graph", ns)
-    for node in graph.findall("g:node", ns):
-        node_id = node.get("id")
-        nodes.append(node_id)
-        attrs[node_id] = {key_names[d.get("key")]: d.text
-                          for d in node.findall("g:data", ns)}
-    edges = [(e.get("source"), e.get("target"))
-             for e in graph.findall("g:edge", ns)]
-    return nodes, edges, attrs
 
 
 def to_dot(net: CitationNetwork,

@@ -611,9 +611,6 @@ class FrontTree:
     """Nested partition of the corpus into research fronts, level 1..depth."""
 
     root: FrontNode
-    max_depth: int
-    min_front_size: int
-    min_q_gain: float
 
     def depth(self) -> int:
         return max(node.level for node in self.root.walk())
@@ -633,20 +630,28 @@ class FrontTree:
         return paths
 
     def level_assignment(self, level: int) -> dict[str, int]:
-        """Flat node -> front-id map obtained by truncating paths at a level.
+        """The module's level_assignment of this tree's node paths."""
+        return level_assignment(self.node_paths(), level)
 
-        Nodes whose deepest front is shallower than `level` keep that front.
-        Front ids are dense integers, deterministic across runs.
-        """
-        prefixes: dict[str, tuple[int, ...]] = {}
-        for node, path in self.node_paths().items():
-            prefixes[node] = path[: level - 1]
-        ids = {prefix: i + 1 for i, prefix in enumerate(sorted(set(prefixes.values())))}
-        return {node: ids[prefix] for node, prefix in prefixes.items()}
 
-    def path_strings(self) -> dict[str, str]:
-        return {node: ".".join(str(c) for c in path) if path else "1"
-                for node, path in self.node_paths().items()}
+def level_assignment(paths: Mapping[str, tuple[int, ...]], level: int) -> dict[str, int]:
+    """Flat node -> front-id map obtained by truncating front paths at a level.
+
+    Nodes whose deepest front is shallower than `level` keep that front.
+    Front ids are dense integers numbered in path order, and the nodes come
+    front by front (by path, then id), so sums over the map round the same
+    way whether the paths come from a tree or from fronts.csv.
+    """
+    prefixes = {node: paths[node][: level - 1]
+                for node in sorted(paths, key=lambda n: (paths[n], n))}
+    ids = {prefix: i + 1 for i, prefix in enumerate(sorted(set(prefixes.values())))}
+    return {node: ids[prefix] for node, prefix in prefixes.items()}
+
+
+def path_string(path: tuple[int, ...]) -> str:
+    """A front path as the stage files and the report write it: components
+    joined by dots, "1" for the root."""
+    return ".".join(map(str, path)) if path else "1"
 
 
 def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
@@ -689,5 +694,4 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     all_ids = tuple(sorted(graph.ids))
     q_top, children = split(all_ids, (), 1)
     root = FrontNode(path=(), members=all_ids, q_split=q_top, children=children)
-    return FrontTree(root=root, max_depth=max_depth,
-                     min_front_size=min_front_size, min_q_gain=min_q_gain)
+    return FrontTree(root=root)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .axis import front_score_summary
+from .axis import front_mean
 from .corpus import CitationNetwork, UGraph
 from .errors import InsufficientDataError
 from .metrics import clustering_by_index, front_labels, participation
@@ -97,8 +97,10 @@ def detect_translational_hubs(graph: UGraph,
     if c_max is None:
         c_max = sorted_median(defined_c) if defined_c else 0.0
 
-    front_means = {fid: s.mean_t
-                   for fid, s in front_score_summary(partition, scores).items()}
+    members: dict[int, list[str]] = {}
+    for node, fid in partition.items():
+        members.setdefault(fid, []).append(node)
+    front_means = {fid: front_mean(nodes, scores)[0] for fid, nodes in members.items()}
 
     accepted = []
     for i, nbrs in enumerate(adj):

@@ -31,11 +31,6 @@ def clustering_by_index(graph: UGraph) -> list[float | None]:
             for k, t in zip(map(len, graph.adj), graph.triangle_counts())]
 
 
-def local_clustering(graph: UGraph) -> dict[str, float | None]:
-    """Clustering coefficient for every node, by id."""
-    return dict(zip(graph.ids, clustering_by_index(graph)))
-
-
 def front_labels(graph: UGraph, partition: Mapping[str, int]) -> list[int]:
     """The front of every node, by node index; a ValueError names the first
     node the partition leaves out."""

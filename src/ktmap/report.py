@@ -29,13 +29,13 @@ from pathlib import Path
 from typing import Literal
 
 from . import __version__
-from .axis import (DEFAULT_HIGH, DEFAULT_LOW, classify, front_score_summary,
+from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
 from .corpus import (CitationNetwork, Document, Lexicon,
                      co_citation_projection, count_terms, load_corpus,
                      write_corpus)
 from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
-from .fronts import FrontTree, hierarchical_fronts
+from .fronts import FrontTree, hierarchical_fronts, level_assignment, path_string
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
 from .metrics import ck_scaling, node_metrics_table
 from .selection import fit_power_law, select_top_cited
@@ -259,27 +259,24 @@ def _json_equal(a, b) -> bool:
     return a == b
 
 
-def front_table_rows(tree: FrontTree, scores, low: float,
-                     high: float) -> list[dict]:
-    """Flatten the front tree into per-front summary rows (level >= 2)."""
+def front_table_rows(tree: FrontTree, scores=None, low: float = DEFAULT_LOW,
+                     high: float = DEFAULT_HIGH) -> list[dict]:
+    """One row per front of level >= 2, in tree walk order: its path, size
+    and q_split (the rows of fronts.json), and with `scores` also its level,
+    mean T, unscored share and the stratum of its mean (report.json's
+    fronts table)."""
     rows = []
     for node in tree.root.walk():
         if node.level < 2:
             continue
-        members = {m: 1 for m in node.members}
-        summary = front_score_summary(members, {m: scores[m] for m in members},
-                                      low, high)[1]
-        stratum = (classify(summary.mean_t, low, high).value
-                   if summary.mean_t is not None else "unscored")
-        rows.append({
-            "path": ".".join(str(c) for c in node.path),
-            "level": node.level,
-            "size": node.size,
-            "mean_t": summary.mean_t,
-            "share_unscored": summary.share_unscored,
-            "stratum": stratum,
-            "q_split": node.q_split,
-        })
+        row = {"path": path_string(node.path), "size": node.size,
+               "q_split": node.q_split}
+        if scores is not None:
+            mean_t, share_unscored = front_mean(node.members, scores)
+            row.update(level=node.level, mean_t=mean_t,
+                       share_unscored=share_unscored,
+                       stratum=classify(mean_t, low, high).value)
+        rows.append(row)
     return rows
 
 
@@ -420,19 +417,17 @@ def _fronts_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     tree = hierarchical_fronts(graph, max_depth=config.max_depth,
                                min_front_size=config.min_front_size,
                                min_q_gain=config.min_q_gain)
-    paths = tree.path_strings()
+    paths = tree.node_paths()
     with open(out / "fronts.csv", "w", encoding="utf-8") as fh:
         fh.write("id,path\n")
         for node in sorted(paths):
-            fh.write(f"{node},{paths[node]}\n")
-    level2 = tree.level_assignment(2)
+            fh.write(f"{node},{path_string(paths[node])}\n")
+    level2 = level_assignment(paths, 2)
     write_json(out / "fronts.json", {
         "mode": config.mode,
         "q_top": tree.root.q_split,
         "n_level2": len(set(level2.values())),
-        "fronts": [{"path": ".".join(str(c) for c in n.path),
-                    "size": n.size, "q_split": n.q_split}
-                   for n in tree.root.walk() if n.level >= 2],
+        "fronts": front_table_rows(tree),
     })
     return tree, level2
 
@@ -553,44 +548,62 @@ STAGES = (
 
 # -- reading stage files back ------------------------------------------------
 
-# artifact -> the stage files it is read back from when a stage runs alone
-_STAGE_FILES = {
-    "net": ("corpus.nodes.jsonl", "corpus.edges.csv"),
-    "core": ("core.nodes.jsonl", "core.edges.csv"),
-    "partition": ("fronts.csv",),
-    "scores": ("scores.csv",),
+# artifact -> the stage that writes the files it is read back from, and
+# the files
+STAGE_FILES = {
+    "net": ("parse", "corpus.nodes.jsonl", "corpus.edges.csv"),
+    "core": ("select", "core.nodes.jsonl", "core.edges.csv"),
+    "scores": ("score", "scores.csv"),
+    "strata": ("score", "scores.csv"),
+    "paths": ("fronts", "fronts.csv"),
+    "partition": ("fronts", "fronts.csv"),
+    "hubs": ("hubs", "hubs.json"),
 }
 
 
 def load_artifacts(names, config: PipelineConfig) -> dict:
     """Read the named artifacts back from their stage files in config.out_dir;
-    a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks. A
-    missing or malformed file, or fronts or scores that do not cover the
-    core read with them, raises a StageFileError tagged with the stage that
-    writes it."""
+    a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks.
+    Besides the stage artifacts, "strata" is the stratum column `score`
+    wrote with its thresholds and "paths" the front path tuple per node. A
+    missing or malformed file, hubs.json off the report schema's `hubs`,
+    or rows that do not cover the core read with them, raises a
+    StageFileError tagged with the stage that writes it."""
     out = Path(config.out_dir)
     artifacts = {}
     for name in names:
-        maker = next(s.name for s in STAGES if name in s.makes)
-        files = [out / f for f in _STAGE_FILES[name]]
+        maker, *files = STAGE_FILES[name]
+        files = [out / f for f in files]
         where = f"{'/'.join(f.name for f in files)} in {out}"
         if not all(f.exists() for f in files):
             raise StageFileError(maker, f"missing {where}; run `ktmap {maker}` first")
         try:
-            if name == "partition":
-                artifacts[name] = _level2(_read_rows(files[0], _front_key))
-            elif name == "scores":
-                artifacts[name] = _read_rows(files[0], _score)
-            else:
-                artifacts[name] = load_corpus(*files)
-            if name in ("partition", "scores") and "core" in artifacts:
+            artifacts[name] = _read_artifact(name, files)
+            if name in ("scores", "strata", "paths", "partition") and "core" in artifacts:
                 _check_covers_core(artifacts[name], artifacts["core"],
-                                   cited_only=name == "partition")
-        except (KTMapError, ValueError) as exc:
+                                   cited_only=maker == "fronts")
+        except (KTMapError, ValueError, ReportSchemaError) as exc:
             raise StageFileError(maker, f"{where}: {exc}") from None
         if name in ("net", "core"):
             artifacts[name] = _with_lexicon(config, artifacts[name])
     return artifacts
+
+
+def _read_artifact(name: str, files: list[Path]):
+    """Artifact `name` of load_artifacts, read from its files."""
+    if name in ("net", "core"):
+        return load_corpus(*files)
+    if name == "hubs":
+        with open(files[0], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        validate_json(doc, load_report_schema()["properties"]["hubs"])
+        return doc
+    if name == "scores":
+        return _read_rows(files[0], _score)
+    if name == "strata":
+        return _read_rows(files[0], _stratum)
+    paths = _read_rows(files[0], _front_key)
+    return paths if name == "paths" else level_assignment(paths, 2)
 
 
 def _check_covers_core(rows: dict, core: CitationNetwork, cited_only: bool) -> None:
@@ -607,17 +620,6 @@ def _check_covers_core(rows: dict, core: CitationNetwork, cited_only: bool) -> N
     missing = next((v for v in expected if v not in rows), None)
     if missing is not None:
         raise ValueError(f"no row for core document {missing!r}")
-
-
-def read_front_paths(out: Path) -> dict[str, str]:
-    """{id: dotted front path} from fronts.csv in `out`."""
-    return _read_rows(out / "fronts.csv", str)
-
-
-def read_strata(out: Path) -> dict[str, str]:
-    """{id: stratum} from scores.csv in `out`, as `score` classified it with
-    its thresholds."""
-    return _read_rows(out / "scores.csv", lambda cells: cells.partition(",")[2])
 
 
 def _read_rows(path: Path, parse: Callable[[str], object]) -> dict:
@@ -639,16 +641,16 @@ def _front_key(path: str) -> tuple[int, ...]:
     return tuple(int(c) for c in path.split("."))
 
 
-def _level2(key: dict[str, tuple[int, ...]]) -> dict[str, int]:
-    """FrontTree.level_assignment(2) from front paths, with its front ids and
-    its node order (front by front), so sums over it round the same way."""
-    return {node: key[node][0] for node in sorted(key, key=lambda n: (key[n], n))}
-
-
 def _score(cells: str) -> float | None:
     """t from the `t,stratum` cells of a scores.csv line; None if unscored."""
-    t, _stratum = cells.split(",")
+    t, _ = cells.split(",")
     return float(t) if t else None
+
+
+def _stratum(cells: str) -> str:
+    """The stratum from the `t,stratum` cells of a scores.csv line."""
+    _, stratum = cells.split(",")
+    return Stratum(stratum).value
 
 
 # -- helpers -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import xml.etree.ElementTree as ET
 from collections import Counter
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from ktmap import fronts
 from ktmap.corpus import CitationNetwork, Document, UGraph
 from ktmap.errors import (DuplicateIdError, MalformedRecordError,
                           SelfLoopError, UnknownEndpointError)
+from ktmap.metrics import clustering_by_index
 
 
 def ugraph(edges, extra_nodes=()) -> UGraph:
@@ -605,6 +607,11 @@ def _reference_document(rec):
     if re.search(r'[\s,"]|^#', doc_id):
         raise ValueError(f"id {doc_id!r} contains a comma, a double quote or "
                          "whitespace, or starts with '#'")
+    try:
+        doc_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"id {doc_id!r} holds a lone surrogate, which UTF-8 "
+                         "cannot encode") from None
     terms = rec.get("terms")
     if terms is not None:
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
@@ -648,3 +655,24 @@ def reference_write_corpus(net, nodes_path, edges_path):
         fh.write("citing,cited\n")
         for citing, cited in net.edges:
             fh.write(f"{citing},{cited}\n")
+
+
+def local_clustering(graph: UGraph) -> dict[str, float | None]:
+    """The library's clustering coefficient for every node, by id."""
+    return dict(zip(graph.ids, clustering_by_index(graph)))
+
+
+def read_graphml(path) -> tuple[list[str], list[tuple[str, str]], dict[str, dict]]:
+    """Node ids, directed edges and node attributes read back from GraphML."""
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    root = ET.parse(path).getroot()
+    key_names = {k.get("id"): k.get("attr.name") for k in root.findall("g:key", ns)}
+    nodes, attrs = [], {}
+    graph = root.find("g:graph", ns)
+    for node in graph.findall("g:node", ns):
+        node_id = node.get("id")
+        nodes.append(node_id)
+        attrs[node_id] = {key_names[d.get("key")]: d.text
+                          for d in node.findall("g:data", ns)}
+    edges = [(e.get("source"), e.get("target")) for e in graph.findall("g:edge", ns)]
+    return nodes, edges, attrs

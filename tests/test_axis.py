@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ktmap.axis import (Stratum, classify, front_score_summary,
-                        homophily_assortativity, score_documents,
-                        translational_score)
+from ktmap.axis import (Stratum, classify, front_mean, homophily_assortativity,
+                        score_documents, translational_score)
 from ktmap.errors import InsufficientDataError
 
 from conftest import make_net
@@ -112,33 +111,23 @@ class TestAssortativity:
 
 class TestFrontSummary:
     def test_mean(self):
-        summary = front_score_summary({"a": 1, "b": 1, "c": 1},
-                                      {"a": 0.0, "b": 0.0, "c": 0.3})
-        assert summary[1].mean_t == pytest.approx(0.1)
-        assert summary[1].share_unscored == 0.0
+        mean_t, share_unscored = front_mean("abc", {"a": 0.0, "b": 0.0, "c": 0.3})
+        assert mean_t == pytest.approx(0.1)
+        assert share_unscored == 0.0
 
     def test_all_unscored_flagged(self):
-        summary = front_score_summary({"a": 1, "b": 1}, {"a": None, "b": None})
-        assert summary[1].all_unscored
-        assert summary[1].mean_t is None
-        assert summary[1].share_unscored == 1.0
+        # an all-unscored front is flagged by having no mean
+        assert front_mean("ab", {"a": None, "b": None}) == (None, 1.0)
 
     def test_disjoint_ranges_preserve_order(self):
-        partition = {"a": 1, "b": 1, "x": 2, "y": 2}
         scores = {"a": 0.1, "b": 0.2, "x": 0.8, "y": 0.9}
-        summary = front_score_summary(partition, scores)
-        assert summary[1].mean_t < summary[2].mean_t
+        assert front_mean("ab", scores)[0] < front_mean("xy", scores)[0]
 
-    def test_histogram(self):
-        summary = front_score_summary(
-            {"a": 1, "b": 1, "c": 1, "d": 1},
-            {"a": 0.0, "b": 0.5, "c": 1.0, "d": None})
-        hist = summary[1].histogram
-        assert hist[Stratum.BASIC] == 1
-        assert hist[Stratum.TRANSLATIONAL] == 1
-        assert hist[Stratum.CLINICAL] == 1
-        assert hist[Stratum.UNSCORED] == 1
+    def test_sums_in_member_order(self):
+        scores = {"a": 0.1, "b": 0.2, "c": 0.3, "d": None}
+        assert front_mean("abcd", scores) == ((0.1 + 0.2 + 0.3) / 3, 0.25)
+        assert front_mean("cbad", scores) == ((0.3 + 0.2 + 0.1) / 3, 0.25)
 
     def test_missing_score_entry_raises(self):
-        with pytest.raises(ValueError):
-            front_score_summary({"a": 1}, {})
+        with pytest.raises(ValueError, match="no score entry for node 'a'"):
+            front_mean("a", {})

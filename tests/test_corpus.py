@@ -493,8 +493,8 @@ class TestAgainstStringOracle:
     @pytest.mark.parametrize("text", ["a,\ud800\n", "citing,cited\n\ud800,a\n",
                                       "\ud800,b\na,\ud800\n", "a,\ud800,b\n"])
     def test_lone_surrogate_id(self, text):
-        # a \ud800 escape in a nodes file gives an id no file can hold, but
-        # a StringIO can
+        # a \ud800 escape in a nodes file gives an id no file can hold (a
+        # StringIO could): the nodes line is rejected before any edge is read
         nodes = '{"id": "a"}\n{"id": "b"}\n{"id": "\\ud800"}\n'
         net, exc, logged = _outcome(lambda: parse_corpus(
             io.StringIO(nodes), io.StringIO(text)))
@@ -502,10 +502,12 @@ class TestAgainstStringOracle:
             list(line_node_records(io.StringIO(nodes))),
             line_edge_records(io.StringIO(text), {"a", "b", "\ud800"})))
         assert logged == ref_logged
-        if ref_exc is not None:
-            assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
-        else:
-            _assert_same_network(net, ref)
+        assert type(exc) is type(ref_exc) is MalformedRecordError
+        assert str(exc) == str(ref_exc) == (
+            "nodes line 3: id '\\ud800' holds a lone surrogate, which UTF-8 "
+            "cannot encode")
+        with pytest.raises(ValueError, match="lone surrogate"):
+            Document(id="\ud800")
 
     def test_undecodable_text_read_by_lines(self, tmp_path):
         # the bad byte lies past the first block the text layer decodes, so
@@ -695,7 +697,7 @@ _doc_fields = {
     "id": _good_or_bad(
         st.text(min_size=1, max_size=4),
         st.sampled_from(["", "a b", "x,y", 'x"y', "#x", "a\u2028", "\x85", 5,
-                         np.str_("a")])),
+                         np.str_("a"), "\ud800", "a\udfff"])),
     "year": _good_or_bad(st.none() | st.integers(-3000, 3000), _not_ints),
     "kind": _good_or_bad(st.sampled_from(["paper", "patent"]),
                          st.sampled_from(["Paper", "novel", None, 1])),

@@ -4,8 +4,10 @@ these unchanged.
 Each case runs the whole pipeline on a small fixed corpus and hashes
 report.json without its run-dependent fields (the timestamp and the output
 and input paths) plus every stage CSV in name order, the normalisation
-perfbench's reference digests use. A digest may change only with a change
-that CHANGES.md records as an intended change of the report.
+perfbench's reference digests use. A second digest per case hashes the
+other stage JSON files (fronts.json, hubs.json, ...) byte for byte. A digest
+may change only with a change that CHANGES.md records as an intended change
+of the report.
 """
 
 import dataclasses
@@ -42,6 +44,19 @@ GOLDEN = {
         "2a6fd165a22d9f37006b62e76dc329a3b84105ae712a523a158365bce9e97676",
 }
 
+STAGE_JSON = {
+    "toy-citation":
+        "e5f1f9d912b94f56db7487c48094e8d1f7b1f2c09cb23b70c119ee286b96372d",
+    "toy-cocitation":
+        "ce6aa2f3230077ccfdf57947dd06091fa6efeec3741eb1a58c2c75dfbc766a75",
+    "planted":
+        "21733412bf35d0fc2d0b784f54605966d7d1c4cb6f5b4aa7edec272b946d9e08",
+    "planted-cocitation":
+        "5a67c52dffbe8b34dde657bcbde85f640a46ae79e24f1d9863a708920a014d37",
+    "cyclic":
+        "671384ba208b8a9747e8a301e99d0107b89f157bd4f899a7c0b6cf14e7d08e68",
+}
+
 
 def report_digest(out_dir) -> str:
     with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
@@ -54,6 +69,17 @@ def report_digest(out_dir) -> str:
         h.update(os.path.basename(path).encode("utf-8") + b"\0")
         with open(path, "rb") as fh:
             h.update(fh.read())
+    return h.hexdigest()
+
+
+def stage_json_digest(out_dir) -> str:
+    """Hash of every stage JSON file but report.json, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(out_dir, "*.json"))):
+        if os.path.basename(path) != "report.json":
+            h.update(os.path.basename(path).encode("utf-8") + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read())
     return h.hexdigest()
 
 
@@ -105,6 +131,13 @@ def test_report_digest_unchanged(case, tmp_path):
     config = config_for(case, tmp_path)
     run_pipeline(config)
     assert report_digest(config.out_dir) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_JSON))
+def test_stage_json_digest_unchanged(case, tmp_path):
+    config = config_for(case, tmp_path)
+    run_pipeline(config)
+    assert stage_json_digest(config.out_dir) == STAGE_JSON[case]
 
 
 def _reject_constant(name):

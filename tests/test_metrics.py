@@ -8,11 +8,11 @@ from ktmap.axis import score_documents
 from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy
 from ktmap.hubs import detect_translational_hubs
-from ktmap.metrics import ck_scaling, local_clustering, node_metrics_table
+from ktmap.metrics import ck_scaling, node_metrics_table
 from ktmap.synth import (PlantedConfig, gen_deterministic_hierarchical,
                          gen_planted_kt_network, gen_random_graph)
 
-from conftest import graph_edges, module_roles, ugraph
+from conftest import graph_edges, local_clustering, module_roles, ugraph
 
 
 def star(k):

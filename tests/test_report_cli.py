@@ -12,9 +12,10 @@ import pytest
 from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import StageError
-from ktmap.export import read_graphml
 from ktmap.report import PipelineConfig, run_pipeline, validate_report
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
+
+from conftest import read_graphml
 
 TOY = resources.files("ktmap.data").joinpath("toy")
 
@@ -349,6 +350,13 @@ class TestCliStages:
         pytest.param("scores.csv", "score",
                      lambda rows: [r for r in rows if not r.startswith("a01,")],
                      "no row for core document 'a01'", id="scores-id-missing"),
+        pytest.param("hubs.json", "hubs", lambda rows: rows[:len(rows) // 2],
+                     "Expecting", id="hubs-truncated"),
+        pytest.param("hubs.json", "hubs",
+                     lambda rows: [r.replace('"candidates"', '"candidate"')
+                                   for r in rows],
+                     "$: required property 'candidates' is missing",
+                     id="hubs-no-candidates"),
     ])
     def test_malformed_stage_file_exit_2(self, tmp_path, capsys, name, stage,
                                          bad, expect):
@@ -361,7 +369,8 @@ class TestCliStages:
             lines[3] = bad
         (out / name).write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        readers = ["metrics", "hubs"] if name == "fronts.csv" else ["hubs"]
+        readers = {"fronts.csv": ["metrics", "hubs", "export"],
+                   "scores.csv": ["hubs", "export"], "hubs.json": ["export"]}[name]
         for command in readers:
             assert self.run_cli(command, "--out", str(out)) == 2
             err = capsys.readouterr().err.splitlines()
@@ -435,6 +444,18 @@ class TestCliStages:
                             "--out", str(tmp_path / "o"))
         assert code == 2
         assert f"line {n_lines + 1}" in capsys.readouterr().err
+
+    def test_lone_surrogate_id_exit_2(self, tmp_path, capsys):
+        # a \ud800 escape: no UTF-8 file can hold the id
+        nodes = (TOY / "nodes.jsonl").read_text()
+        n_lines = len(nodes.splitlines())
+        (tmp_path / "n.jsonl").write_text(nodes + '{"id": "\\ud800"}\n')
+        code = self.run_cli("parse", "--nodes", str(tmp_path / "n.jsonl"),
+                            "--edges", str(TOY / "edges.csv"),
+                            "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"ktmap parse: stage 'parse' failed: nodes line {n_lines + 1}: ")
 
     def test_report_command(self, tmp_path):
         code = self.run_cli("report", "--config", str(TOY / "config.cfg"),
