@@ -174,7 +174,8 @@ def bench_parse(leaf: int) -> None:
     directory; leaf=500 gives about 10k documents and 114k citations, the
     size of perfbench's planted corpora. Columns: the nodes file read to
     Documents; the edges file read and its ids looked up; the rest of the
-    network build (int codes and adjacency); ``write_corpus`` of what the
+    network build (the order check on int codes and the adjacency lists,
+    the network's one edge store); ``write_corpus`` of what the
     report's parse stage reads (a copy of the input text here); and
     ``load_corpus`` plus that write, as the parse stage runs them."""
     scale = 500 / leaf  # same expected degree at every size

@@ -68,17 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("planted", "hierarchical", "random"),
                    required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", default="4",
-                   help="planted: branching factors, e.g. 2,2")
-    p.add_argument("--leaf-size", type=int, default=50)
-    p.add_argument("--p-within", default="0.1",
-                   help="planted: per-level within probabilities, e.g. 0.15,0.3")
-    p.add_argument("--p-between", type=float, default=0.005)
-    p.add_argument("--homophily", type=float, default=0.0)
-    p.add_argument("--t-targets", default=None,
-                   help="planted: per-leaf target scores, e.g. 0,1,0,1")
-    p.add_argument("--hubs", type=int, default=0, dest="n_hubs")
-    p.add_argument("--hub-degree", type=int, default=20)
+    # PlantedConfig fields; its defaults hold where a flag is not given
+    planted = p.add_argument_group("planted preset", argument_default=argparse.SUPPRESS)
+    planted.add_argument("--blocks", help="branching factors, e.g. 2,2")
+    planted.add_argument("--leaf-size", type=int)
+    planted.add_argument("--p-within", help="per-level within probabilities, e.g. 0.15,0.3")
+    planted.add_argument("--p-between", type=float)
+    planted.add_argument("--homophily", type=float)
+    planted.add_argument("--t-targets", help="per-leaf target scores, e.g. 0,1,0,1")
+    planted.add_argument("--hubs", type=int, dest="n_hubs")
+    planted.add_argument("--hub-degree", type=int)
     p.add_argument("--iterations", type=int, default=3,
                    help="hierarchical: replication steps (5^n nodes)")
     p.add_argument("--n", type=int, default=1000, help="random: node count")
@@ -194,14 +193,14 @@ def _dispatch(args) -> int:
 
 def _simulate(args, out: Path) -> int:
     if args.preset == "planted":
-        branching = tuple(int(x) for x in args.blocks.split(","))
-        p_within = tuple(float(x) for x in args.p_within.split(","))
-        t_targets = (tuple(float(x) for x in args.t_targets.split(","))
-                     if args.t_targets else None)
-        cfg = PlantedConfig(branching=branching, leaf_size=args.leaf_size,
-                            p_within=p_within, p_between=args.p_between,
-                            homophily=args.homophily, t_targets=t_targets,
-                            n_hubs=args.n_hubs, hub_degree=args.hub_degree)
+        given = vars(args)
+        fields = {k: given[k] for k in ("leaf_size", "p_between", "homophily", "n_hubs",
+                                        "hub_degree") if k in given}
+        for flag, field, kind in (("blocks", "branching", int), ("p_within", "p_within", float),
+                                  ("t_targets", "t_targets", float)):
+            if flag in given:
+                fields[field] = tuple(map(kind, given[flag].split(",")))
+        cfg = PlantedConfig(**fields)
         net, truth = gen_planted_kt_network(cfg, args.seed)
         write_ground_truth(truth, out / "ground_truth.json")
     elif args.preset == "hierarchical":

@@ -20,13 +20,13 @@ lexicon files : one term per line, UTF-8, lowercased on load.
 Interned ids
 ------------
 A CitationNetwork numbers its documents once, in sorted id order, and works
-on those numbers from then on. The edge citing u -> cited v is the int code
-``u * n + v`` (n documents), and the in- and out-adjacency are ascending
-int lists. As the numbering follows the sorted ids, the codes sort exactly
-like the (citing, cited) id pairs, so every order derived from them is the
-one the string pairs would give. Id strings come back where something is
-written or reported: ``ids[i]``, and the ``edges`` pairs, built on first
-use.
+on those numbers from then on. It keeps each edge once, in the ascending
+in- and out-adjacency int lists. Edges that arrive unordered are sorted as
+int codes: citing u -> cited v is ``u * n + v`` (n documents). As the
+numbering follows the sorted ids, the codes sort exactly like the (citing,
+cited) id pairs, so every order derived from them is the one the string
+pairs would give. Id strings come back where something is written or
+reported: ``ids[i]``, and the ``edges`` pairs, built on first use.
 
 Whole-file reading
 ------------------
@@ -38,7 +38,7 @@ at a time otherwise. Either way each record is checked in line order by
 ``_check_fields``, the one statement of the ``Document`` rules. When every
 line of the edges text is ``a,b`` (as ``write_corpus`` writes it,
 optionally under its header) with two known ids and no self-loop, it is
-split a block at a time and its ids are looked up straight to int codes.
+split a block at a time and its ids are looked up straight to node numbers.
 Any other edges text, down to one line the line loop would read
 differently, is read line by line, and only that loop reports malformed
 lines, so errors, warnings and their line numbers do not depend on the
@@ -303,21 +303,20 @@ class CitationNetwork:
     """Directed citation graph plus its derived undirected simple projection.
 
     Document ids are interned once, in sorted order: node i is document
-    ``ids[i]`` and ``index`` maps an id back to i. With n documents, the
-    edge citing u -> cited v is the int code ``u * n + v``; ``codes`` holds
-    them ascending and without duplicates, which is the order of the sorted
-    (citing id, cited id) pairs. ``out_adj[u]`` lists the nodes u cites and
-    ``in_adj[v]`` the nodes citing v, both ascending. The string pairs of
-    ``edges`` are built on first use. Immutable after construction and
-    safe for concurrent reads. ``len(in_adj[v])`` is the citation count of
-    v within the corpus.
+    ``ids[i]`` and ``index`` maps an id back to i. The adjacency lists are
+    the one store of the edges, without duplicates: ``out_adj[u]`` lists
+    the nodes u cites and ``in_adj[v]`` the nodes citing v, both ascending,
+    each node the index's own int object; ``n_edges`` counts them. The
+    string pairs of ``edges`` are built on first use. Immutable after
+    construction and safe for concurrent reads. ``len(in_adj[v])`` is the
+    citation count of v within the corpus.
     """
 
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
         docs, ids, index = _intern(documents)
         codes, skipped = _pair_codes(index, edges, lenient)
-        self._store(docs, ids, index, _sorted_codes(codes, skipped), skipped)
+        self._store(docs, ids, index, _code_nodes(index, codes, skipped), skipped)
 
     @classmethod
     def _from_edges(cls, documents: Iterable[Document], stream: Iterable[str],
@@ -328,7 +327,7 @@ class CitationNetwork:
 
         A seekable stream is read whole. When every line is ``a,b`` with
         both fields known ids and no self-loop, the fields are looked up in
-        the index in bulk, straight to int codes; as no document id holds
+        the index in bulk, straight to node numbers; as no document id holds
         whitespace or a comma or starts with '#', each is read as the line
         loop reads it. Any other stream or text goes through
         iter_edge_records and the per-pair loop, so its errors and warnings
@@ -338,7 +337,7 @@ class CitationNetwork:
         docs, ids, index = _intern(documents)
         n = len(ids)
         found = None if text is None else _edge_text_nodes(text.rstrip("\n"), index)
-        codes = None
+        codes = pairs = None
         if found is not None:
             us, vs, header = found
             try:  # TypeError: None, the node of an unknown id
@@ -351,39 +350,30 @@ class CitationNetwork:
             if header is not None and header[0] in index and header[1] in index:
                 _warn_header_names_documents(1, ",".join(header))
             skipped: tuple = ()
-            pairs = us, vs
+            if _ascending(codes):
+                pairs = us, vs
         else:
             lines = stream if text is None else io.StringIO(text)
             codes, skipped = _pair_codes(index, iter_edge_records(lines, index), lenient)
-            pairs = None
-        ordered = _sorted_codes(codes, skipped)
-        in_order = ordered is codes
         net = cls.__new__(cls)
-        net._store(docs, ids, index, ordered, skipped, pairs if in_order else None)
-        written = (pairs is not None and in_order and text.startswith("citing,cited\n")
+        net._store(docs, ids, index, pairs or _code_nodes(index, codes, skipped), skipped)
+        written = (pairs is not None and text.startswith("citing,cited\n")
                    and text.endswith("\n") and not text.endswith("\n\n"))
         return net, text if written else None
 
     def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
-               index: dict[str, int], codes: list[int],
-               skipped: tuple[tuple[str, str], ...],
-               pairs: tuple[list[int], list[int]] | None = None) -> None:
-        """Keep validated parts (ids sorted, codes ascending and distinct)
-        and derive the adjacency lists from the codes, or from `pairs`, the
-        (citing, cited) node lists of the codes, taken from the index."""
+               index: dict[str, int], pairs: tuple[list[int], list[int]],
+               skipped: tuple[tuple[str, str], ...]) -> None:
+        """Keep validated parts (ids sorted) and build the adjacency lists
+        from `pairs`, the (citing, cited) node lists of the edges in
+        ascending order without duplicates, each node the index's int object."""
         self.docs = docs
         self.ids = ids
         self.index = index
-        self.codes = codes
         self.skipped_edges = skipped
         # one int object per node, the index's, shared by every list that
         # names it: less memory, and the kernels walking these lists hit
         # fewer cache lines
-        if pairs is None:
-            node = list(index.values())
-            n = len(ids)
-            pairs = (list(map(node.__getitem__, map(operator.floordiv, codes, repeat(n)))),
-                     list(map(node.__getitem__, map(operator.mod, codes, repeat(n)))))
         out_adj: list[list[int]] = [[] for _ in ids]
         in_adj: list[list[int]] = [[] for _ in ids]
         for u, v in zip(*pairs):
@@ -391,16 +381,13 @@ class CitationNetwork:
             in_adj[v].append(u)
         self.out_adj = out_adj
         self.in_adj = in_adj
+        self.n_edges = len(pairs[0])
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def n_docs(self) -> int:
         return len(self.ids)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.codes)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
@@ -428,18 +415,17 @@ class CitationNetwork:
         """Sub-network induced on the given document ids."""
         keep = sorted(set(nodes))
         old = [self.index[v] for v in keep]
-        m = len(keep)
-        new_of = [-1] * self.n_docs
-        for new, i in enumerate(old):
+        index = dict(zip(keep, range(len(keep))))
+        new_of = [None] * self.n_docs
+        for i, new in zip(old, index.values()):
             new_of[i] = new
-        codes: list[int] = []
-        for new, i in enumerate(old):
-            base = new * m
-            codes.extend([base + j for j in map(new_of.__getitem__, self.out_adj[i])
-                          if j >= 0])
+        us, vs = [], []
+        for new, i in zip(index.values(), old):
+            cited = [j for j in map(new_of.__getitem__, self.out_adj[i]) if j is not None]
+            us += repeat(new, len(cited))
+            vs += cited
         sub = CitationNetwork.__new__(CitationNetwork)
-        sub._store({v: self.docs[v] for v in keep}, tuple(keep),
-                   dict(zip(keep, range(m))), codes, ())
+        sub._store({v: self.docs[v] for v in keep}, tuple(keep), index, (us, vs), ())
         return sub
 
     @cached_property
@@ -513,10 +499,16 @@ def _pair_codes(index: dict[str, int], edges: Iterable[tuple[str, str]],
     return codes, tuple(skipped)
 
 
-def _sorted_codes(codes: list[int], skipped: tuple) -> list[int]:
-    """`codes` ascending and without duplicates (`codes` itself if it is
-    already), with the warnings for collapsed duplicates and skipped edges."""
-    if not all(map(operator.lt, codes, islice(codes, 1, None))):
+def _ascending(codes: list[int]) -> bool:
+    return all(map(operator.lt, codes, islice(codes, 1, None)))
+
+
+def _code_nodes(index: dict[str, int], codes: list[int],
+                skipped: tuple) -> tuple[list[int], list[int]]:
+    """The (citing, cited) node lists of edge codes ``u * n + v`` in any
+    order, sorted and with duplicates dropped, each node the index's int object;
+    with the warnings for collapsed duplicates and skipped edges."""
+    if not _ascending(codes):
         codes = sorted(codes)  # duplicates now side by side
         n_dup = len(codes)
         codes = list(dict.fromkeys(codes))
@@ -526,7 +518,10 @@ def _sorted_codes(codes: list[int], skipped: tuple) -> list[int]:
     if skipped:
         log.warning("skipped %d edge(s) with unknown endpoints (lenient mode)",
                     len(skipped))
-    return codes
+    node = list(index.values())
+    n = len(node)
+    return (list(map(node.__getitem__, map(operator.floordiv, codes, repeat(n)))),
+            list(map(node.__getitem__, map(operator.mod, codes, repeat(n)))))
 
 
 # -- parsing ---------------------------------------------------------------

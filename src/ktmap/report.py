@@ -638,7 +638,11 @@ def _read_rows(path: Path, parse: Callable[[str], object]) -> dict:
 
 
 def _front_key(path: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in path.split("."))
+    """A fronts.csv path, read back only in the form path_string writes."""
+    key = tuple(map(int, path.split(".")))
+    if min(key) < 1 or path_string(key) != path:
+        raise ValueError(f"front path {path!r} is not in the form fronts writes")
+    return key
 
 
 def _score(cells: str) -> float | None:

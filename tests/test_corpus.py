@@ -359,6 +359,8 @@ def _assert_same_network(net, ref):
     assert net.n_edges == len(ref.edges)
     assert net.skipped_edges == ref.skipped_edges
     ids = net.ids
+    # every adjacency entry is the index's int object for its node
+    assert all(u is net.index[ids[u]] for row in net.out_adj + net.in_adj for u in row)
     assert [[ids[u] for u in citing] for citing in net.in_adj] == [
         ref.citers(v) for v in ref.ids]
     assert [[ids[v] for v in cited] for cited in net.out_adj] == [
@@ -440,6 +442,24 @@ class TestAgainstStringOracle:
             assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
         else:
             _assert_same_network(net, ref)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_one_int_object_per_node(self, shuffled):
+        # past 256 nodes, equal ints are distinct objects unless shared, so
+        # the sub-network too has more
+        ids = [f"d{i:03d}" for i in range(600)]
+        pairs = [(u, v) for u, *cited in zip(ids, ids[1:], ids[2:], ids[3:])
+                 for v in cited]
+        if shuffled:  # out of order, with duplicates
+            pairs = pairs[::-1] + pairs[:5]
+        docs = [Document(id=v) for v in ids]
+        nodes = "".join(f'{{"id": "{v}"}}\n' for v in ids)
+        text = "citing,cited\n" + "".join(f"{u},{v}\n" for u, v in pairs)
+        ref = StringCitationNetwork(docs, pairs)
+        for net in (CitationNetwork(docs, pairs), parse(nodes, text),
+                    parse_corpus(pipe(nodes), pipe(text))):
+            _assert_same_network(net, ref)
+            _assert_same_network(net.induced(ids[::2]), ref.induced(ids[::2]))
 
     @pytest.mark.parametrize("text", [
         "citing,cited\na,b\nb,c\n",

@@ -377,6 +377,22 @@ class TestCliStages:
             assert len(err) == 1
             assert err[0].startswith(f"ktmap {stage}: {name} in {out}: {expect}")
 
+    @pytest.mark.parametrize("path", ["-0", "+2", " 1", "1_0", "0", "01", "1.0"])
+    def test_front_path_read_only_as_written(self, tmp_path, capsys, path):
+        # int() takes every component of these paths
+        out = tmp_path / "o"
+        run_pipeline(toy_config(out))
+        lines = (out / "fronts.csv").read_text().splitlines()
+        lineno = lines.index("a01,1") + 1
+        lines[lineno - 1] = f"a01,{path}"
+        (out / "fronts.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for command in ("hubs", "export"):
+            assert self.run_cli(command, "--out", str(out)) == 2
+            assert capsys.readouterr().err == (
+                f"ktmap fronts: fronts.csv in {out}: line {lineno}: front path "
+                f"{path!r} is not in the form fronts writes\n")
+
     def test_bad_parameter_in_stage_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert self.run_cli("parse", "--nodes", str(TOY / "nodes.jsonl"),
