@@ -5,10 +5,10 @@ Runs the greedy modularity merge (on citation projections, one of them the
 size of a 50k-doc report's top level, and on one weighted co-citation
 graph, printing the counts of its DEBUG record), front refinement and
 triangle counting on synthetic graphs, cycle breaking plus search path
-counts (SPC) on undated random citation digraphs, and corpus parsing and
-writing on written planted corpora, at increasing sizes, and prints a
-timing table. This is a kernel-only microbenchmark; ``perfbench/``
-measures the whole ``ktmap report``.
+counts (SPC) on undated random citation digraphs, and corpus parsing,
+writing and core selection on written planted corpora, at increasing
+sizes, and prints a timing table. This is a kernel-only microbenchmark;
+``perfbench/`` measures the whole ``ktmap report``.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """
@@ -27,6 +27,7 @@ import numpy as np
 from ktmap import _kernels, corpus, fronts, hubs
 from ktmap.corpus import (CitationNetwork, Document, co_citation_projection,
                           iter_node_records, load_corpus, write_corpus)
+from ktmap.selection import select_top_cited
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
 
@@ -174,10 +175,12 @@ def bench_parse(leaf: int) -> None:
     directory; leaf=500 gives about 10k documents and 114k citations, the
     size of perfbench's planted corpora. Columns: the nodes file read to
     Documents; the edges file read and its ids looked up; the rest of the
-    network build (the order check on int codes and the adjacency lists,
-    the network's one edge store); ``write_corpus`` of what the
-    report's parse stage reads (a copy of the input text here); and
-    ``load_corpus`` plus that write, as the parse stage runs them."""
+    network build (the order check on the looked-up node lists, which are
+    kept as the network's edge store; no adjacency is built); ``write_corpus``
+    of what the report's parse stage reads (a copy of the input text here);
+    ``load_corpus`` plus that write, as the parse stage runs them; and
+    ``select_top_cited`` on the parsed network at the report's default
+    fraction (in-degrees and the induced core)."""
     scale = 500 / leaf  # same expected degree at every size
     cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
                         p_within=(0.0031 * scale, 0.0249 * scale),
@@ -203,9 +206,11 @@ def bench_parse(leaf: int) -> None:
         write_corpus(parsed, os.path.join(tmp, "n.jsonl"), os.path.join(tmp, "e.csv"),
                      text)
         t5 = time.perf_counter()
+        select_top_cited(parsed, 0.2)
+        t6 = time.perf_counter()
     print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  nodes {t1 - t0:.3f}s"
           f"  edges {t2 - t1:.3f}s  network {t3 - t2 - (t2 - t1):.3f}s"
-          f"  write {t5 - t4:.3f}s  load+write {t5 - t3:8.3f}s")
+          f"  write {t5 - t4:.3f}s  load+write {t5 - t3:8.3f}s  select {t6 - t5:.3f}s")
 
 
 def main() -> None:

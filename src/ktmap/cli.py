@@ -23,8 +23,8 @@ from .corpus import write_corpus
 from .errors import KTMapError
 from .export import FORMATS, export_graph
 from .fronts import path_string
-from .report import (STAGE_FILES, STAGES, PipelineConfig, field_type,
-                     load_artifacts, run_pipeline, run_stage)
+from .report import (STAGE_FILES, STAGES, PipelineConfig, collector_paused,
+                     field_type, load_artifacts, run_pipeline, run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -155,8 +155,9 @@ def _dispatch(args) -> int:
         if args.command == stage.name:
             config = PipelineConfig(**fields)
             config.validate_paths()
-            artifacts = load_artifacts(stage.reads, config)
-            run_stage(stage, config, artifacts)
+            with collector_paused():  # as run_pipeline runs it
+                artifacts = load_artifacts(stage.reads, config)
+                run_stage(stage, config, artifacts)
             print(stage.summary(artifacts, out))
             return 0
 

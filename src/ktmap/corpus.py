@@ -20,13 +20,15 @@ lexicon files : one term per line, UTF-8, lowercased on load.
 Interned ids
 ------------
 A CitationNetwork numbers its documents once, in sorted id order, and works
-on those numbers from then on. It keeps each edge once, in the ascending
-in- and out-adjacency int lists. Edges that arrive unordered are sorted as
-int codes: citing u -> cited v is ``u * n + v`` (n documents). As the
-numbering follows the sorted ids, the codes sort exactly like the (citing,
-cited) id pairs, so every order derived from them is the one the string
-pairs would give. Id strings come back where something is written or
-reported: ``ids[i]``, and the ``edges`` pairs, built on first use.
+on those numbers from then on. It keeps each edge once, in two parallel
+node lists sorted by (citing, cited); the in-degrees and the in- and
+out-adjacency lists are built from them on first use. Edges that arrive
+unordered are sorted as int codes: citing u -> cited v is ``u * n + v`` (n
+documents). As the numbering follows the sorted ids, the codes sort
+exactly like the (citing, cited) id pairs, so every order derived from
+them is the one the string pairs would give. Id strings come back where
+something is written or reported: ``ids[i]``, and the ``edges`` pairs,
+built on first use.
 
 Whole-file reading
 ------------------
@@ -57,9 +59,9 @@ re-encoded.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import io
-import itertools
 import json
 import logging
 import math
@@ -303,20 +305,22 @@ class CitationNetwork:
     """Directed citation graph plus its derived undirected simple projection.
 
     Document ids are interned once, in sorted order: node i is document
-    ``ids[i]`` and ``index`` maps an id back to i. The adjacency lists are
-    the one store of the edges, without duplicates: ``out_adj[u]`` lists
-    the nodes u cites and ``in_adj[v]`` the nodes citing v, both ascending,
-    each node the index's own int object; ``n_edges`` counts them. The
-    string pairs of ``edges`` are built on first use. Immutable after
-    construction and safe for concurrent reads. ``len(in_adj[v])`` is the
-    citation count of v within the corpus.
+    ``ids[i]`` and ``index`` maps an id back to i. The edges are stored
+    once, in two parallel node lists: ``citing[e]`` cites ``cited[e]``, the
+    pairs ascending and distinct, each node the index's own int object;
+    ``n_edges`` counts them. The rest is derived on first use and kept:
+    ``in_degrees[v]``, the citation count of v within the corpus; the
+    ascending adjacency lists ``out_adj[u]`` (the nodes u cites) and
+    ``in_adj[v]`` (the nodes citing v); and the string pairs of ``edges``.
+    Immutable after construction and safe for concurrent reads.
     """
 
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
         docs, ids, index = _intern(documents)
-        codes, skipped = _pair_codes(index, edges, lenient)
-        self._store(docs, ids, index, _code_nodes(index, codes, skipped), skipped)
+        citing, cited, skipped = _pair_nodes(index, edges, lenient)
+        self._store(docs, ids, index, _code_nodes(index, citing, cited, skipped),
+                    skipped)
 
     @classmethod
     def _from_edges(cls, documents: Iterable[Document], stream: Iterable[str],
@@ -335,28 +339,25 @@ class CitationNetwork:
         """
         text = _read_whole(stream)
         docs, ids, index = _intern(documents)
-        n = len(ids)
         found = None if text is None else _edge_text_nodes(text.rstrip("\n"), index)
-        codes = pairs = None
-        if found is not None:
-            us, vs, header = found
-            try:  # TypeError: None, the node of an unknown id
-                codes = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
-            except TypeError:
-                pass
-        if codes is not None and not any(map(operator.eq, us, vs)):
+        pairs = None
+        # a node is its index's int object, so `is` finds the self-loops
+        if found is not None and not any(map(operator.is_, found[0], found[1])):
             # every field is an id, so the text is plain as iter_edge_records
             # takes it: no blank line, comment, whitespace or empty field
+            citing, cited, header = found
             if header is not None and header[0] in index and header[1] in index:
                 _warn_header_names_documents(1, ",".join(header))
             skipped: tuple = ()
-            if _ascending(codes):
-                pairs = us, vs
+            if _ascending(citing, cited):
+                pairs = citing, cited
         else:
             lines = stream if text is None else io.StringIO(text)
-            codes, skipped = _pair_codes(index, iter_edge_records(lines, index), lenient)
+            citing, cited, skipped = _pair_nodes(
+                index, iter_edge_records(lines, index), lenient)
         net = cls.__new__(cls)
-        net._store(docs, ids, index, pairs or _code_nodes(index, codes, skipped), skipped)
+        net._store(docs, ids, index, pairs or _code_nodes(index, citing, cited, skipped),
+                   skipped)
         written = (pairs is not None and text.startswith("citing,cited\n")
                    and text.endswith("\n") and not text.endswith("\n\n"))
         return net, text if written else None
@@ -364,24 +365,17 @@ class CitationNetwork:
     def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
                index: dict[str, int], pairs: tuple[list[int], list[int]],
                skipped: tuple[tuple[str, str], ...]) -> None:
-        """Keep validated parts (ids sorted) and build the adjacency lists
-        from `pairs`, the (citing, cited) node lists of the edges in
-        ascending order without duplicates, each node the index's int object."""
+        """Keep validated parts (ids sorted) and `pairs`, the (citing, cited)
+        node lists of the edges in ascending order without duplicates, each
+        node the index's int object, as the network's edge store."""
         self.docs = docs
         self.ids = ids
         self.index = index
         self.skipped_edges = skipped
-        # one int object per node, the index's, shared by every list that
-        # names it: less memory, and the kernels walking these lists hit
-        # fewer cache lines
-        out_adj: list[list[int]] = [[] for _ in ids]
-        in_adj: list[list[int]] = [[] for _ in ids]
-        for u, v in zip(*pairs):
-            out_adj[u].append(v)
-            in_adj[v].append(u)
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.n_edges = len(pairs[0])
+        self.citing, self.cited = pairs
+        self.n_edges = len(self.citing)
+        # [out_adj, in_adj] once built; with_documents copies share it
+        self._adjacency: list[list[list[int]]] = []
 
     # -- basic accessors -------------------------------------------------
 
@@ -390,11 +384,43 @@ class CitationNetwork:
         return len(self.ids)
 
     @cached_property
+    def in_degrees(self) -> list[int]:
+        """in_degrees[v]: the number of documents citing v."""
+        degrees = [0] * len(self.ids)
+        for v in self.cited:
+            degrees[v] += 1
+        return degrees
+
+    @property
+    def out_adj(self) -> list[list[int]]:
+        """out_adj[u]: the nodes u cites, ascending."""
+        return self._adjacency_lists()[0]
+
+    @property
+    def in_adj(self) -> list[list[int]]:
+        """in_adj[v]: the nodes citing v, ascending."""
+        return self._adjacency_lists()[1]
+
+    def _adjacency_lists(self) -> list[list[list[int]]]:
+        """[out_adj, in_adj], built from the edge lists on first use. Every
+        entry is the index's int object for its node: one int object per
+        node, shared by every list that names it, takes less memory, and
+        the kernels walking these lists hit fewer cache lines."""
+        adjacency = self._adjacency
+        if not adjacency:
+            out_adj: list[list[int]] = [[] for _ in self.ids]
+            in_adj: list[list[int]] = [[] for _ in self.ids]
+            for u, v in zip(self.citing, self.cited):
+                out_adj[u].append(v)
+                in_adj[v].append(u)
+            adjacency += out_adj, in_adj
+        return adjacency
+
+    @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """(citing id, cited id) pairs, sorted."""
-        ids = self.ids
-        return tuple((ids[u], ids[v])
-                     for u, cited in enumerate(self.out_adj) for v in cited)
+        id_of = self.ids.__getitem__
+        return tuple(zip(map(id_of, self.citing), map(id_of, self.cited)))
 
     # -- derived networks and graphs ----------------------------------------
 
@@ -402,7 +428,8 @@ class CitationNetwork:
         """This network with each document replaced by one of the same id.
 
         The documents must carry exactly the network's ids; they are kept
-        in the order given. Edges, skipped edges and adjacency are shared.
+        in the order given. Edge lists, skipped edges and adjacency (also
+        when built later) are shared.
         """
         docs, ids, _ = _intern(documents)
         if ids != self.ids:
@@ -412,18 +439,28 @@ class CitationNetwork:
         return net
 
     def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
-        """Sub-network induced on the given document ids."""
+        """Sub-network induced on the given document ids. With every
+        document kept, it shares this network's edge store and adjacency."""
         keep = sorted(set(nodes))
+        if tuple(keep) == self.ids:
+            sub = copy.copy(self)
+            sub.docs = {v: self.docs[v] for v in keep}
+            sub.skipped_edges = ()
+            return sub
         old = [self.index[v] for v in keep]
         index = dict(zip(keep, range(len(keep))))
         new_of = [None] * self.n_docs
         for i, new in zip(old, index.values()):
             new_of[i] = new
+        citing, cited = self.citing, self.cited
         us, vs = [], []
         for new, i in zip(index.values(), old):
-            cited = [j for j in map(new_of.__getitem__, self.out_adj[i]) if j is not None]
-            us += repeat(new, len(cited))
-            vs += cited
+            # i's edges are its run of the citing-sorted lists
+            start = bisect.bisect_left(citing, i)
+            run = cited[start:bisect.bisect_right(citing, i, start)]
+            kept = [j for j in map(new_of.__getitem__, run) if j is not None]
+            us += repeat(new, len(kept))
+            vs += kept
         sub = CitationNetwork.__new__(CitationNetwork)
         sub._store({v: self.docs[v] for v in keep}, tuple(keep), index, (us, vs), ())
         return sub
@@ -443,22 +480,24 @@ def co_citation_projection(net: CitationNetwork) -> UGraph:
     the number of documents citing both u and v. Zero-weight pairs are
     absent.
     """
-    n = net.n_docs
-    weights: Counter[int] = Counter()
-    for cited in net.out_adj:
-        if len(cited) > 1:
-            weights.update([u * n + v for u, v in itertools.combinations(cited, 2)])
-    nodes = [v for v, citing in enumerate(net.in_adj) if citing]
-    new_of = [-1] * n
+    out_adj, in_adj = net.out_adj, net.in_adj
+    nodes = [v for v, citing in enumerate(in_adj) if citing]
+    new_of = [-1] * net.n_docs
     for new, v in enumerate(nodes):
         new_of[v] = new
     adj: list[dict[int, float]] = [{} for _ in nodes]
-    # ascending codes: the order of the sorted (u, v) id pairs
-    for code in sorted(weights):
-        u, v = divmod(code, n)
-        w = float(weights[code])
-        adj[new_of[u]][new_of[v]] = w
-        adj[new_of[v]][new_of[u]] = w
+    # the pairs of u with the nodes after it, counted one u at a time and
+    # in ascending u, so only one row's counts are alive, and every row is
+    # filled in ascending neighbour order: that of the sorted (u, v) pairs
+    for u, row in zip(nodes, adj):
+        counts: Counter[int] = Counter()
+        for w in in_adj[u]:
+            cited = out_adj[w]
+            counts.update(cited[bisect.bisect_right(cited, u):])
+        for v in sorted(counts):
+            weight = float(counts[v])
+            row[new_of[v]] = weight
+            adj[new_of[v]][new_of[u]] = weight
     return UGraph._trusted([net.ids[v] for v in nodes], adj)
 
 
@@ -474,14 +513,14 @@ def _intern(documents: Iterable[Document]
     return docs, ids, {v: i for i, v in enumerate(ids)}
 
 
-def _pair_codes(index: dict[str, int], edges: Iterable[tuple[str, str]],
-                lenient: bool) -> tuple[list[int], tuple[tuple[str, str], ...]]:
-    """(codes in the order given, skipped pairs) of (citing, cited) pairs;
-    a self-loop, or an unknown endpoint unless lenient, raises."""
+def _pair_nodes(index: dict[str, int], edges: Iterable[tuple[str, str]],
+                lenient: bool) -> tuple[list[int], list[int], tuple[tuple[str, str], ...]]:
+    """(citing nodes, cited nodes, skipped pairs) of (citing, cited) id
+    pairs, in the order given; a self-loop, or an unknown endpoint unless
+    lenient, raises."""
     get = index.get
-    n = len(index)
-    codes: list[int] = []
-    add = codes.append
+    us: list[int] = []
+    vs: list[int] = []
     skipped = []
     for citing, cited in edges:
         u = get(citing)
@@ -495,33 +534,38 @@ def _pair_codes(index: dict[str, int], edges: Iterable[tuple[str, str]],
             missing = citing if u is None else cited
             raise UnknownEndpointError(
                 f"edge ({citing!r}, {cited!r}) references unknown id {missing!r}")
-        add(u * n + v)
-    return codes, tuple(skipped)
+        us.append(u)
+        vs.append(v)
+    return us, vs, tuple(skipped)
 
 
-def _ascending(codes: list[int]) -> bool:
-    return all(map(operator.lt, codes, islice(codes, 1, None)))
+def _ascending(citing: list[int], cited: list[int]) -> bool:
+    """Whether the (citing, cited) pairs are in strictly ascending order."""
+    return all(map(operator.lt, zip(citing, cited),
+                   zip(islice(citing, 1, None), islice(cited, 1, None))))
 
 
-def _code_nodes(index: dict[str, int], codes: list[int],
+def _code_nodes(index: dict[str, int], citing: list[int], cited: list[int],
                 skipped: tuple) -> tuple[list[int], list[int]]:
-    """The (citing, cited) node lists of edge codes ``u * n + v`` in any
-    order, sorted and with duplicates dropped, each node the index's int object;
-    with the warnings for collapsed duplicates and skipped edges."""
-    if not _ascending(codes):
-        codes = sorted(codes)  # duplicates now side by side
+    """The (citing, cited) node lists of edges in any order, sorted and with
+    duplicates dropped, each node the index's int object; with the warnings
+    for collapsed duplicates and skipped edges. Edges out of order are
+    sorted as int codes ``u * n + v``."""
+    if not _ascending(citing, cited):
+        n = len(index)
+        codes = sorted(map(operator.add, map(operator.mul, citing, repeat(n)), cited))
         n_dup = len(codes)
-        codes = list(dict.fromkeys(codes))
+        codes = list(dict.fromkeys(codes))  # duplicates were side by side
         n_dup -= len(codes)
         if n_dup:
             log.warning("collapsed %d duplicate citation edge(s)", n_dup)
+        node = list(index.values())
+        citing = list(map(node.__getitem__, map(operator.floordiv, codes, repeat(n))))
+        cited = list(map(node.__getitem__, map(operator.mod, codes, repeat(n))))
     if skipped:
         log.warning("skipped %d edge(s) with unknown endpoints (lenient mode)",
                     len(skipped))
-    node = list(index.values())
-    n = len(node)
-    return (list(map(node.__getitem__, map(operator.floordiv, codes, repeat(n)))),
-            list(map(node.__getitem__, map(operator.mod, codes, repeat(n)))))
+    return citing, cited
 
 
 # -- parsing ---------------------------------------------------------------
@@ -706,18 +750,18 @@ _BLOCK = 1 << 16
 
 
 def _edge_text_nodes(body: str, index: dict[str, int]
-                     ) -> tuple[list, list, tuple[str, str] | None] | None:
+                     ) -> tuple[list[int], list[int], tuple[str, str] | None] | None:
     """(citing nodes, cited nodes, header) of edges text without its final
-    newlines, if each of its lines holds exactly one comma; else None. A
-    node is None for a field that is not an id. A first line whose fields
-    are citing and cited, in any case, is the header and left out.
+    newlines, if each of its lines holds exactly one comma and every field
+    is an id; else None. A first line whose fields are citing and cited, in
+    any case, is the header and left out.
 
     The text is split and looked up a block of lines at a time, so only
     one block's field strings are alive at once.
     """
-    get = index.get
-    us: list = []
-    vs: list = []
+    node = index.__getitem__
+    us: list[int] = []
+    vs: list[int] = []
     header = None
     start = 0
     while start <= len(body):
@@ -730,8 +774,11 @@ def _edge_text_nodes(body: str, index: dict[str, int]
         if start == 0 and fields[0].lower() == "citing" and fields[1].lower() == "cited":
             header = fields[0], fields[1]
             del fields[:2]
-        us += map(get, islice(fields, 0, None, 2))
-        vs += map(get, islice(fields, 1, None, 2))
+        try:
+            us += map(node, islice(fields, 0, None, 2))
+            vs += map(node, islice(fields, 1, None, 2))
+        except KeyError:
+            return None
         start = end + 1
     return us, vs, header
 
@@ -791,10 +838,10 @@ def write_corpus(net: CitationNetwork, nodes_path, edges_path,
         nodes = "".join([_to_json(document_to_record(docs[v])) + "\n"
                          for v in net.ids])
     if edges is None:
-        ids = net.ids
+        id_of = net.ids.__getitem__
         edges = "citing,cited\n" + "".join([
-            f"{citing},{ids[v]}\n"
-            for citing, cited in zip(ids, net.out_adj) for v in cited])
+            f"{citing},{cited}\n" for citing, cited in
+            zip(map(id_of, net.citing), map(id_of, net.cited))])
     with open(nodes_path, "w", encoding="utf-8") as fh:
         fh.write(nodes)
     with open(edges_path, "w", encoding="utf-8") as fh:

@@ -672,26 +672,34 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     if graph.n_nodes == 0 or graph.n_edges == 0:
         raise InsufficientDataError("cannot cluster a graph with no edges")
 
-    def split(members: tuple[str, ...], path: tuple[int, ...],
-              level: int) -> tuple[float | None, tuple[FrontNode, ...]]:
-        sub = graph.subgraph(members) if path else graph
-        if sub.n_edges == 0:
-            return None, ()
-        part = fast_greedy(sub)
-        if path and (part.n_fronts < 2 or part.q < min_q_gain):
-            return None, ()
-        children = []
-        for child_no, (fid, front_members) in enumerate(part.fronts().items(), start=1):
-            child_path = path + (child_no,)
-            if len(front_members) >= min_front_size and level + 1 < max_depth:
-                q_split, grandchildren = split(front_members, child_path, level + 1)
-            else:
-                q_split, grandchildren = None, ()
-            children.append(FrontNode(path=child_path, members=front_members,
-                                      q_split=q_split, children=grandchildren))
-        return part.q, tuple(children)
-
     all_ids = tuple(sorted(graph.ids))
-    q_top, children = split(all_ids, (), 1)
+    q_top, children = _split(graph, all_ids, (), 1, max_depth, min_front_size,
+                             min_q_gain)
     root = FrontNode(path=(), members=all_ids, q_split=q_top, children=children)
     return FrontTree(root=root)
+
+
+def _split(graph: UGraph, members: tuple[str, ...], path: tuple[int, ...],
+           level: int, max_depth: int, min_front_size: int,
+           min_q_gain: float) -> tuple[float | None, tuple[FrontNode, ...]]:
+    """(q_split, child fronts) of the front of `members` at `path` and
+    `level`, split as hierarchical_fronts describes. A module function, not
+    a closure: a closure that calls itself is a reference cycle, and would
+    keep `graph` alive until the cyclic garbage collector next runs."""
+    sub = graph.subgraph(members) if path else graph
+    if sub.n_edges == 0:
+        return None, ()
+    part = fast_greedy(sub)
+    if path and (part.n_fronts < 2 or part.q < min_q_gain):
+        return None, ()
+    children = []
+    for child_no, (fid, front_members) in enumerate(part.fronts().items(), start=1):
+        child_path = path + (child_no,)
+        if len(front_members) >= min_front_size and level + 1 < max_depth:
+            q_split, grandchildren = _split(graph, front_members, child_path, level + 1,
+                                            max_depth, min_front_size, min_q_gain)
+        else:
+            q_split, grandchildren = None, ()
+        children.append(FrontNode(path=child_path, members=front_members,
+                                  q_split=q_split, children=grandchildren))
+    return part.q, tuple(children)

@@ -45,20 +45,18 @@ def select_top_cited(net: CitationNetwork, fraction: float,
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if rank_by == "in_degree":
-        value = dict(zip(net.ids, map(len, net.in_adj)))
+        value = net.in_degrees
     elif rank_by == "external":
-        missing = [i for i in net.ids if net.docs[i].ext_citations is None]
-        if missing:
-            raise ValueError(
-                f"rank_by='external' but {missing[0]!r} has no ext_citations")
-        value = {i: net.docs[i].ext_citations for i in net.ids}
+        value = [net.docs[i].ext_citations for i in net.ids]
+        if None in value:
+            raise ValueError(f"rank_by='external' but {net.ids[value.index(None)]!r} "
+                             "has no ext_citations")
     else:
         raise ValueError(f"unknown rank_by {rank_by!r}")
 
     target = math.ceil(fraction * net.n_docs)
-    ranked = sorted(net.ids, key=lambda i: (-value[i], i))
-    boundary = value[ranked[target - 1]]
-    keep = [i for i in ranked if value[i] >= boundary]
+    boundary = sorted(value, reverse=True)[target - 1]
+    keep = [i for i, v in zip(net.ids, value) if v >= boundary]
     return net.induced(keep)
 
 

@@ -17,6 +17,7 @@ from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           MalformedRecordError, SelfLoopError,
                           UnknownEndpointError)
 from ktmap.report import PipelineConfig, _parse_stage
+from ktmap.selection import select_top_cited
 
 from conftest import (StringCitationNetwork, graph_edges, line_edge_records,
                       line_node_records, make_net, reference_write_corpus)
@@ -236,6 +237,30 @@ class TestNetworkInvariants:
                 == [list(nbrs.items()) for nbrs in ref.adj])
 
 
+class TestEdgeStore:
+    """The parsed edge lists serve in-degrees, selection and induced
+    networks; adjacency is built only where something reads it."""
+
+    def test_selection_leaves_adjacency_unbuilt(self):
+        text = "citing,cited\n" + "".join(
+            f"d{u},d{v}\n" for u in range(6) for v in range(u) if (u + v) % 3)
+        net = parse("".join(f'{{"id": "d{i}"}}\n' for i in range(6)), text)
+        core = select_top_cited(net, 0.5)
+        # in-degrees 4, 2, 2, 2, 0, 0: d3 ties with d2 at the boundary
+        assert net.in_degrees == [4, 2, 2, 2, 0, 0]
+        assert core.ids == ("d0", "d1", "d2", "d3")
+        assert core.edges == (("d1", "d0"), ("d2", "d0"), ("d3", "d1"), ("d3", "d2"))
+        assert not net._adjacency and not core._adjacency
+        assert net.out_adj[5] == [0, 2, 3] and net._adjacency
+
+    def test_keeping_every_document_shares_the_edge_store(self):
+        net = parse('{"id": "b"}\n{"id": "a"}\n', "a,b\nb,a\n")
+        core = net.induced(["b", "a"])
+        assert list(core.docs) == ["a", "b"] and list(net.docs) == ["b", "a"]
+        assert core.edges == net.edges and core.citing is net.citing
+        assert core.out_adj is net.out_adj
+
+
 class TestUGraph:
     @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf"),
                                    float("-inf")])
@@ -359,8 +384,11 @@ def _assert_same_network(net, ref):
     assert net.n_edges == len(ref.edges)
     assert net.skipped_edges == ref.skipped_edges
     ids = net.ids
+    # so is every node of the edge lists
+    assert all(u is net.index[ids[u]] for u in net.citing + net.cited)
     # every adjacency entry is the index's int object for its node
     assert all(u is net.index[ids[u]] for row in net.out_adj + net.in_adj for u in row)
+    assert net.in_degrees == [len(net.in_adj[v]) for v in range(net.n_docs)]
     assert [[ids[u] for u in citing] for citing in net.in_adj] == [
         ref.citers(v) for v in ref.ids]
     assert [[ids[v] for v in cited] for cited in net.out_adj] == [

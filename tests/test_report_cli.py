@@ -1,18 +1,22 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from ktmap import report
 from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import StageError
-from ktmap.report import PipelineConfig, run_pipeline, validate_report
+from ktmap.report import (STAGES, PipelineConfig, run_pipeline, run_stage,
+                          validate_report)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
 from conftest import read_graphml
@@ -198,6 +202,104 @@ class TestPipeline:
         # counting terms keeps the edges the lenient parse skipped
         summary = json.loads((tmp_path / "out" / "corpus.summary.json").read_text())
         assert summary["n_skipped_edges"] == 1
+
+
+@contextmanager
+def collector(enabled: bool):
+    """The cyclic collector on or off inside the block, as before after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def empty_corpus(tmp_path) -> tuple[str, str]:
+    nodes, edges = tmp_path / "empty.jsonl", tmp_path / "empty.csv"
+    nodes.write_text("")
+    edges.write_text("")
+    return str(nodes), str(edges)
+
+
+class TestCollectorPause:
+    """run_pipeline and each stage command run with the cyclic garbage
+    collector paused and leave the caller's setting as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_pipeline_restores_setting(self, tmp_path, monkeypatch, enabled):
+        inside = []
+        validate = report.validate_report
+        monkeypatch.setattr(report, "validate_report",
+                            lambda doc: (inside.append(gc.isenabled()), validate(doc)))
+        nodes, edges = empty_corpus(tmp_path)
+        with collector(enabled):
+            run_pipeline(toy_config(tmp_path / "out"))
+            assert gc.isenabled() is enabled
+            with pytest.raises(StageError):
+                run_pipeline(PipelineConfig(nodes=nodes, edges=edges,
+                                            out_dir=str(tmp_path / "bad")))
+            assert gc.isenabled() is enabled
+        assert inside == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_stage_command_restores_setting(self, tmp_path, monkeypatch, enabled):
+        inside = []
+        load = report.load_corpus
+        monkeypatch.setattr(report, "load_corpus", lambda *args, **kwargs: (
+            inside.append(gc.isenabled()), load(*args, **kwargs))[1])
+        nodes, edges = empty_corpus(tmp_path)
+        with collector(enabled):
+            assert main(["parse", "--nodes", str(TOY / "nodes.jsonl"), "--edges",
+                         str(TOY / "edges.csv"), "--out", str(tmp_path / "out")]) == 0
+            assert gc.isenabled() is enabled
+            # a StageError from the stage, and a StageFileError from reading
+            # the stage files, both exit 2
+            assert main(["parse", "--nodes", nodes, "--edges", edges,
+                         "--out", str(tmp_path / "bad")]) == 2
+            assert gc.isenabled() is enabled
+            assert main(["select", "--out", str(tmp_path / "bad")]) == 2
+            assert gc.isenabled() is enabled
+        assert inside == [False, False]
+
+    def test_paused_report_garbage_does_not_grow_with_corpus(self, tmp_path):
+        # the pause frees a report from collection passes; it is safe only
+        # because the cyclic garbage a report leaves stays small: about 300
+        # objects for 40 toy documents and for 2k planted ones, none of them
+        # a ktmap object (a graph left in a cycle would stay alive to the end)
+        net, _ = gen_planted_kt_network(PlantedConfig(
+            branching=(4, 5), leaf_size=100, p_within=(0.0155, 0.1245),
+            p_between=0.00415, homophily=0.5, n_hubs=5), seed=1)
+        nodes, edges = str(tmp_path / "p.nodes.jsonl"), str(tmp_path / "p.edges.csv")
+        write_corpus(net, nodes, edges)
+        garbage, held = [], []
+        debug = gc.get_debug()
+        with collector(False):
+            for config in (toy_config(tmp_path / "toy"),
+                           PipelineConfig(nodes=nodes, edges=edges, mode="cocitation",
+                                          out_dir=str(tmp_path / "planted"))):
+                gc.collect()
+                run_pipeline(config)
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                try:
+                    garbage.append(gc.collect())
+                    held += [type(obj).__name__ for obj in gc.garbage
+                             if type(obj).__module__.startswith("ktmap")]
+                finally:
+                    gc.set_debug(debug)
+                    gc.garbage.clear()
+        assert net.n_docs == 2005 and held == []
+        assert garbage[1] <= garbage[0] + 10 < net.n_docs // 4
+
+
+class TestReportEdgeStore:
+    def test_report_builds_no_full_corpus_adjacency(self, tmp_path):
+        config = toy_config(tmp_path, fraction=0.5)
+        artifacts: dict = {}
+        for stage in STAGES:
+            run_stage(stage, config, artifacts)
+        assert artifacts["net"].n_docs > artifacts["core"].n_docs
+        assert not artifacts["net"]._adjacency and artifacts["core"]._adjacency
 
 
 class TestConfigFile:
