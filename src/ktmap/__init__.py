@@ -17,8 +17,7 @@ from .corpus import (CitationNetwork, Document, Lexicon, UGraph,
 from .fronts import (FrontNode, FrontTree, Partition, fast_greedy,
                      hierarchical_fronts, modularity)
 from .hubs import (HubCandidate, HubConfig, MainPath, acyclic_reduction,
-                   detect_translational_hubs, hub_regions, main_path,
-                   search_path_counts)
+                   detect_translational_hubs, hub_regions, main_path)
 from .metrics import NodeMetrics, ScalingFit, ck_scaling, node_metrics_table
 from .selection import (PowerLawFit, fit_power_law, sample_discrete_power_law,
                         select_top_cited)
@@ -36,7 +35,6 @@ __all__ = [
     "hierarchical_fronts", "modularity",
     "HubCandidate", "HubConfig", "MainPath", "acyclic_reduction",
     "detect_translational_hubs", "hub_regions", "main_path",
-    "search_path_counts",
     "NodeMetrics", "ScalingFit", "ck_scaling", "node_metrics_table",
     "PowerLawFit", "fit_power_law", "sample_discrete_power_law",
     "select_top_cited",

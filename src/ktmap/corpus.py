@@ -216,17 +216,17 @@ class UGraph:
     built, which lets them keep derived values such as triangle counts.
     """
 
-    __slots__ = ("ids", "index", "adj", "_triangles")
+    __slots__ = ("ids", "adj", "_triangles")
 
     def __init__(self, ids: Sequence[str],
                  edges: Iterable[tuple[str, str, float]] = ()):
         self.ids: tuple[str, ...] = tuple(ids)
-        self.index: dict[str, int] = {v: i for i, v in enumerate(self.ids)}
-        if len(self.index) != len(self.ids):
+        index = {v: i for i, v in enumerate(self.ids)}
+        if len(index) != len(self.ids):
             raise DuplicateIdError("duplicate node id in graph")
         self.adj: list[dict[int, float]] = [{} for _ in self.ids]
         for u, v, w in edges:
-            iu, iv = self.index[u], self.index[v]
+            iu, iv = index[u], index[v]
             if iu == iv:
                 raise SelfLoopError(f"self-loop on {u!r}")
             if iv in self.adj[iu]:
@@ -276,26 +276,23 @@ class UGraph:
                 _kernels.triangle_counts(self.adjacency_sorted()))
         return self._triangles
 
-    def subgraph(self, nodes: Iterable[str]) -> "UGraph":
-        """Induced subgraph on the given nodes (kept in sorted id order)."""
-        keep = sorted(set(nodes))
-        old = [self.index[v] for v in keep]
-        new_of = dict(zip(old, range(len(old))))
+    def subgraph(self, nodes: Sequence[int]) -> "UGraph":
+        """Induced subgraph on the given distinct node indices, which become
+        its nodes 0, 1, ... in the order given; each keeps its neighbours in
+        ascending index order of this graph."""
+        new_of = dict(zip(nodes, range(len(nodes))))
         adj = [{new_of[j]: nbrs[j] for j in sorted(nbrs) if j in new_of}
-               for nbrs in map(self.adj.__getitem__, old)]
-        return UGraph._trusted(keep, adj)
+               for nbrs in map(self.adj.__getitem__, nodes)]
+        return UGraph._trusted(list(map(self.ids.__getitem__, nodes)), adj)
 
     @classmethod
-    def _trusted(cls, ids: Sequence[str], adj: list[dict[int, float]],
-                 index: dict[str, int] | None = None) -> "UGraph":
+    def _trusted(cls, ids: Sequence[str], adj: list[dict[int, float]]) -> "UGraph":
         """A graph from parts already checked: distinct ids, and a symmetric
         adjacency without self-loops, weights finite and > 0. Each node's
         neighbours must come in the order __init__ would insert them, so
         that iteration order, and every float sum over it, is the same."""
         graph = cls.__new__(cls)
         graph.ids = tuple(ids)
-        graph.index = ({v: i for i, v in enumerate(graph.ids)}
-                       if index is None else index)
         graph.adj = adj
         graph._triangles = None
         return graph
@@ -470,7 +467,7 @@ class CitationNetwork:
         """Undirected simple projection: direction dropped, duplicates merged."""
         adj = [dict.fromkeys(sorted(cited + citing), 1.0)
                for cited, citing in zip(self.out_adj, self.in_adj)]
-        return UGraph._trusted(self.ids, adj, self.index)
+        return UGraph._trusted(self.ids, adj)
 
 
 def co_citation_projection(net: CitationNetwork) -> UGraph:

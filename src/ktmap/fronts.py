@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from . import _kernels
 from .corpus import UGraph
@@ -25,37 +25,38 @@ log = logging.getLogger("ktmap.fronts")
 
 @dataclass(frozen=True)
 class Partition:
-    """A flat assignment of nodes to fronts, with its modularity."""
+    """A flat partition of a graph's nodes into fronts, with its modularity:
+    labels[i] is node i's front, numbered 1..K in order of each front's
+    smallest node index."""
 
-    assignment: Mapping[str, int]
+    labels: list[int]
     q: float
 
     @property
     def n_fronts(self) -> int:
-        return len(set(self.assignment.values()))
+        return max(self.labels)
 
-    def fronts(self) -> dict[int, tuple[str, ...]]:
-        """Front id -> sorted member tuple."""
-        groups: dict[int, list[str]] = {}
-        for node, fid in self.assignment.items():
-            groups.setdefault(fid, []).append(node)
-        return {fid: tuple(sorted(members)) for fid, members in sorted(groups.items())}
+    def fronts(self) -> list[tuple[int, ...]]:
+        """Ascending member indices of each front, front 1 first."""
+        groups: list[list[int]] = [[] for _ in range(self.n_fronts)]
+        for idx, label in enumerate(self.labels):
+            groups[label - 1].append(idx)
+        return list(map(tuple, groups))
 
 
-def modularity(graph: UGraph, assignment: Mapping[str, int]) -> float:
+def modularity(graph: UGraph, labels: Sequence[int]) -> float:
     """Newman modularity Q = sum_s (e_ss - a_s^2) of a partition.
 
     e_ss is the fraction of edge weight inside front s and a_s the fraction
-    of edge ends attached to s. Requires at least one edge and an assignment
-    covering every node.
+    of edge ends attached to s. Requires at least one edge and one front
+    label per node index.
     """
     m = graph.total_weight
     if m <= 0.0:
         raise InsufficientDataError("modularity undefined on a graph with no edges")
-    missing = [v for v in graph.ids if v not in assignment]
-    if missing:
-        raise ValueError(f"partition does not cover node {missing[0]!r}")
-    return _modularity(m, [assignment[v] for v in graph.ids], *graph.edge_arrays())
+    if len(labels) != graph.n_nodes:
+        raise ValueError(f"{len(labels)} front labels for {graph.n_nodes} nodes")
+    return _modularity(m, labels, *graph.edge_arrays())
 
 
 def _modularity(m, labels, edge_u, edge_v, edge_w) -> float:
@@ -108,8 +109,8 @@ def fast_greedy(graph: UGraph) -> Partition:
     refinement and Q alike (``_in_range``). One DEBUG record per call
     counts sweeps, merges, KL chains, evaluations and skips.
 
-    Deterministic; isolated nodes end up as singleton fronts. Front ids are
-    renumbered 1..K in order of each front's smallest member.
+    Deterministic; isolated nodes end up as singleton fronts. Front labels
+    are renumbered 1..K in order of each front's smallest node index.
     """
     if graph.n_nodes == 0:
         raise InsufficientDataError("cannot cluster an empty graph")
@@ -120,18 +121,12 @@ def fast_greedy(graph: UGraph) -> Partition:
 
     comm = _refine_moves(graph, _merge_cut(graph.n_nodes, edge_u, edge_v, edge_w))
 
-    labels = [0] * graph.n_nodes
     relabel: dict[int, int] = {}
-    for idx in range(graph.n_nodes):
-        label = comm[idx]
-        if label not in relabel:
-            relabel[label] = len(relabel) + 1
-        labels[idx] = relabel[label]
-    assignment = dict(zip(graph.ids, labels))
+    labels = [relabel.setdefault(label, len(relabel) + 1) for label in comm]
     # report the exactly recomputed Q rather than the incrementally
     # accumulated one
     q = _modularity(graph.total_weight, labels, edge_u, edge_v, edge_w)
-    return Partition(assignment=assignment, q=q)
+    return Partition(labels=labels, q=q)
 
 
 def _in_range(graph: UGraph) -> UGraph:
@@ -150,7 +145,7 @@ def _in_range(graph: UGraph) -> UGraph:
         return graph
     exp = -math.frexp(max(max(nbrs.values(), default=0.0) for nbrs in graph.adj))[1]
     return UGraph._trusted(graph.ids, [{j: math.ldexp(w, exp) for j, w in nbrs.items()}
-                                       for nbrs in graph.adj], graph.index)
+                                       for nbrs in graph.adj])
 
 
 def _merge_cut(n_nodes, edge_u, edge_v, edge_w) -> list[int]:
@@ -581,10 +576,11 @@ class _Refinement:
 
 @dataclass(frozen=True)
 class FrontNode:
-    """One front in the hierarchy; the root is the whole corpus (level 1)."""
+    """One front in the hierarchy; the root is the whole corpus (level 1).
+    `members` are node indices into the clustered graph, in id order."""
 
     path: tuple[int, ...]
-    members: tuple[str, ...]
+    members: tuple[int, ...]
     q_split: float | None = None
     children: tuple["FrontNode", ...] = ()
 
@@ -608,9 +604,11 @@ class FrontNode:
 
 @dataclass(frozen=True)
 class FrontTree:
-    """Nested partition of the corpus into research fronts, level 1..depth."""
+    """Nested partition of the corpus into research fronts, level 1..depth;
+    `ids` are the clustered graph's, which the members index."""
 
     root: FrontNode
+    ids: tuple[str, ...]
 
     def depth(self) -> int:
         return max(node.level for node in self.root.walk())
@@ -621,17 +619,11 @@ class FrontTree:
         return [node for node in self.root.walk() if node.level == level]
 
     def node_paths(self) -> dict[str, tuple[int, ...]]:
-        """Deepest front path per node (components are level 2..d front ids)."""
-        paths: dict[str, tuple[int, ...]] = {}
-        for node in self.root.walk():
-            if node.is_leaf:
-                for member in node.members:
-                    paths[member] = node.path
-        return paths
-
-    def level_assignment(self, level: int) -> dict[str, int]:
-        """The module's level_assignment of this tree's node paths."""
-        return level_assignment(self.node_paths(), level)
+        """Deepest front path per node id (components are level 2..d front
+        ids), in tree walk order."""
+        ids = self.ids
+        return {ids[member]: node.path for node in self.root.walk() if node.is_leaf
+                for member in node.members}
 
 
 def level_assignment(paths: Mapping[str, tuple[int, ...]], level: int) -> dict[str, int]:
@@ -672,20 +664,23 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     if graph.n_nodes == 0 or graph.n_edges == 0:
         raise InsufficientDataError("cannot cluster a graph with no edges")
 
-    all_ids = tuple(sorted(graph.ids))
-    q_top, children = _split(graph, all_ids, (), 1, max_depth, min_front_size,
+    nodes = range(graph.n_nodes)
+    q_top, children = _split(graph, nodes, (), 1, max_depth, min_front_size,
                              min_q_gain)
-    root = FrontNode(path=(), members=all_ids, q_split=q_top, children=children)
-    return FrontTree(root=root)
+    root = FrontNode(path=(), members=tuple(sorted(nodes, key=graph.ids.__getitem__)),
+                     q_split=q_top, children=children)
+    return FrontTree(root=root, ids=graph.ids)
 
 
-def _split(graph: UGraph, members: tuple[str, ...], path: tuple[int, ...],
+def _split(graph: UGraph, members: Sequence[int], path: tuple[int, ...],
            level: int, max_depth: int, min_front_size: int,
            min_q_gain: float) -> tuple[float | None, tuple[FrontNode, ...]]:
-    """(q_split, child fronts) of the front of `members` at `path` and
-    `level`, split as hierarchical_fronts describes. A module function, not
-    a closure: a closure that calls itself is a reference cycle, and would
-    keep `graph` alive until the cyclic garbage collector next runs."""
+    """(q_split, child fronts) of the front at `path` and `level`, whose
+    members are the node indices `members` of `graph` in id order (all of
+    them in index order at the root), split as hierarchical_fronts
+    describes. A module function, not a closure: a closure that calls
+    itself is a reference cycle, and would keep `graph` alive until the
+    cyclic garbage collector next runs."""
     sub = graph.subgraph(members) if path else graph
     if sub.n_edges == 0:
         return None, ()
@@ -693,8 +688,10 @@ def _split(graph: UGraph, members: tuple[str, ...], path: tuple[int, ...],
     if path and (part.n_fronts < 2 or part.q < min_q_gain):
         return None, ()
     children = []
-    for child_no, (fid, front_members) in enumerate(part.fronts().items(), start=1):
+    for child_no, front in enumerate(part.fronts(), start=1):
         child_path = path + (child_no,)
+        front_members = tuple(sorted(map(members.__getitem__, front),
+                                     key=graph.ids.__getitem__))
         if len(front_members) >= min_front_size and level + 1 < max_depth:
             q_split, grandchildren = _split(graph, front_members, child_path, level + 1,
                                             max_depth, min_front_size, min_q_gain)

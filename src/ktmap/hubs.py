@@ -78,6 +78,12 @@ def detect_translational_hubs(graph: UGraph,
     clustering coefficient <= c_max, participation >= p_min, and a spread
     of bridged-front mean scores >= t_spread_min. Returns an empty list
     when nothing qualifies.
+
+    Each front's mean T sums its members in the partition's iteration
+    order: for ``fronts.level_assignment``'s map, by deepest front path and
+    then by id. The report's fronts table sums the same level-2 fronts in
+    id order; the two can differ in the last bits, and both reach the
+    report bytes.
     """
     ids, adj = graph.ids, graph.adj
     labels = front_labels(graph, partition)
@@ -168,9 +174,8 @@ def hub_regions(graph: UGraph,
                 hubs: list[HubCandidate]) -> list[tuple[str, ...]]:
     """Connected components of the hub-induced subgraph of `graph`, as
     sorted tuples of ids, in the order of their smallest ids."""
-    unreached = [False] * graph.n_nodes  # hubs not yet in a region
-    for h in hubs:
-        unreached[graph.index[h.id]] = True
+    hub_ids = {h.id for h in hubs}
+    unreached = [v in hub_ids for v in graph.ids]  # hubs not yet in a region
     regions = []
     for start in range(graph.n_nodes):
         if not unreached[start]:
@@ -458,20 +463,6 @@ def _tarjan(nodes, succ: list, comp: list[int],
                     if low[v] < low[parent]:
                         low[parent] = low[v]
     return sccs
-
-
-def search_path_counts(net: CitationNetwork) -> dict[tuple[str, str], int]:
-    """Exact SPC weight per edge of the acyclic reduction.
-
-    SPC(u, v) = (paths from any source to u) * (paths from v to any sink),
-    equivalently the number of source-to-sink paths through the edge when a
-    virtual super-source and super-sink are attached. Big-int exact.
-    """
-    succ, pred, _ = _reduce(net)
-    n_from, n_to = _path_counts(succ, pred)
-    ids = net.ids
-    return {(ids[u], ids[v]): n_from[u] * n_to[v]
-            for u, cited in enumerate(succ) for v in cited}
 
 
 def _path_counts(succ: list, pred: list) -> tuple[list[int], list[int]]:

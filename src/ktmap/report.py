@@ -274,7 +274,8 @@ def front_table_rows(tree: FrontTree, scores=None, low: float = DEFAULT_LOW,
         row = {"path": path_string(node.path), "size": node.size,
                "q_split": node.q_split}
         if scores is not None:
-            mean_t, share_unscored = front_mean(node.members, scores)
+            mean_t, share_unscored = front_mean(map(tree.ids.__getitem__, node.members),
+                                                scores)
             row.update(level=node.level, mean_t=mean_t,
                        share_unscored=share_unscored,
                        stratum=classify(mean_t, low, high).value)
@@ -486,7 +487,7 @@ def _hubs_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
     graph = core.projection
     if set(partition) != set(graph.ids):
         # co-citation partitions cover only cited documents
-        graph = graph.subgraph(partition)
+        graph = graph.subgraph([i for i, v in enumerate(graph.ids) if v in partition])
     hub_config = config.hub_config()
     hubs = detect_translational_hubs(graph, partition, scores, hub_config)
     doc = {

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ktmap import fronts
+from ktmap import fronts, hubs
 from ktmap.corpus import CitationNetwork, Document, UGraph
 from ktmap.errors import (DuplicateIdError, MalformedRecordError,
                           SelfLoopError, UnknownEndpointError)
@@ -92,8 +92,7 @@ def brute_modularity(graph: UGraph, assignment) -> float:
     """Q from the adjacency-matrix definition, independent of the library."""
     n = graph.n_nodes
     a = np.zeros((n, n))
-    for u, v, w in graph_edges(graph):
-        iu, iv = graph.index[u], graph.index[v]
+    for iu, iv, w in zip(*graph.edge_arrays()):
         a[iu, iv] = w
         a[iv, iu] = w
     two_m = a.sum()
@@ -113,7 +112,7 @@ def module_roles(graph: UGraph, partition) -> dict[str, tuple]:
     node's neighbours (None when isolated), and z the node's links inside
     its own front standardised over the front's members (None when they
     all have as many)."""
-    nbrs = {v: [graph.ids[j] for j in graph.adj[graph.index[v]]] for v in graph.ids}
+    nbrs = {v: [graph.ids[j] for j in graph.adj[i]] for i, v in enumerate(graph.ids)}
     kappa = {v: sum(partition[u] == partition[v] for u in nbrs[v]) for v in graph.ids}
     roles = {}
     for v in graph.ids:
@@ -139,6 +138,23 @@ def best_partition_bruteforce(graph: UGraph) -> tuple[float, list[list[str]]]:
             best_q = q
             best = groups
     return best_q, best
+
+
+def id_labels(graph: UGraph, part) -> dict[str, int]:
+    """The id -> front label map of a ``fast_greedy`` partition of graph."""
+    return dict(zip(graph.ids, part.labels))
+
+
+def kept_edge_spc(net) -> dict[tuple[str, str], int]:
+    """The library's SPC of each edge its acyclic reduction keeps, keyed by
+    id pair in kept-edge order: n_from[u] * n_to[v] from ``hubs._reduce``
+    and ``hubs._path_counts``. Not an oracle; compare it with
+    ``enumerate_spc``."""
+    succ, pred, _ = hubs._reduce(net)
+    n_from, n_to = hubs._path_counts(succ, pred)
+    ids = net.ids
+    return {(ids[u], ids[v]): n_from[u] * n_to[v]
+            for u, cited in enumerate(succ) for v in cited}
 
 
 def enumerate_spc(nodes, edges) -> dict[tuple[str, str], int]:

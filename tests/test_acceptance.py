@@ -17,8 +17,9 @@ from scipy.special import zeta
 
 from ktmap.axis import (classify, homophily_assortativity, score_documents,
                         translational_score, Stratum)
-from ktmap.fronts import fast_greedy, hierarchical_fronts, modularity
-from ktmap.hubs import detect_translational_hubs, main_path, search_path_counts
+from ktmap.fronts import (fast_greedy, hierarchical_fronts, level_assignment,
+                          modularity)
+from ktmap.hubs import detect_translational_hubs, main_path
 from ktmap.metrics import ck_scaling
 from ktmap.report import PipelineConfig, run_pipeline
 from ktmap.selection import fit_power_law, sample_discrete_power_law
@@ -26,7 +27,8 @@ from ktmap.synth import (PlantedConfig, gen_planted_kt_network,
                          gen_deterministic_hierarchical, gen_random_graph, nmi)
 
 from conftest import (best_partition_bruteforce, brute_modularity,
-                      enumerate_spc, make_net, random_dag, ugraph)
+                      enumerate_spc, id_labels, kept_edge_spc, make_net,
+                      random_dag, ugraph)
 from test_hubs import barbell_net, oracle_greedy_walk
 
 SEEDS = list(range(20))
@@ -59,7 +61,8 @@ def test_criterion_01_modularity_oracle_and_greedy_near_optimality():
         g = random_small_graph(rng)
         for _ in range(4):
             labels = {v: int(rng.integers(0, 4)) for v in g.ids}
-            dev = abs(modularity(g, labels) - brute_modularity(g, labels))
+            dev = abs(modularity(g, [labels[v] for v in g.ids])
+                      - brute_modularity(g, labels))
             worst_dev = max(worst_dev, dev)
         q_best, _ = best_partition_bruteforce(g)
         q_greedy = fast_greedy(g).q
@@ -90,7 +93,7 @@ def test_criterion_02_planted_front_recovery():
     for seed in SEEDS:
         net, truth = gen_planted_kt_network(cfg, seed)
         part = fast_greedy(net.projection)
-        values.append(nmi(part.assignment, truth.leaf_labels()))
+        values.append(nmi(id_labels(net.projection, part), truth.leaf_labels()))
     passes = sum(v >= 0.9 for v in values)
     elapsed = time.time() - t0
     ok = passes >= 18 and elapsed < 30.0
@@ -112,8 +115,10 @@ def test_criterion_03_nested_hierarchy_recovery():
         for node in tree.root.walk():
             for child in node.children:
                 assert set(child.members) <= set(node.members)
-        n2 = nmi(tree.level_assignment(2), truth.level_labels(1))
-        n3 = nmi(tree.level_assignment(3), truth.leaf_labels())
+        assert tree.ids == net.projection.ids
+        paths = tree.node_paths()
+        n2 = nmi(level_assignment(paths, 2), truth.level_labels(1))
+        n3 = nmi(level_assignment(paths, 3), truth.leaf_labels())
         passes += (n2 >= 0.9 and n3 >= 0.9)
     ok = passes >= 16
     assert report_line(3, "nested-hierarchy-recovery", ok, f"{passes}/20 seeds")
@@ -163,7 +168,7 @@ def test_criterion_06_hub_detection():
     top-5 precision >= 0.8 on >= 16/20 seeds."""
     net = barbell_net()
     part = fast_greedy(net.projection)
-    hubs = detect_translational_hubs(net.projection, part.assignment,
+    hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                      score_documents(net))
     barbell_ok = bool(hubs) and hubs[0].id == "m" and hubs[0].rank == 1
 
@@ -173,7 +178,7 @@ def test_criterion_06_hub_detection():
     for seed in SEEDS:
         net, truth = gen_planted_kt_network(cfg, seed)
         part = fast_greedy(net.projection)
-        ranked = detect_translational_hubs(net.projection, part.assignment,
+        ranked = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                            score_documents(net))
         top5 = {h.id for h in ranked[:5]}
         passes += len(top5 & set(truth.hub_ids)) / 5 >= 0.8
@@ -200,7 +205,7 @@ def test_criterion_07_main_path_oracle():
     assert len(fixtures) >= 20
     mismatches = 0
     for net, edges in zip(fixtures, edge_lists):
-        if search_path_counts(net) != enumerate_spc(net.ids, edges):
+        if kept_edge_spc(net) != enumerate_spc(net.ids, edges):
             mismatches += 1
         elif list(main_path(net).nodes) != oracle_greedy_walk(net.ids, edges):
             mismatches += 1

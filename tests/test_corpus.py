@@ -231,10 +231,17 @@ class TestNetworkInvariants:
         edges = data.draw(st.lists(st.sampled_from(pairs), max_size=30, unique=True))
         net = make_net(edges, nodes=ids)
         keep = data.draw(st.lists(st.sampled_from(ids)))
-        sub, ref = net.projection.subgraph(keep), net.induced(keep).projection
+        nodes = sorted({net.index[v] for v in keep})
+        sub, ref = net.projection.subgraph(nodes), net.induced(keep).projection
         assert sub.ids == ref.ids
         assert ([list(nbrs.items()) for nbrs in sub.adj]
                 == [list(nbrs.items()) for nbrs in ref.adj])
+        # in another order, node i is still nodes[i], and its neighbours
+        # keep the whole graph's index order
+        back = net.projection.subgraph(nodes[::-1])
+        assert back.ids == sub.ids[::-1]
+        assert ([[(back.ids[j], w) for j, w in nbrs.items()] for nbrs in back.adj]
+                == [[(sub.ids[j], w) for j, w in nbrs.items()] for nbrs in sub.adj][::-1])
 
 
 class TestEdgeStore:
@@ -277,8 +284,8 @@ class TestCoCitation:
     def test_single_co_citing_source(self):
         net = make_net([("a", "b"), ("a", "c")])
         g = co_citation_projection(net)
-        assert g.index["c"] in g.adj[g.index["b"]]
-        assert g.adj[g.index["b"]][g.index["c"]] == 1.0
+        assert g.ids.index("c") in g.adj[g.ids.index("b")]
+        assert g.adj[g.ids.index("b")][g.ids.index("c")] == 1.0
 
     def test_never_co_cited(self):
         net = make_net([("a", "b"), ("c", "b")])
@@ -288,7 +295,7 @@ class TestCoCitation:
     def test_weight_two(self):
         net = make_net([("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
         g = co_citation_projection(net)
-        assert g.adj[g.index["x"]][g.index["y"]] == 2.0
+        assert g.adj[g.ids.index("x")][g.ids.index("y")] == 2.0
 
     def test_matches_brute_force(self):
         import numpy as np
@@ -304,7 +311,7 @@ class TestCoCitation:
                     continue
                 expected = sum(1 for w in ids
                                if (w, u) in net.edges and (w, v) in net.edges)
-                got = g.adj[g.index[u]].get(g.index[v], 0)
+                got = g.adj[g.ids.index(u)].get(g.ids.index(v), 0)
                 assert got == expected
 
 

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from ktmap import fronts
 from ktmap.corpus import UGraph, co_citation_projection
 from ktmap.errors import InsufficientDataError
-from ktmap.fronts import fast_greedy, hierarchical_fronts, modularity
+from ktmap.fronts import (fast_greedy, hierarchical_fronts, level_assignment,
+                          modularity)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
 import conftest
 from conftest import (_scan_best_move, best_partition_bruteforce,
-                      brute_modularity, graph_edges, scan_refine_moves, ugraph)
+                      brute_modularity, graph_edges, id_labels,
+                      scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -30,50 +32,66 @@ def random_ugraph(rng, n_min=4, n_max=8):
             return ugraph(edges, extra_nodes=ids)
 
 
+def by_index(graph: UGraph, assignment) -> list[int]:
+    """The labels of an id -> label map, one per node index."""
+    return [assignment[v] for v in graph.ids]
+
+
 class TestModularity:
     def test_single_front_is_zero(self, two_triangles):
-        q = modularity(two_triangles, {v: 1 for v in two_triangles.ids})
+        q = modularity(two_triangles, [1] * two_triangles.n_nodes)
         assert q == pytest.approx(0.0, abs=1e-15)
 
     def test_two_triangles_half(self, two_triangles):
         part = {"a": 1, "b": 1, "c": 1, "d": 2, "e": 2, "f": 2}
-        assert modularity(two_triangles, part) == pytest.approx(0.5, abs=1e-15)
+        assert modularity(two_triangles, by_index(two_triangles, part)) == \
+            pytest.approx(0.5, abs=1e-15)
 
     def test_splitting_a_triangle_hurts(self, two_triangles):
         part = {"a": 1, "b": 1, "c": 3, "d": 2, "e": 2, "f": 2}
-        assert modularity(two_triangles, part) < 0.5
+        assert modularity(two_triangles, by_index(two_triangles, part)) < 0.5
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InsufficientDataError):
-            modularity(UGraph(["a", "b"]), {"a": 1, "b": 1})
+            modularity(UGraph(["a", "b"]), [1, 1])
 
     def test_uncovered_node_rejected(self, two_triangles):
-        with pytest.raises(ValueError):
-            modularity(two_triangles, {"a": 1})
+        for n_labels in (1, 5, 7):
+            with pytest.raises(ValueError, match=f"{n_labels} front labels for 6 nodes"):
+                modularity(two_triangles, [1] * n_labels)
 
     def test_matches_matrix_definition_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             g = random_ugraph(rng)
             labels = {v: int(rng.integers(0, 3)) for v in g.ids}
-            assert modularity(g, labels) == pytest.approx(
+            assert modularity(g, by_index(g, labels)) == pytest.approx(
                 brute_modularity(g, labels), abs=1e-12)
 
     def test_weighted_modularity(self):
         g = UGraph(["a", "b", "c", "d"],
                    [("a", "b", 3.0), ("c", "d", 3.0), ("b", "c", 1.0)])
-        part = {"a": 1, "b": 1, "c": 2, "d": 2}
         # m=7, e_11 = e_22 = 3/7, a_1 = a_2 = 7/14
         expected = 2 * (3 / 7 - 0.25)
-        assert modularity(g, part) == pytest.approx(expected, abs=1e-12)
+        assert modularity(g, [1, 1, 2, 2]) == pytest.approx(expected, abs=1e-12)
 
 
 class TestFastGreedy:
     def test_two_triangles_recovered(self, two_triangles):
         part = fast_greedy(two_triangles)
-        fronts = set(part.fronts().values())
-        assert fronts == {("a", "b", "c"), ("d", "e", "f")}
+        assert part.labels == [1, 1, 1, 2, 2, 2]
+        assert part.fronts() == [(0, 1, 2), (3, 4, 5)]
+        assert part.n_fronts == 2
         assert part.q == pytest.approx(0.5, abs=1e-15)
+
+    def test_labels_numbered_by_smallest_index(self):
+        # the triangle holding node 0 is front 1 whatever the ids say
+        g = UGraph(["z", "b", "y", "a", "x", "c"],
+                   [(u, v, 1.0) for u, v in (("z", "y"), ("y", "x"), ("z", "x"),
+                                             ("b", "a"), ("a", "c"), ("b", "c"))])
+        part = fast_greedy(g)
+        assert part.labels == [1, 2, 1, 2, 1, 2]
+        assert part.fronts() == [(0, 2, 4), (1, 3, 5)]
 
     def test_complete_graph_single_front(self):
         ids = list("abcde")
@@ -84,8 +102,10 @@ class TestFastGreedy:
         g = ugraph(list({(u, v) for u, v, _ in graph_edges(two_triangles)}),
                    extra_nodes=["x", "y"])
         part = fast_greedy(g)
-        assert part.assignment["x"] != part.assignment["y"]
-        assert {len(m) for m in part.fronts().values()} == {1, 3}
+        labels = id_labels(g, part)
+        assert labels["x"] != labels["y"]
+        assert {len(m) for m in part.fronts()} == {1, 3}
+        assert part.n_fronts == 4
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -94,15 +114,15 @@ class TestFastGreedy:
     def test_q_matches_recomputation(self, two_triangles):
         part = fast_greedy(two_triangles)
         assert part.q == pytest.approx(
-            modularity(two_triangles, part.assignment), abs=1e-12)
+            modularity(two_triangles, part.labels), abs=1e-12)
 
     def test_beats_trivial_partitions(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = random_ugraph(rng)
             part = fast_greedy(g)
-            singleton = {v: i for i, v in enumerate(g.ids)}
-            allinone = {v: 1 for v in g.ids}
+            singleton = list(range(g.n_nodes))
+            allinone = [1] * g.n_nodes
             assert part.q >= modularity(g, singleton) - 1e-12
             assert part.q >= modularity(g, allinone) - 1e-12
 
@@ -119,7 +139,7 @@ class TestFastGreedy:
                             p_between=0.02)
         net, _ = gen_planted_kt_network(cfg, 5)
         parts = [fast_greedy(net.projection) for _ in range(3)]
-        assert parts[0].assignment == parts[1].assignment == parts[2].assignment
+        assert parts[0].labels == parts[1].labels == parts[2].labels
         assert parts[0].q == parts[1].q == parts[2].q
 
     def test_planted_recovery_low_mixing(self):
@@ -129,7 +149,7 @@ class TestFastGreedy:
         for seed in range(5):
             net, truth = gen_planted_kt_network(cfg, seed)
             part = fast_greedy(net.projection)
-            hits += nmi(part.assignment, truth.leaf_labels()) >= 0.9
+            hits += nmi(id_labels(net.projection, part), truth.leaf_labels()) >= 0.9
         assert hits >= 4
 
     @pytest.mark.parametrize("weight", [5e-324, 1e-170, 1e160, 1e308])
@@ -143,8 +163,45 @@ class TestFastGreedy:
         assert fronts._refine_moves(g, list(cut)) != cut  # refinement matters
         heavy = UGraph(g.ids, [(u, v, weight) for u, v, _ in graph_edges(g)])
         got, want = fast_greedy(heavy), fast_greedy(g)
-        assert got.assignment == want.assignment
+        assert got.labels == want.labels
         assert got.q == pytest.approx(want.q)
+
+
+def member_ids(graph: UGraph, node) -> list[str]:
+    """The ids of a front's members, in member order."""
+    return [graph.ids[i] for i in node.members]
+
+
+def shuffled_planted(seed: int, n: int = 36) -> UGraph:
+    """Four planted blocks in two halves on ids n00.., the nodes listed in
+    a shuffled order."""
+    rng = np.random.default_rng(seed)
+    ids = [f"n{i:02d}" for i in range(n)]
+    block = [i * 4 // n for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = (0.45 if block[i] == block[j]
+                 else 0.12 if block[i] // 2 == block[j] // 2 else 0.03)
+            if rng.random() < p:
+                edges.append((ids[i], ids[j], 1.0))
+    order = np.random.default_rng(1).permutation(n)
+    return UGraph([ids[i] for i in order], edges)
+
+
+# the deepest front path of each node of shuffled_planted(6), in walk order
+UNSORTED_PATHS = [
+    ("1.1", "n00 n02 n17"),
+    ("1.2.1", "n01 n04 n06 n07"),
+    ("1.2.2", "n03 n05 n08"),
+    ("1.3.1", "n09 n10 n14"),
+    ("1.3.2", "n11 n12 n13 n15 n16"),
+    ("2.1.1", "n24 n25 n28 n35"),
+    ("2.1.2", "n30 n31"),
+    ("2.2", "n27 n29 n32 n33 n34"),
+    ("3.1", "n18 n19 n20 n26"),
+    ("3.2", "n21 n22 n23"),
+]
 
 
 class TestHierarchicalFronts:
@@ -174,7 +231,7 @@ class TestHierarchicalFronts:
         assert tree.depth() == 3
         level2 = tree.fronts_at(2)
         assert sorted(len(f.members) for f in level2) == [12, 12]
-        leaves = {tuple(sorted(f.members)) for f in tree.fronts_at(3)}
+        leaves = {tuple(member_ids(g, f)) for f in tree.fronts_at(3)}
         assert leaves == {tuple(sorted(b)) for b in blocks}
 
     def test_min_front_size_floor(self, two_triangles):
@@ -185,8 +242,9 @@ class TestHierarchicalFronts:
     def test_max_depth_two_equals_flat(self, two_triangles):
         tree = hierarchical_fronts(two_triangles, max_depth=2, min_front_size=2)
         flat = fast_greedy(two_triangles)
-        level2 = {tuple(sorted(f.members)) for f in tree.fronts_at(2)}
-        assert level2 == set(flat.fronts().values())
+        assert [f.members for f in tree.fronts_at(2)] == flat.fronts()
+        assert [member_ids(two_triangles, f) for f in tree.fronts_at(2)] == [
+            ["a", "b", "c"], ["d", "e", "f"]]
 
     def test_refinement_property(self):
         g, _ = self.two_level_cliques()
@@ -197,17 +255,35 @@ class TestHierarchicalFronts:
                 assert set(child.members) <= set(node.members)
         # leaves partition the node set
         leaves = [m for n in tree.root.walk() if n.is_leaf for m in n.members]
-        assert sorted(leaves) == sorted(g.ids)
+        assert sorted(leaves) == list(range(g.n_nodes))
+        assert tree.ids == g.ids
+        assert member_ids(g, tree.root) == sorted(g.ids)
 
     def test_node_paths_match_leaves(self):
         g, _ = self.two_level_cliques()
         tree = hierarchical_fronts(g, max_depth=4, min_front_size=4,
                                    min_q_gain=0.05)
         paths = tree.node_paths()
+        assert len(paths) == g.n_nodes
         for node in tree.root.walk():
             if node.is_leaf:
-                for m in node.members:
+                for m in member_ids(g, node):
                     assert paths[m] == node.path
+
+    def test_unsorted_ids_pinned(self):
+        # node order is not id order: the top level clusters the graph as
+        # it is, and every front below keeps its members in id order, so
+        # each subgraph clustered under it lists its nodes in id order
+        g = shuffled_planted(6)
+        assert list(g.ids) != sorted(g.ids)
+        tree = hierarchical_fronts(g, max_depth=4, min_front_size=6,
+                                   min_q_gain=0.05)
+        for node in tree.root.walk():
+            assert member_ids(g, node) == sorted(member_ids(g, node))
+        # recorded from the implementation that split fronts on id strings
+        want = [(v, tuple(map(int, path.split("."))))
+                for path, members in UNSORTED_PATHS for v in members.split()]
+        assert list(tree.node_paths().items()) == want
 
     def test_planted_nested_recovery(self):
         cfg = PlantedConfig(branching=(2, 2), leaf_size=50,
@@ -215,8 +291,9 @@ class TestHierarchicalFronts:
         net, truth = gen_planted_kt_network(cfg, 1)
         tree = hierarchical_fronts(net.projection, max_depth=3,
                                    min_front_size=10, min_q_gain=0.05)
-        assert nmi(tree.level_assignment(2), truth.level_labels(1)) >= 0.9
-        assert nmi(tree.level_assignment(3), truth.leaf_labels()) >= 0.9
+        paths = tree.node_paths()
+        assert nmi(level_assignment(paths, 2), truth.level_labels(1)) >= 0.9
+        assert nmi(level_assignment(paths, 3), truth.leaf_labels()) >= 0.9
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InsufficientDataError):

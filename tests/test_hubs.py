@@ -11,11 +11,11 @@ from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy
 from ktmap.hubs import (HubConfig, acyclic_reduction,
                         detect_translational_hubs, hub_regions, main_path,
-                        search_path_counts, sorted_median, sorted_quantile)
+                        sorted_median, sorted_quantile)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
-from conftest import (_tarjan_sccs, enumerate_spc, make_net, random_dag,
-                      rounds_acyclic_reduction)
+from conftest import (_tarjan_sccs, enumerate_spc, id_labels, kept_edge_spc,
+                      make_net, random_dag, rounds_acyclic_reduction)
 
 
 def barbell_net():
@@ -83,7 +83,7 @@ class TestHubDetection:
     def test_barbell_bridge_is_rank_one(self):
         net = barbell_net()
         part = fast_greedy(net.projection)
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net))
         assert hubs, "bridge not detected"
         assert hubs[0].id == "m"
@@ -98,7 +98,7 @@ class TestHubDetection:
         terms |= {f"b{i}": (0, 5) for i in range(3)}
         net = make_net(edges, terms=terms)
         part = fast_greedy(net.projection)
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net))
         assert hubs == []
 
@@ -107,7 +107,7 @@ class TestHubDetection:
                             p_between=0.005, n_hubs=5, hub_degree=24)
         net, truth = gen_planted_kt_network(cfg, 3)
         part = fast_greedy(net.projection)
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net))
         top5 = {h.id for h in hubs[:5]}
         assert len(top5 & set(truth.hub_ids)) >= 4
@@ -118,7 +118,7 @@ class TestHubDetection:
         net, _ = gen_planted_kt_network(cfg, 0)
         part = fast_greedy(net.projection)
         config = HubConfig()
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net), config)
         for h in hubs:
             assert len(h.bridged_fronts) >= 2
@@ -138,7 +138,7 @@ class TestHubDetection:
         # and all candidates touch the bridge: one connected region
         net = barbell_net()
         part = fast_greedy(net.projection)
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net))
         regions = hub_regions(net.projection, hubs)
         assert regions == [tuple(sorted(h.id for h in hubs))]
@@ -158,7 +158,7 @@ class TestHubDetection:
         years = {v: i for i, v in enumerate(sorted(terms))}
         net = make_net(edges, terms=terms, years=years)
         part = fast_greedy(net.projection)
-        hubs = detect_translational_hubs(net.projection, part.assignment,
+        hubs = detect_translational_hubs(net.projection, id_labels(net.projection, part),
                                          score_documents(net),
                                          HubConfig(p_min=0.4))
         assert {h.id for h in hubs} == {"m1", "m2"}
@@ -172,7 +172,7 @@ class TestHubDetection:
         part = fast_greedy(net.projection)
         scores = score_documents(net)
         base = [h.id for h in detect_translational_hubs(net.projection,
-                                                        part.assignment, scores)]
+                                                        id_labels(net.projection, part), scores)]
 
         edges2 = list(net.edges)
         edges2 += [(f"X{u}", f"X{v}") for u, v in net.edges]
@@ -184,7 +184,7 @@ class TestHubDetection:
         net2 = make_net(edges2, terms=terms, years=years)
         part2 = fast_greedy(net2.projection)
         hubs2 = [h.id for h in detect_translational_hubs(
-            net2.projection, part2.assignment, score_documents(net2))]
+            net2.projection, id_labels(net2.projection, part2), score_documents(net2))]
         assert [h for h in hubs2 if not h.startswith("X")] == base
 
 
@@ -410,13 +410,13 @@ class TestAcyclicReduction:
 class TestSearchPathCounts:
     def test_chain(self):
         net = make_net([("a", "b"), ("b", "c")])
-        spc = search_path_counts(net)
+        spc = kept_edge_spc(net)
         assert spc == {("a", "b"): 1, ("b", "c"): 1}
 
     def test_diamond_with_branch(self):
         net = make_net([("a", "b"), ("b", "d"), ("a", "c"), ("c", "d"),
                         ("c", "e"), ("e", "d")])
-        spc = search_path_counts(net)
+        spc = kept_edge_spc(net)
         assert spc[("a", "c")] == 2
         assert spc[("a", "b")] == 1
         path = main_path(net)
@@ -430,14 +430,14 @@ class TestSearchPathCounts:
                 continue
             fixtures += 1
             net = make_net(edges, nodes=ids)
-            spc = search_path_counts(net)
+            spc = kept_edge_spc(net)
             oracle = enumerate_spc(net.ids, edges)
             assert spc == oracle
         assert fixtures >= 20
 
     def test_multi_source_multi_sink(self):
         net = make_net([("s1", "m"), ("s2", "m"), ("m", "t1"), ("m", "t2")])
-        spc = search_path_counts(net)
+        spc = kept_edge_spc(net)
         # virtual super-source/sink handling: 2 ways in, 2 ways out
         assert spc[("s1", "m")] == 2
         assert spc[("m", "t1")] == 2
@@ -499,7 +499,7 @@ class TestMainPath:
     @given(data=st.data())
     def test_matches_oracles_after_reduction(self, data):
         """On digraphs with or without cycles and with mixed or missing
-        years, main_path and search_path_counts equal the enumeration
+        years, main_path and the SPC of every kept edge equal the enumeration
         oracles run on the round oracle's kept edges, whether the reduction
         shares the network's lists (nothing removed) or filters copies."""
         n = data.draw(st.integers(2, 8))
@@ -519,7 +519,7 @@ class TestMainPath:
         succ, pred, _ = hubs._reduce(net)
         assert (succ is net.out_adj and pred is net.in_adj) == (not removed)
         spc = enumerate_spc(net.ids, kept)
-        counts = search_path_counts(net)
+        counts = kept_edge_spc(net)
         assert counts == spc and list(counts) == kept
         if not kept:
             with pytest.raises(InsufficientDataError):

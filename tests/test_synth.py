@@ -6,6 +6,8 @@ from ktmap.fronts import fast_greedy
 from ktmap.synth import (PlantedConfig, gen_deterministic_hierarchical,
                          gen_planted_kt_network, gen_random_graph, nmi)
 
+from conftest import id_labels
+
 
 class TestPlantedGenerator:
     def test_same_seed_identical(self):
@@ -75,7 +77,7 @@ class TestPlantedGenerator:
                                     p_within=(0.25,), p_between=p_between)
                 net, truth = gen_planted_kt_network(cfg, seed)
                 part = fast_greedy(net.projection)
-                vals.append(nmi(part.assignment, truth.leaf_labels()))
+                vals.append(nmi(id_labels(net.projection, part), truth.leaf_labels()))
             means.append(np.mean(vals))
         assert means[0] <= means[1] + 1e-9 <= means[2] + 2e-9
 
