@@ -20,13 +20,14 @@ import logging
 import os
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 
 from ktmap import _kernels, corpus, fronts, hubs
 from ktmap.corpus import (CitationNetwork, Document, co_citation_projection,
-                          iter_node_records, load_corpus, write_corpus)
+                          load_corpus, write_corpus)
 from ktmap.selection import select_top_cited
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, gen_random_graph
 
@@ -174,13 +175,16 @@ def bench_parse(leaf: int) -> None:
     """Corpus parsing on a 4x5 nested planted corpus written to a temporary
     directory; leaf=500 gives about 10k documents and 114k citations, the
     size of perfbench's planted corpora. Columns: the nodes file read to
-    Documents; the edges file read and its ids looked up; the rest of the
-    network build (the order check on the looked-up node lists, which are
-    kept as the network's edge store; no adjacency is built); ``write_corpus``
-    of what the report's parse stage reads (a copy of the input text here);
-    ``load_corpus`` plus that write, as the parse stage runs them; and
-    ``select_top_cited`` on the parsed network at the report's default
-    fraction (in-degrees and the induced core)."""
+    the network's document columns, in id order; the edges file read and
+    its ids looked up; the rest of the network build (the order check on
+    the looked-up node lists, which are kept as the network's edge store;
+    no adjacency is built); ``write_corpus`` of what the report's parse
+    stage reads (a copy of the input text here); ``load_corpus`` plus that
+    write, as the parse stage runs them; ``select_top_cited`` on the parsed
+    network at the report's default fraction (in-degrees and the induced
+    core); and ``held``, the bytes per document that a parsed network keeps
+    (ids, index, columns and edge lists), traced by tracemalloc on a
+    separate load outside the timed ones."""
     scale = 500 / leaf  # same expected degree at every size
     cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
                         p_within=(0.0031 * scale, 0.0249 * scale),
@@ -192,14 +196,15 @@ def bench_parse(leaf: int) -> None:
         write_corpus(net, nodes, edges)
         t0 = time.perf_counter()
         with open(nodes, encoding="utf-8") as fh:
-            docs = list(iter_node_records(fh))
+            _, index, columns = corpus._read_columns(fh)
+            ids, index, columns = corpus._in_id_order(index, columns)
         t1 = time.perf_counter()
         with open(edges, encoding="utf-8") as fh:
             text = fh.read()
-        corpus._edge_text_nodes(text.rstrip("\n"), net.index)
+        corpus._edge_text_nodes(text, net.index)
         t2 = time.perf_counter()
         with open(edges, encoding="utf-8") as fh:
-            CitationNetwork._from_edges(docs, fh, lenient=False)
+            CitationNetwork._from_edges(ids, index, columns, fh, lenient=False)
         t3 = time.perf_counter()
         parsed, text = load_corpus(nodes, edges, keep_text=True)
         t4 = time.perf_counter()
@@ -208,9 +213,15 @@ def bench_parse(leaf: int) -> None:
         t5 = time.perf_counter()
         select_top_cited(parsed, 0.2)
         t6 = time.perf_counter()
+        del parsed, text
+        tracemalloc.start()
+        held = load_corpus(nodes, edges)
+        held_bytes = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
     print(f"parse         n={net.n_docs:5d} m={net.n_edges:6d}  nodes {t1 - t0:.3f}s"
           f"  edges {t2 - t1:.3f}s  network {t3 - t2 - (t2 - t1):.3f}s"
-          f"  write {t5 - t4:.3f}s  load+write {t5 - t3:8.3f}s  select {t6 - t5:.3f}s")
+          f"  write {t5 - t4:.3f}s  load+write {t5 - t3:8.3f}s  select {t6 - t5:.3f}s"
+          f"  held {held_bytes / held.n_docs:.0f} B/doc")
 
 
 def main() -> None:

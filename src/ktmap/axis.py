@@ -59,9 +59,8 @@ def classify(score: float | None, low: float = DEFAULT_LOW,
 
 def score_documents(net: CitationNetwork) -> dict[str, float | None]:
     """Per-document translational score from the stored term counts."""
-    return {i: translational_score(net.docs[i].basic_terms,
-                                   net.docs[i].clinical_terms)
-            for i in net.ids}
+    return dict(zip(net.ids, map(translational_score, net.basic_terms,
+                                 net.clinical_terms)))
 
 
 def homophily_assortativity(net: CitationNetwork,

@@ -17,34 +17,40 @@ edges file : two-column delimited text ``citing,cited`` (tab or whitespace
     read as a header although both fields name documents.
 lexicon files : one term per line, UTF-8, lowercased on load.
 
-Interned ids
-------------
+Interned ids and document columns
+---------------------------------
 A CitationNetwork numbers its documents once, in sorted id order, and works
-on those numbers from then on. It keeps each edge once, in two parallel
-node lists sorted by (citing, cited); the in-degrees and the in- and
-out-adjacency lists are built from them on first use. Edges that arrive
-unordered are sorted as int codes: citing u -> cited v is ``u * n + v`` (n
-documents). As the numbering follows the sorted ids, the codes sort
-exactly like the (citing, cited) id pairs, so every order derived from
-them is the one the string pairs would give. Id strings come back where
-something is written or reported: ``ids[i]``, and the ``edges`` pairs,
-built on first use.
+on those numbers from then on. It keeps no object per document: each
+field but the id is one list indexed by node (``years``, ``kinds``, ...),
+and ``document(i)`` builds a Document on demand. It keeps each edge once,
+in two parallel node lists sorted by (citing, cited); the in-degrees and
+the in- and out-adjacency lists are built from them on first use. Edges
+that arrive unordered are sorted as int codes: citing u -> cited v is
+``u * n + v`` (n documents). As the numbering follows the sorted ids, the
+codes sort exactly like the (citing, cited) id pairs, so every order
+derived from them is the one the string pairs would give. Id strings come
+back where something is written or reported: ``ids[i]``, and the
+``edges`` pairs, built on first use.
 
 Whole-file reading
 ------------------
 ``parse_corpus`` (and ``load_corpus``) read each seekable stream in one
-piece; a stream that cannot seek is read by the line loops. The nodes
-text, split on "\n" alone, is decoded by one json.loads over all its
-non-blank lines where that provably gives one object per line, and a line
-at a time otherwise. Either way each record is checked in line order by
-``_check_fields``, the one statement of the ``Document`` rules. When every
-line of the edges text is ``a,b`` (as ``write_corpus`` writes it,
-optionally under its header) with two known ids and no self-loop, it is
-split a block at a time and its ids are looked up straight to node numbers.
-Any other edges text, down to one line the line loop would read
-differently, is read line by line, and only that loop reports malformed
-lines, so errors, warnings and their line numbers do not depend on the
-path taken.
+piece; a stream that cannot seek is read by the line loops. Both texts
+are then read a block of lines at a time, so that only one block's
+strings and records are alive at once. The nodes text, split on "\n"
+alone, is decoded by one json.loads over each block's non-blank lines
+where that provably gives one object per line, and that block a line at a
+time otherwise. Either way each record is checked in line order by
+``_check_fields``, the one statement of the ``Document`` rules, and its
+values are appended to the columns; an id seen on an earlier line is an
+error at its line. The columns are put into id order once, and only when
+the file is out of order. When every line of the edges text is ``a,b`` (as
+``write_corpus`` writes it, optionally under its header) with two known
+ids and no self-loop, its ids are looked up straight to node numbers, and
+no copy of the text is made. Any other edges text, down to one line the
+line loop would read differently, is read line by line, and only that loop
+reports malformed lines, so errors, warnings and their line numbers do not
+depend on the path taken.
 
 ``parse_corpus(..., keep_text=True)`` also returns the input texts that
 are exactly what ``write_corpus`` would write for the network: the edges
@@ -68,7 +74,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 from itertools import compress, count, islice, repeat
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
@@ -110,19 +116,27 @@ class Document:
     ext_citations: int | None = None
 
     def __post_init__(self):
-        _check_fields(self.__dict__)
+        _check_fields(_field_values(self))
 
     @classmethod
-    def _trusted(cls, fields: dict) -> "Document":
-        """A Document from {field: value} in field order, values already
-        passed through _check_fields."""
+    def _trusted(cls, values: Sequence) -> "Document":
+        """A Document from its field values in _FIELDS order, already passed
+        through _check_fields."""
         doc = object.__new__(cls)
-        object.__setattr__(doc, "__dict__", fields)
+        object.__setattr__(doc, "__dict__", dict(zip(_FIELDS, values)))
         return doc
 
 
-def _check_fields(fields: dict) -> None:
-    """The document rules, on {field: value} as a Document holds them.
+# the Document fields, and the network's column of each field after the id
+_FIELDS = tuple(field.name for field in dataclass_fields(Document))
+_COLUMNS = ("years", "kinds", "basic_terms", "clinical_terms", "raw_terms",
+            "ext_citations")
+_field_values = operator.attrgetter(*_FIELDS)
+_columns = operator.attrgetter(*_COLUMNS)
+
+
+def _check_fields(values: Sequence) -> None:
+    """The document rules, on a Document's field values in _FIELDS order.
 
     The id is a non-empty string that the edges file can hold (_BAD_ID,
     _SURROGATE); year, the term counts and ext_citations are ints, bools
@@ -131,7 +145,7 @@ def _check_fields(fields: dict) -> None:
     the first rule broken, in the order, and with the words, of the nodes
     reader's errors.
     """
-    doc_id = fields["id"]
+    doc_id, year, kind, basic, clinical, terms, ext = values
     if type(doc_id) is not str:
         raise ValueError("document id must be a non-empty string")
     if _BAD_ID.search(doc_id):
@@ -140,26 +154,21 @@ def _check_fields(fields: dict) -> None:
     if _SURROGATE.search(doc_id):
         raise ValueError(f"id {doc_id!r} holds a lone surrogate, which UTF-8 "
                          "cannot encode")
-    terms = fields["raw_terms"]
     if terms is not None and (type(terms) is not tuple or not all(
             type(term) is str and term == term.lower() for term in terms)):
         raise ValueError("'terms' must be an array of strings")
-    basic = fields["basic_terms"]
     if type(basic) is not int:
         raise ValueError("'basic_terms' must be an integer")
-    clinical = fields["clinical_terms"]
     if type(clinical) is not int:
         raise ValueError("'clinical_terms' must be an integer")
-    year = fields["year"]
     if year is not None and type(year) is not int:
         raise ValueError("'year' must be an integer")
-    ext = fields["ext_citations"]
     if ext is not None and type(ext) is not int:
         raise ValueError("'ext_citations' must be an integer")
     if not doc_id:
         raise ValueError("document id must be a non-empty string")
-    if fields["kind"] not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {fields['kind']!r}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if basic < 0 or clinical < 0:
         raise ValueError(f"term counts must be non-negative ({doc_id})")
 
@@ -302,29 +311,41 @@ class CitationNetwork:
     """Directed citation graph plus its derived undirected simple projection.
 
     Document ids are interned once, in sorted order: node i is document
-    ``ids[i]`` and ``index`` maps an id back to i. The edges are stored
-    once, in two parallel node lists: ``citing[e]`` cites ``cited[e]``, the
-    pairs ascending and distinct, each node the index's own int object;
-    ``n_edges`` counts them. The rest is derived on first use and kept:
-    ``in_degrees[v]``, the citation count of v within the corpus; the
-    ascending adjacency lists ``out_adj[u]`` (the nodes u cites) and
-    ``in_adj[v]`` (the nodes citing v); and the string pairs of ``edges``.
-    Immutable after construction and safe for concurrent reads.
+    ``ids[i]`` and ``index`` maps an id back to i. The other document
+    fields are kept as columns indexed like ``ids``: ``years``, ``kinds``,
+    ``basic_terms``, ``clinical_terms``, ``raw_terms`` and
+    ``ext_citations``; ``document(i)`` builds node i's Document. The edges
+    are stored once, in two parallel node lists: ``citing[e]`` cites
+    ``cited[e]``, the pairs ascending and distinct, each node the index's
+    own int object; ``n_edges`` counts them. The rest is derived on first
+    use and kept: ``in_degrees[v]``, the citation count of v within the
+    corpus; the ascending adjacency lists ``out_adj[u]`` (the nodes u
+    cites) and ``in_adj[v]`` (the nodes citing v); and the string pairs of
+    ``edges``. Immutable after construction (callers must not change the
+    lists) and safe for concurrent reads.
     """
+
+    years: list[int | None]
+    kinds: list[str]
+    basic_terms: list[int]
+    clinical_terms: list[int]
+    raw_terms: list[tuple[str, ...] | None]
+    ext_citations: list[int | None]
 
     def __init__(self, documents: Iterable[Document],
                  edges: Iterable[tuple[str, str]], lenient: bool = False):
-        docs, ids, index = _intern(documents)
+        ids, index, columns = _in_id_order(*_document_columns(documents))
         citing, cited, skipped = _pair_nodes(index, edges, lenient)
-        self._store(docs, ids, index, _code_nodes(index, citing, cited, skipped),
-                    skipped)
+        self._store(ids, index, columns,
+                    _code_nodes(index, citing, cited, skipped), skipped)
 
     @classmethod
-    def _from_edges(cls, documents: Iterable[Document], stream: Iterable[str],
-                    lenient: bool) -> tuple["CitationNetwork", str | None]:
-        """The network of `documents` and an edges stream, and the stream's
-        whole text if write_corpus would write it back byte for byte (else
-        None).
+    def _from_edges(cls, ids: tuple[str, ...], index: dict[str, int],
+                    columns: tuple[list, ...], stream: Iterable[str], lenient: bool
+                    ) -> tuple["CitationNetwork", str | None]:
+        """The network of documents in id order (as _in_id_order returns
+        them) and an edges stream, and the stream's whole text if
+        write_corpus would write it back byte for byte (else None).
 
         A seekable stream is read whole. When every line is ``a,b`` with
         both fields known ids and no self-loop, the fields are looked up in
@@ -335,8 +356,7 @@ class CitationNetwork:
         are those of __init__.
         """
         text = _read_whole(stream)
-        docs, ids, index = _intern(documents)
-        found = None if text is None else _edge_text_nodes(text.rstrip("\n"), index)
+        found = None if text is None else _edge_text_nodes(text, index)
         pairs = None
         # a node is its index's int object, so `is` finds the self-loops
         if found is not None and not any(map(operator.is_, found[0], found[1])):
@@ -353,25 +373,26 @@ class CitationNetwork:
             citing, cited, skipped = _pair_nodes(
                 index, iter_edge_records(lines, index), lenient)
         net = cls.__new__(cls)
-        net._store(docs, ids, index, pairs or _code_nodes(index, citing, cited, skipped),
-                   skipped)
+        net._store(ids, index, columns,
+                   pairs or _code_nodes(index, citing, cited, skipped), skipped)
         written = (pairs is not None and text.startswith("citing,cited\n")
                    and text.endswith("\n") and not text.endswith("\n\n"))
         return net, text if written else None
 
-    def _store(self, docs: dict[str, Document], ids: tuple[str, ...],
-               index: dict[str, int], pairs: tuple[list[int], list[int]],
+    def _store(self, ids: tuple[str, ...], index: dict[str, int],
+               columns: tuple[list, ...], pairs: tuple[list[int], list[int]],
                skipped: tuple[tuple[str, str], ...]) -> None:
-        """Keep validated parts (ids sorted) and `pairs`, the (citing, cited)
+        """Keep validated parts: ids sorted, the document columns in id
+        order (as _COLUMNS names them), and `pairs`, the (citing, cited)
         node lists of the edges in ascending order without duplicates, each
         node the index's int object, as the network's edge store."""
-        self.docs = docs
         self.ids = ids
         self.index = index
+        self.__dict__.update(zip(_COLUMNS, columns))
         self.skipped_edges = skipped
         self.citing, self.cited = pairs
         self.n_edges = len(self.citing)
-        # [out_adj, in_adj] once built; with_documents copies share it
+        # [out_adj, in_adj] once built; with_lexicon copies share it
         self._adjacency: list[list[list[int]]] = []
 
     # -- basic accessors -------------------------------------------------
@@ -379,6 +400,11 @@ class CitationNetwork:
     @property
     def n_docs(self) -> int:
         return len(self.ids)
+
+    def document(self, i: int) -> Document:
+        """The Document of node i, built from the columns."""
+        return Document._trusted(
+            (self.ids[i], *[column[i] for column in _columns(self)]))
 
     @cached_property
     def in_degrees(self) -> list[int]:
@@ -421,27 +447,32 @@ class CitationNetwork:
 
     # -- derived networks and graphs ----------------------------------------
 
-    def with_documents(self, documents: Iterable[Document]) -> "CitationNetwork":
-        """This network with each document replaced by one of the same id.
-
-        The documents must carry exactly the network's ids; they are kept
-        in the order given. Edge lists, skipped edges and adjacency (also
-        when built later) are shared.
-        """
-        docs, ids, _ = _intern(documents)
-        if ids != self.ids:
-            raise ValueError("replacement documents must have the network's ids")
+    def with_lexicon(self, lexicon: Lexicon) -> "CitationNetwork":
+        """This network with the term counts of every document that has raw
+        terms and no counts taken from `lexicon` (count_terms): explicit
+        counts win. The network itself if no document has such terms; else
+        a copy with new count columns that shares everything else: the
+        other columns, the edge lists, the skipped edges and the adjacency
+        (also when built later)."""
+        basic, clinical = self.basic_terms[:], self.clinical_terms[:]
+        counted = False
+        for i, terms in enumerate(self.raw_terms):
+            if terms is not None and basic[i] == 0 and clinical[i] == 0:
+                basic[i], clinical[i] = count_terms(terms, lexicon)
+                counted = True
+        if not counted:
+            return self
         net = copy.copy(self)
-        net.docs = docs
+        net.basic_terms, net.clinical_terms = basic, clinical
         return net
 
     def induced(self, nodes: Iterable[str]) -> "CitationNetwork":
-        """Sub-network induced on the given document ids. With every
-        document kept, it shares this network's edge store and adjacency."""
+        """Sub-network induced on the given document ids, its columns the
+        slices of this network's. With every document kept, it shares this
+        network's columns, edge store and adjacency."""
         keep = sorted(set(nodes))
         if tuple(keep) == self.ids:
             sub = copy.copy(self)
-            sub.docs = {v: self.docs[v] for v in keep}
             sub.skipped_edges = ()
             return sub
         old = [self.index[v] for v in keep]
@@ -459,7 +490,7 @@ class CitationNetwork:
             us += repeat(new, len(kept))
             vs += kept
         sub = CitationNetwork.__new__(CitationNetwork)
-        sub._store({v: self.docs[v] for v in keep}, tuple(keep), index, (us, vs), ())
+        sub._store(tuple(keep), index, _taken(_columns(self), old), (us, vs), ())
         return sub
 
     @cached_property
@@ -498,16 +529,38 @@ def co_citation_projection(net: CitationNetwork) -> UGraph:
     return UGraph._trusted([net.ids[v] for v in nodes], adj)
 
 
-def _intern(documents: Iterable[Document]
-            ) -> tuple[dict[str, Document], tuple[str, ...], dict[str, int]]:
-    """(docs by id in the order given, ids sorted, index id -> node)."""
-    docs: dict[str, Document] = {}
+def _document_columns(documents: Iterable[Document]
+                      ) -> tuple[dict[str, int], tuple[list, ...]]:
+    """(index id -> position, the columns of _COLUMNS) of documents in the
+    order given; DuplicateIdError at the first id given twice."""
+    index: dict[str, int] = {}
+    docs = []
     for doc in documents:
-        if doc.id in docs:
+        if doc.id in index:
             raise DuplicateIdError(f"duplicate document id {doc.id!r}")
-        docs[doc.id] = doc
-    ids = tuple(sorted(docs))
-    return docs, ids, {v: i for i, v in enumerate(ids)}
+        index[doc.id] = len(index)
+        docs.append(doc)
+    return index, tuple(list(map(operator.attrgetter(field), docs))
+                        for field in _FIELDS[1:])
+
+
+def _in_id_order(index: dict[str, int], columns: tuple[list, ...]
+                 ) -> tuple[tuple[str, ...], dict[str, int], tuple[list, ...]]:
+    """(ids sorted, index id -> node, columns in id order) of documents
+    whose `index` numbers them 0, 1, ... in the order of `columns`. When the
+    ids come sorted, that index and those columns are returned as they are;
+    else both are built once, in id order."""
+    ids = tuple(index)
+    if all(map(operator.lt, ids, islice(ids, 1, None))):
+        return ids, index, columns
+    ids = tuple(sorted(ids))
+    return (ids, dict(zip(ids, range(len(ids)))),
+            _taken(columns, list(map(index.__getitem__, ids))))
+
+
+def _taken(columns: Iterable[list], nodes: list[int]) -> tuple[list, ...]:
+    """Each column's entries at `nodes`, in that order."""
+    return tuple(list(map(column.__getitem__, nodes)) for column in columns)
 
 
 def _pair_nodes(index: dict[str, int], edges: Iterable[tuple[str, str]],
@@ -585,11 +638,14 @@ def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
     write_corpus, that are exactly what it would write for this network
     (see the module docstring).
     """
-    nodes_text, docs = _read_documents(nodes_stream)
-    net, edges_text = CitationNetwork._from_edges(docs, edges_stream, lenient)
+    nodes_text, read_index, columns = _read_columns(nodes_stream)
+    ids, index, columns = _in_id_order(read_index, columns)
+    net, edges_text = CitationNetwork._from_edges(ids, index, columns, edges_stream,
+                                                  lenient)
     if not keep_text:
         return net
-    nodes_written = (nodes_text is not None and tuple(net.docs) == net.ids
+    # the reader's own index is kept only where the file came in id order
+    nodes_written = (nodes_text is not None and index is read_index
                      and _is_written_nodes(nodes_text))
     return net, CorpusText(nodes_text if nodes_written else None, edges_text)
 
@@ -619,35 +675,52 @@ def _read_whole(stream) -> str | None:
 
 
 def iter_node_records(stream: Iterable[str]) -> Iterator[Document]:
-    """The documents of a nodes stream, in file order."""
-    yield from _read_documents(stream)[1]
+    """The documents of a nodes stream, in file order; as in parse_corpus,
+    an id repeated on a later line raises DuplicateIdError at that line."""
+    _, index, columns = _read_columns(stream)
+    yield from map(Document._trusted, zip(index, *columns))
 
 
-def _read_documents(stream: Iterable[str]) -> tuple[str | None, list[Document]]:
-    """(whole text, or None if not read whole; documents) of a nodes stream.
+def _read_columns(stream: Iterable[str]
+                  ) -> tuple[str | None, dict[str, int], tuple[list, ...]]:
+    """(whole text, or None if not read whole; index id -> position; the
+    columns of _COLUMNS) of the documents of a nodes stream, in file order.
 
-    A seekable stream is read in one piece and decoded by _decoded_whole
-    where it can; any other stream or text is decoded a line at a time.
-    Either way, every record is checked, and its Document built, in line
-    order, so errors and their line numbers do not depend on the path.
+    A seekable stream is read in one piece and decoded by _decoded_blocks;
+    any other stream is decoded a line at a time. Either way, every record
+    is checked, and its values appended to the columns, in line order, so
+    errors and their line numbers do not depend on the path. An id seen on
+    an earlier line raises DuplicateIdError.
     """
     text = _read_whole(stream)
-    numbered = None if text is None else _decoded_whole(text)
-    if numbered is None:
-        numbered = _decoded_lines(stream if text is None else text.split("\n"))
-    docs = []
+    numbered = _decoded_lines(stream) if text is None else _decoded_blocks(text)
+    index: dict[str, int] = {}
+    columns = tuple([] for _ in _COLUMNS)
+    years, kinds, basic_terms, clinical_terms, raw_terms, ext_citations = columns
+    # json.loads makes an int object per value; a corpus has few years
+    year_of: dict[int | None, int | None] = {}
     for lineno, rec in numbered:
         try:
-            docs.append(_record_document(rec))
+            doc_id, year, kind, basic, clinical, terms, ext = _record_values(rec)
         except (ValueError, TypeError) as exc:
             raise MalformedRecordError(f"nodes line {lineno}: {exc}")
-    return text, docs
+        if doc_id in index:
+            raise DuplicateIdError(
+                f"nodes line {lineno}: duplicate document id {doc_id!r}")
+        index[doc_id] = len(index)
+        years.append(year_of.setdefault(year, year))
+        kinds.append(kind)
+        basic_terms.append(basic)
+        clinical_terms.append(clinical)
+        raw_terms.append(terms)
+        ext_citations.append(ext)
+    return text, index, columns
 
 
-def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _decoded_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, dict]]:
     """(line number, record) of each non-blank nodes line, one json.loads
-    a line."""
-    for lineno, line in enumerate(lines, start=1):
+    a line; the lines are numbered from `first`."""
+    for lineno, line in enumerate(lines, start=first):
         line = line.strip()
         if not line:
             continue
@@ -664,32 +737,40 @@ def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 _RECORD_THEN_COMMA = re.compile(r"\}[ \t\r]*,")
 
 
-def _decoded_whole(text: str) -> Iterator[tuple[int, dict]] | None:
-    """_decoded_lines of a nodes text, from one json.loads over all its
-    non-blank lines; None where that might not give the same records.
+def _decoded_blocks(text: str) -> Iterator[tuple[int, dict]]:
+    """_decoded_lines of a nodes text, split on "\n" alone, a block of
+    lines at a time: one json.loads over the block's non-blank lines where
+    that provably gives the same records, else a line at a time. Only one
+    block's lines and records are alive at once.
 
-    The array of all non-blank lines has one record per line when it has
-    as many records as lines, all objects, and no line holds an object's
-    closing brace before a comma: a second record on a line needs one, and
-    without it each joining comma ends a record.
+    The array of a block's non-blank lines has one record per line when it
+    has as many records as lines, all objects, and no line holds an
+    object's closing brace before a comma: a second record on a line needs
+    one, and without it each joining comma ends a record.
     """
-    if _RECORD_THEN_COMMA.search(text):
-        return None
-    stripped = list(map(str.strip, text.split("\n")))
-    lines = list(filter(None, stripped))
-    try:
-        recs = json.loads("[" + ",".join(lines) + "]")
-    except (ValueError, RecursionError):
-        return None
-    if len(recs) != len(lines) or not set(map(type, recs)) <= {dict}:
-        return None
-    return zip(compress(count(1), stripped), recs)
+    first = 1
+    for block in _blocks(text, len(text)):
+        stripped = list(map(str.strip, block.split("\n")))
+        lines = list(filter(None, stripped))
+        recs = None
+        if not _RECORD_THEN_COMMA.search(block):
+            try:
+                recs = json.loads("[" + ",".join(lines) + "]")
+            except (ValueError, RecursionError):
+                pass
+        if (recs is not None and len(recs) == len(lines)
+                and set(map(type, recs)) <= {dict}):
+            yield from zip(compress(count(first), stripped), recs)
+        else:
+            yield from _decoded_lines(stripped, first)
+        first += len(stripped)
 
 
-def _record_document(rec: dict) -> Document:
-    """The Document of a decoded nodes record: a missing kind is "paper",
-    missing counts are 0, an id of another JSON type is taken as its str
-    and terms are lowercased. ValueError if it breaks a rule."""
+def _record_values(rec: dict) -> tuple:
+    """The Document field values, in _FIELDS order, of a decoded nodes
+    record: a missing kind is "paper", missing counts are 0, an id of
+    another JSON type is taken as its str and terms are lowercased.
+    ValueError if they break a rule."""
     get = rec.get
     doc_id = get("id")
     if doc_id is None:
@@ -700,12 +781,10 @@ def _record_document(rec: dict) -> Document:
             terms = tuple(map(str.lower, terms))
         except TypeError:  # a term that is no string: the rules reject the list
             pass
-    fields = {"id": str(doc_id), "year": get("year"), "kind": get("kind", "paper"),
-              "basic_terms": get("basic_terms", 0),
-              "clinical_terms": get("clinical_terms", 0), "raw_terms": terms,
-              "ext_citations": get("ext_citations")}
-    _check_fields(fields)
-    return Document._trusted(fields)
+    values = (str(doc_id), get("year"), get("kind", "paper"), get("basic_terms", 0),
+              get("clinical_terms", 0), terms, get("ext_citations"))
+    _check_fields(values)
+    return values
 
 
 # the line of each document as write_corpus writes it, where its strings
@@ -741,17 +820,29 @@ def _one_comma_per_line(body: str) -> bool:
     return skeleton == b",\n" * body.count("\n") + b","
 
 
-# characters per block of edges text: the per-block work is negligible,
-# and the field strings of one block take under 1 MB
+# characters per block of a nodes or edges text: the per-block work is
+# negligible, and the strings and records of one block take under 1 MB
 _BLOCK = 1 << 16
 
 
-def _edge_text_nodes(body: str, index: dict[str, int]
+def _blocks(text: str, stop: int) -> Iterator[str]:
+    """text[:stop] a block of whole lines at a time, split at the first
+    newline _BLOCK or more characters into each block; the blocks leave
+    out the newlines they are split at."""
+    start = 0
+    while start <= stop:
+        end = text.find("\n", start + _BLOCK, stop)
+        end = stop if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
+def _edge_text_nodes(text: str, index: dict[str, int]
                      ) -> tuple[list[int], list[int], tuple[str, str] | None] | None:
-    """(citing nodes, cited nodes, header) of edges text without its final
-    newlines, if each of its lines holds exactly one comma and every field
-    is an id; else None. A first line whose fields are citing and cited, in
-    any case, is the header and left out.
+    """(citing nodes, cited nodes, header) of edges text, its final
+    newlines left out, if each of its lines holds exactly one comma and
+    every field is an id; else None. A first line whose fields are citing
+    and cited, in any case, is the header and left out.
 
     The text is split and looked up a block of lines at a time, so only
     one block's field strings are alive at once.
@@ -760,15 +851,14 @@ def _edge_text_nodes(body: str, index: dict[str, int]
     us: list[int] = []
     vs: list[int] = []
     header = None
-    start = 0
-    while start <= len(body):
-        end = body.find("\n", start + _BLOCK)
-        end = len(body) if end < 0 else end
-        block = body[start:end]
+    stop = len(text)
+    while text.endswith("\n", 0, stop):
+        stop -= 1
+    for number, block in enumerate(_blocks(text, stop)):
         if not _one_comma_per_line(block):
             return None
         fields = block.replace("\n", ",").split(",")
-        if start == 0 and fields[0].lower() == "citing" and fields[1].lower() == "cited":
+        if number == 0 and fields[0].lower() == "citing" and fields[1].lower() == "cited":
             header = fields[0], fields[1]
             del fields[:2]
         try:
@@ -776,7 +866,6 @@ def _edge_text_nodes(body: str, index: dict[str, int]
             vs += map(node, islice(fields, 1, None, 2))
         except KeyError:
             return None
-        start = end + 1
     return us, vs, header
 
 
@@ -831,9 +920,8 @@ def write_corpus(net: CitationNetwork, nodes_path, edges_path,
     """
     nodes, edges = text or (None, None)
     if nodes is None:
-        docs = net.docs
-        nodes = "".join([_to_json(document_to_record(docs[v])) + "\n"
-                         for v in net.ids])
+        nodes = "".join([_to_json(record) + "\n" for record in
+                         map(_node_record, net.ids, *_columns(net))])
     if edges is None:
         id_of = net.ids.__getitem__
         edges = "citing,cited\n" + "".join([
@@ -845,16 +933,19 @@ def write_corpus(net: CitationNetwork, nodes_path, edges_path,
         fh.write(edges)
 
 
-def document_to_record(doc: Document) -> dict:
-    rec: dict = {"id": doc.id}
-    if doc.year is not None:
-        rec["year"] = doc.year
-    if doc.kind != "paper":
-        rec["kind"] = doc.kind
-    rec["basic_terms"] = doc.basic_terms
-    rec["clinical_terms"] = doc.clinical_terms
-    if doc.raw_terms is not None:
-        rec["terms"] = list(doc.raw_terms)
-    if doc.ext_citations is not None:
-        rec["ext_citations"] = doc.ext_citations
+def _node_record(doc_id: str, year: int | None, kind: str, basic_terms: int,
+                 clinical_terms: int, raw_terms: tuple[str, ...] | None,
+                 ext_citations: int | None) -> dict:
+    """The nodes-file record of one document's field values."""
+    rec: dict = {"id": doc_id}
+    if year is not None:
+        rec["year"] = year
+    if kind != "paper":
+        rec["kind"] = kind
+    rec["basic_terms"] = basic_terms
+    rec["clinical_terms"] = clinical_terms
+    if raw_terms is not None:
+        rec["terms"] = list(raw_terms)
+    if ext_citations is not None:
+        rec["ext_citations"] = ext_citations
     return rec

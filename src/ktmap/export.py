@@ -47,12 +47,11 @@ def to_graphml(net: CitationNetwork,
         '  <key id="d_hub" for="node" attr.name="hub" attr.type="boolean"/>',
         '  <graph id="G" edgedefault="directed">',
     ]
-    for doc_id in net.ids:
-        doc = net.docs[doc_id]
+    for doc_id, year, kind in zip(net.ids, net.years, net.kinds):
         lines.append(f'    <node id="{_escape(doc_id)}">')
-        if doc.year is not None:
-            lines.append(f'      <data key="d_year">{doc.year}</data>')
-        lines.append(f'      <data key="d_kind">{doc.kind}</data>')
+        if year is not None:
+            lines.append(f'      <data key="d_year">{year}</data>')
+        lines.append(f'      <data key="d_kind">{kind}</data>')
         if front_paths and doc_id in front_paths:
             lines.append(f'      <data key="d_front">{_escape(front_paths[doc_id])}</data>')
         if scores is not None and scores.get(doc_id) is not None:

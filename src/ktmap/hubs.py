@@ -244,8 +244,7 @@ def _reduce(net: CitationNetwork) -> tuple[list, list, list[int]]:
     edges in acyclic_reduction's order. The lists are the network's own
     out_adj and in_adj when nothing is removed, else copies; callers must
     not change them."""
-    ids, n = net.ids, net.n_docs
-    years = [net.docs[v].year for v in ids]
+    ids, n, years = net.ids, net.n_docs, net.years
     succ, pred = net.out_adj, net.in_adj
     removed = [u * n + v for u, cited in enumerate(succ) if years[u] is not None
                for v in cited if years[v] is not None and years[u] < years[v]]

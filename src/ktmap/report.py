@@ -33,9 +33,8 @@ from typing import Literal
 from . import __version__
 from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
-from .corpus import (CitationNetwork, Document, Lexicon,
-                     co_citation_projection, count_terms, load_corpus,
-                     write_corpus)
+from .corpus import (CitationNetwork, Lexicon, co_citation_projection,
+                     load_corpus, write_corpus)
 from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts, level_assignment, path_string
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
@@ -386,19 +385,8 @@ def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwo
     win. The network itself comes back if no document changes."""
     if not config.lexicon_basic:
         return net
-    lexicon = Lexicon.load(config.lexicon_basic, config.lexicon_clinical)
-    docs = []
-    replaced = False
-    for doc_id in net.ids:
-        doc = net.docs[doc_id]
-        if doc.raw_terms is not None and doc.basic_terms == 0 and doc.clinical_terms == 0:
-            basic, clinical = count_terms(doc.raw_terms, lexicon)
-            doc = Document(id=doc.id, year=doc.year, kind=doc.kind,
-                           basic_terms=basic, clinical_terms=clinical,
-                           raw_terms=doc.raw_terms, ext_citations=doc.ext_citations)
-            replaced = True
-        docs.append(doc)
-    return net.with_documents(docs) if replaced else net
+    return net.with_lexicon(
+        Lexicon.load(config.lexicon_basic, config.lexicon_clinical))
 
 
 def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):

@@ -47,7 +47,7 @@ def select_top_cited(net: CitationNetwork, fraction: float,
     if rank_by == "in_degree":
         value = net.in_degrees
     elif rank_by == "external":
-        value = [net.docs[i].ext_citations for i in net.ids]
+        value = net.ext_citations
         if None in value:
             raise ValueError(f"rank_by='external' but {net.ids[value.index(None)]!r} "
                              "has no ext_citations")

@@ -400,9 +400,10 @@ def rounds_acyclic_reduction(net):
     """
     removed = []
     edges = []
+    year = dict(zip(net.ids, net.years))
     for citing, cited in net.edges:
-        y_citing = net.docs[citing].year
-        y_cited = net.docs[cited].year
+        y_citing = year[citing]
+        y_cited = year[cited]
         if y_citing is not None and y_cited is not None and y_citing < y_cited:
             removed.append((citing, cited))
         else:
@@ -598,7 +599,9 @@ def line_edge_records(stream, doc_ids):
 
 def line_node_records(stream):
     """Reference nodes reader: json.loads and the field checks one line at
-    a time, the only path there was before the whole-file read."""
+    a time, the only path there was before the whole-file read; an id seen
+    on an earlier line raises DuplicateIdError at its line."""
+    seen = set()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -610,9 +613,13 @@ def line_node_records(stream):
         if not isinstance(rec, dict):
             raise MalformedRecordError(f"nodes line {lineno}: expected an object")
         try:
-            yield _reference_document(rec)
+            doc = _reference_document(rec)
         except (ValueError, TypeError) as exc:
             raise MalformedRecordError(f"nodes line {lineno}: {exc}")
+        if doc.id in seen:
+            raise DuplicateIdError(f"nodes line {lineno}: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        yield doc
 
 
 def _reference_document(rec):
@@ -653,8 +660,7 @@ def reference_write_corpus(net, nodes_path, edges_path):
     """Reference corpus writer: json.dumps and one write per line, the
     writer there was before the joined write and the input copy."""
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        for doc_id in net.ids:
-            doc = net.docs[doc_id]
+        for doc in map(net.document, range(net.n_docs)):
             rec = {"id": doc.id}
             if doc.year is not None:
                 rec["year"] = doc.year

@@ -27,6 +27,11 @@ def parse(nodes_text, edges_text, **kwargs):
     return parse_corpus(io.StringIO(nodes_text), io.StringIO(edges_text), **kwargs)
 
 
+def _documents(net):
+    """The network's Documents, in id order, built from its columns."""
+    return [net.document(i) for i in range(net.n_docs)]
+
+
 class _UnseekableBytes(io.BytesIO):
     def seekable(self):
         return False
@@ -113,6 +118,14 @@ class TestParse:
         with pytest.raises(DuplicateIdError, match="a"):
             parse('{"id": "a"}\n{"id": "a"}\n', "")
 
+    @pytest.mark.parametrize("stream", [io.StringIO, pipe])
+    def test_duplicate_id_names_its_line(self, stream):
+        # the first line that repeats an id, before a later malformed line
+        nodes = '{"id": "a"}\n\n{"id": "b"}\n{"id": "a"}\n{oops\n'
+        with pytest.raises(DuplicateIdError) as exc:
+            parse_corpus(stream(nodes), io.StringIO(""))
+        assert str(exc.value) == "nodes line 4: duplicate document id 'a'"
+
     def test_malformed_json_carries_line_number(self):
         with pytest.raises(MalformedRecordError, match="line 2"):
             parse('{"id": "a"}\n{oops\n', "")
@@ -166,7 +179,7 @@ class TestParse:
 
     def test_terms_lowercased_and_year(self):
         net = parse('{"id": "a", "year": 1999, "terms": ["HPV", "vaccine"]}\n', "")
-        doc = net.docs["a"]
+        doc = net.document(net.index["a"])
         assert doc.raw_terms == ("hpv", "vaccine")
         assert doc.year == 1999
 
@@ -183,7 +196,7 @@ class TestParse:
 
     def test_patent_kind(self):
         net = parse('{"id": "a", "kind": "patent"}\n', "")
-        assert net.docs["a"].kind == "patent"
+        assert net.kinds == ["patent"]
 
 
 class TestNetworkInvariants:
@@ -205,8 +218,8 @@ class TestNetworkInvariants:
         back = load_corpus(tmp_path / "n.jsonl", tmp_path / "e.csv")
         assert back.ids == net.ids
         assert back.edges == net.edges
-        assert back.docs["b"].clinical_terms == 3
-        assert back.docs["a"].year == 2001
+        assert back.clinical_terms[back.index["b"]] == 3
+        assert back.years[back.index["a"]] == 2001
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -263,7 +276,8 @@ class TestEdgeStore:
     def test_keeping_every_document_shares_the_edge_store(self):
         net = parse('{"id": "b"}\n{"id": "a"}\n', "a,b\nb,a\n")
         core = net.induced(["b", "a"])
-        assert list(core.docs) == ["a", "b"] and list(net.docs) == ["b", "a"]
+        assert core.ids == net.ids == ("a", "b")
+        assert core.years is net.years and core.raw_terms is net.raw_terms
         assert core.edges == net.edges and core.citing is net.citing
         assert core.out_adj is net.out_adj
 
@@ -386,7 +400,7 @@ def _graph_view(graph):
 
 def _assert_same_network(net, ref):
     assert net.ids == ref.ids
-    assert list(net.docs.items()) == list(ref.docs.items())
+    assert _documents(net) == [ref.docs[v] for v in ref.ids]
     assert net.edges == ref.edges
     assert net.n_edges == len(ref.edges)
     assert net.skipped_edges == ref.skipped_edges
@@ -428,12 +442,15 @@ class TestAgainstStringOracle:
                              for doc in docs)
         builds = (
             # the string pairs of iter_edge_records
-            lambda fh: CitationNetwork(docs, iter_edge_records(fh, known),
-                                       lenient=lenient),
-            # the int codes of the whole-file edges path
-            lambda fh: parse_corpus(io.StringIO(nodes_text), fh, lenient=lenient),
+            (lambda fh: CitationNetwork(docs, iter_edge_records(fh, known),
+                                        lenient=lenient),
+             lambda: docs),
+            # the int codes of the whole-file edges path, after the nodes
+            # reader, which names the line of a duplicate id
+            (lambda fh: parse_corpus(io.StringIO(nodes_text), fh, lenient=lenient),
+             lambda: list(line_node_records(io.StringIO(nodes_text)))),
         )
-        for opener, build in itertools.product(
+        for opener, (build, ref_docs) in itertools.product(
                 (lambda: io.StringIO(text), lambda: open(path, encoding="utf-8"),
                  lambda: pipe(text)),
                 builds):
@@ -441,7 +458,7 @@ class TestAgainstStringOracle:
                 net, exc, logged = _outcome(lambda: build(fh))
             with opener() as fh:
                 ref, ref_exc, ref_logged = _outcome(lambda: StringCitationNetwork(
-                    docs, line_edge_records(fh, known), lenient=lenient))
+                    ref_docs(), line_edge_records(fh, known), lenient=lenient))
             assert logged == ref_logged
             if ref_exc is not None:
                 assert type(exc) is type(ref_exc) and str(exc) == str(ref_exc)
@@ -697,6 +714,21 @@ class TestNodesAgainstLineOracle:
             else:
                 assert got == ref
 
+    @pytest.mark.parametrize("block", [1, 40])
+    @settings(max_examples=150, deadline=None)
+    @given(text=node_texts())
+    def test_same_documents_or_error_block_by_block(self, block, text):
+        # blocks of one line each, or of a few lines, so that an odd line
+        # sends only its own block to the line loop
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_BLOCK", block)
+            got = _records(text, io.StringIO, iter_node_records)
+        ref = _records(text, io.StringIO, line_node_records)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+        else:
+            assert got == ref
+
     @pytest.mark.parametrize("key, value", [
         (key, value) for key, values in (
             ("id", [5, True, 1.5, None, [], "", " x", "#x", "x,y", 'x"y', "a\u2028b"]),
@@ -727,7 +759,7 @@ class TestNodesAgainstLineOracle:
         if ref[1] is not None:
             assert type(got[1]) is type(ref[1]) and str(got[1]) == str(ref[1])
         else:
-            assert list(got[0].docs.items()) == list(ref[0].docs.items())
+            assert _documents(got[0]) == [ref[0].docs[v] for v in ref[0].ids]
 
     def test_undecodable_text_read_by_lines(self, tmp_path):
         # the line loop meets the malformed record on line 2 first
@@ -792,7 +824,8 @@ class TestDocumentRules:
         tmp = tmp_path_factory.mktemp("doc")
         write_corpus(net, tmp / "n.jsonl", tmp / "e.csv")
         back = load_corpus(tmp / "n.jsonl", tmp / "e.csv")
-        assert back.docs == net.docs and back.edges == net.edges
+        assert _documents(back) == _documents(net) == [docs[v] for v in ids]
+        assert back.edges == net.edges
 
 
 # -- corpus.* files: the input text where it is exactly what is written -----
@@ -908,8 +941,7 @@ class TestWrittenCorpus:
                                 lexicon_basic=str(paths["basic.txt"]),
                                 lexicon_clinical=str(paths["clinical.txt"]))
         (net,) = _parse_stage(config, tmp_path)
-        assert [(d.basic_terms, d.clinical_terms) for d in net.docs.values()] == [
-            (1, 0), (0, 1), (0, 0)]
+        assert list(zip(net.basic_terms, net.clinical_terms)) == [(1, 0), (0, 1), (0, 0)]
         reference_write_corpus(net, tmp_path / "ref.n.jsonl", tmp_path / "ref.e.csv")
         for part, ref in (("nodes.jsonl", "ref.n.jsonl"), ("edges.csv", "ref.e.csv")):
             assert ((tmp_path / f"corpus.{part}").read_bytes()
@@ -918,19 +950,72 @@ class TestWrittenCorpus:
         assert (tmp_path / "corpus.edges.csv").read_text() == texts[1]
 
 
-class TestWithDocuments:
-    def test_replaces_documents_and_shares_edges(self):
-        net = parse('{"id": "b"}\n{"id": "a"}\n', "a,b\na,ghost\n", lenient=True)
-        new = net.with_documents([Document(id="a", basic_terms=3),
-                                  Document(id="b", clinical_terms=1)])
-        assert new.docs["a"].basic_terms == 3 and net.docs["a"].basic_terms == 0
-        assert list(new.docs) == ["a", "b"]
-        assert new.edges == net.edges and new.out_adj is net.out_adj
+class TestColumns:
+    """The network keeps one list per document field, indexed like ids."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=corpus_texts(), data=st.data())
+    def test_file_out_of_order_gives_columns_in_id_order(self, texts, data):
+        nodes_text, edges_text, lenient = texts
+        shuffled = "".join(data.draw(st.permutations(nodes_text.splitlines(True))))
+        ref = sorted(line_node_records(io.StringIO(shuffled)), key=lambda doc: doc.id)
+        for stream in (io.StringIO, pipe):
+            net, text = parse_corpus(stream(shuffled), io.StringIO(edges_text),
+                                     lenient=lenient, keep_text=True)
+            assert net.ids == tuple(doc.id for doc in ref)
+            for name, field in zip(corpus._COLUMNS, corpus._FIELDS[1:]):
+                assert getattr(net, name) == [getattr(doc, field) for doc in ref]
+            assert _documents(net) == ref
+            if shuffled != nodes_text:  # the ids are distinct and came sorted
+                assert text.nodes is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=corpus_texts(), data=st.data())
+    def test_induced_columns_are_slices(self, texts, data):
+        nodes_text, edges_text, lenient = texts
+        net = parse(nodes_text, edges_text, lenient=lenient)
+        keep = data.draw(st.lists(st.sampled_from(net.ids)))
+        sub = net.induced(keep)
+        nodes = sorted({net.index[v] for v in keep})
+        assert sub.ids == tuple(net.ids[i] for i in nodes)
+        for name in corpus._COLUMNS:
+            assert getattr(sub, name) == [getattr(net, name)[i] for i in nodes]
+        assert _documents(sub) == [net.document(i) for i in nodes]
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=corpus_texts())
+    def test_documents_round_trip(self, texts, tmp_path_factory):
+        nodes_text, edges_text, lenient = texts
+        net = parse(nodes_text, edges_text, lenient=lenient)
+        built = CitationNetwork(_documents(net), net.edges)
+        tmp = tmp_path_factory.mktemp("columns")
+        write_corpus(built, tmp / "n.jsonl", tmp / "e.csv")
+        back = load_corpus(tmp / "n.jsonl", tmp / "e.csv")
+        assert _documents(back) == _documents(built) == _documents(net)
+        assert back.edges == built.edges == net.edges
+
+
+class TestWithLexicon:
+    LEX = Lexicon(basic=frozenset({"kinase"}), clinical=frozenset({"trial"}))
+
+    def test_counts_only_the_count_columns_and_shares_the_rest(self):
+        # explicit counts win: c keeps its counts, d has no terms to count
+        net = parse('{"id": "b", "terms": ["trial", "kinase", "trial"]}\n'
+                    '{"id": "a", "year": 3, "terms": ["Kinase"], "ext_citations": 2}\n'
+                    '{"id": "c", "basic_terms": 1, "terms": ["trial"]}\n'
+                    '{"id": "d", "kind": "patent"}\n', "a,b\na,ghost\n", lenient=True)
+        net.out_adj
+        new = net.with_lexicon(self.LEX)
+        assert new.basic_terms == [1, 1, 1, 0] and new.clinical_terms == [0, 2, 0, 0]
+        assert net.basic_terms == [0, 0, 1, 0] and net.clinical_terms == [0, 0, 0, 0]
+        for name in corpus._COLUMNS:
+            if name not in ("basic_terms", "clinical_terms"):
+                assert getattr(new, name) is getattr(net, name)
+        assert new.ids is net.ids and new.index is net.index
+        assert new.citing is net.citing and new.out_adj is net.out_adj
         assert new.skipped_edges == (("a", "ghost"),)
 
-    def test_ids_must_match(self):
-        net = parse('{"id": "a"}\n{"id": "b"}\n', "a,b\n")
-        with pytest.raises(ValueError, match="ids"):
-            net.with_documents([Document(id="a")])
-        with pytest.raises(DuplicateIdError, match="a"):
-            net.with_documents([Document(id="a"), Document(id="a")])
+    def test_network_itself_when_nothing_to_count(self):
+        net = parse('{"id": "a", "basic_terms": 2, "terms": ["trial"]}\n{"id": "b"}\n',
+                    "a,b\n")
+        assert net.with_lexicon(self.LEX) is net

@@ -176,10 +176,9 @@ class TestHubDetection:
 
         edges2 = list(net.edges)
         edges2 += [(f"X{u}", f"X{v}") for u, v in net.edges]
-        terms = {i: (net.docs[i].basic_terms, net.docs[i].clinical_terms)
-                 for i in net.ids}
+        terms = dict(zip(net.ids, zip(net.basic_terms, net.clinical_terms)))
         terms |= {f"X{i}": v for i, v in terms.copy().items()}
-        years = {i: net.docs[i].year for i in net.ids}
+        years = dict(zip(net.ids, net.years))
         years |= {f"X{i}": y for i, y in years.copy().items()}
         net2 = make_net(edges2, terms=terms, years=years)
         part2 = fast_greedy(net2.projection)
@@ -225,7 +224,7 @@ def check_replay(net, edges, removed):
     """Replayed in order, each removed cycle edge is, at its deletion, the
     largest edge inside its current SCC (found from scratch), whatever
     order the SCCs are worked on in."""
-    years = {v: net.docs[v].year for v in net.ids}
+    years = dict(zip(net.ids, net.years))
     n_anti = sum(1 for u, v in net.edges if years[u] is not None
                  and years[v] is not None and years[u] < years[v])
     current = edges + removed[n_anti:]

@@ -197,8 +197,8 @@ class TestPipeline:
         # the per-document counting still happened before the failing stage
         back = load_corpus(tmp_path / "out" / "corpus.nodes.jsonl",
                            tmp_path / "out" / "corpus.edges.csv")
-        assert back.docs["a"].basic_terms == 2
-        assert back.docs["a"].clinical_terms == 1
+        a = back.document(back.index["a"])
+        assert (a.basic_terms, a.clinical_terms) == (2, 1)
         # counting terms keeps the edges the lenient parse skipped
         summary = json.loads((tmp_path / "out" / "corpus.summary.json").read_text())
         assert summary["n_skipped_edges"] == 1
@@ -529,6 +529,14 @@ class TestCliStages:
                             "--edges", str(tmp_path / "e.csv"),
                             "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("ktmap parse: ")
+
+    def test_duplicate_id_names_its_line_exit_2(self, tmp_path, capsys):
+        (tmp_path / "n.jsonl").write_text('{"id": "a"}\n{"id": "b"}\n{"id": "a"}\n')
+        (tmp_path / "e.csv").write_text("")
+        assert self.run_cli("parse", "--nodes", str(tmp_path / "n.jsonl"),
+                            "--edges", str(tmp_path / "e.csv"),
+                            "--out", str(tmp_path / "o")) == 2
+        assert "nodes line 3: duplicate document id 'a'" in capsys.readouterr().err
 
     def test_invalid_log_level_exit_1(self):
         # in a child: under pytest the root logger has handlers already, so
