@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import threading
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 from . import _kernels
 from .corpus import UGraph
@@ -547,7 +550,8 @@ class _Refinement:
         best_gain = _REFINE_TOL
         best_pair = None
         deg_sum = self.deg_sum
-        for (r, s), w in sorted(w_between.items()):
+        # ties go to the smaller pair, so the visiting order does not matter
+        for (r, s), w in w_between.items():
             gain = w / m - 2.0 * (deg_sum[r] / (2.0 * m)) * (deg_sum[s] / (2.0 * m))
             if gain > best_gain or (gain == best_gain and best_pair is not None
                                     and (r, s) < best_pair):
@@ -656,6 +660,10 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     child partition is kept only if it is non-trivial and its Q is at least
     min_q_gain. Recursion stops at max_depth levels (the root counts as
     level 1). Isolated nodes become singleton leaf fronts.
+
+    The subtrees under level 2 are independent, so they are split on up to
+    the CPUs this process may use, in forked workers (``_split_forked``);
+    the tree is the same whichever process split what.
     """
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
@@ -665,38 +673,162 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
         raise InsufficientDataError("cannot cluster a graph with no edges")
 
     nodes = range(graph.n_nodes)
-    q_top, children = _split(graph, nodes, (), 1, max_depth, min_front_size,
-                             min_q_gain)
+    q_top, children = _split(graph, nodes, (), 1, (max_depth, min_front_size,
+                                                    min_q_gain))
     root = FrontNode(path=(), members=tuple(sorted(nodes, key=graph.ids.__getitem__)),
                      q_split=q_top, children=children)
     return FrontTree(root=root, ids=graph.ids)
 
 
 def _split(graph: UGraph, members: Sequence[int], path: tuple[int, ...],
-           level: int, max_depth: int, min_front_size: int,
-           min_q_gain: float) -> tuple[float | None, tuple[FrontNode, ...]]:
+           level: int, limits: tuple[int, int, float]
+           ) -> tuple[float | None, tuple[FrontNode, ...]]:
     """(q_split, child fronts) of the front at `path` and `level`, whose
     members are the node indices `members` of `graph` in id order (all of
     them in index order at the root), split as hierarchical_fronts
-    describes. A module function, not a closure: a closure that calls
-    itself is a reference cycle, and would keep `graph` alive until the
-    cyclic garbage collector next runs."""
+    describes; `limits` is (max_depth, min_front_size, min_q_gain). A
+    module function, not a closure: a closure that calls itself is a
+    reference cycle, and would keep `graph` alive until the cyclic garbage
+    collector next runs."""
     sub = graph.subgraph(members) if path else graph
     if sub.n_edges == 0:
         return None, ()
     part = fast_greedy(sub)
+    max_depth, min_front_size, min_q_gain = limits
     if path and (part.n_fronts < 2 or part.q < min_q_gain):
         return None, ()
-    children = []
-    for child_no, front in enumerate(part.fronts(), start=1):
-        child_path = path + (child_no,)
-        front_members = tuple(sorted(map(members.__getitem__, front),
-                                     key=graph.ids.__getitem__))
-        if len(front_members) >= min_front_size and level + 1 < max_depth:
-            q_split, grandchildren = _split(graph, front_members, child_path, level + 1,
-                                            max_depth, min_front_size, min_q_gain)
-        else:
-            q_split, grandchildren = None, ()
-        children.append(FrontNode(path=child_path, members=front_members,
-                                  q_split=q_split, children=grandchildren))
-    return part.q, tuple(children)
+    fronts = [tuple(sorted(map(members.__getitem__, front), key=graph.ids.__getitem__))
+              for front in part.fronts()]
+    jobs = [i for i, front in enumerate(fronts)
+            if len(front) >= min_front_size and level + 1 < max_depth]
+    split = (_split_fronts if path else _split_forked)(graph, fronts, jobs, path,
+                                                        level, limits)
+    return part.q, tuple(FrontNode(path + (i + 1,), front, *split.get(i, (None, ())))
+                         for i, front in enumerate(fronts))
+
+
+def _split_fronts(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
+                  path: tuple[int, ...], level: int, limits) -> dict:
+    """{i: (q_split, children)} of each child front fronts[i], i in `jobs`,
+    of the front at `path` and `level`, split in this process."""
+    return {i: _split(graph, fronts[i], path + (i + 1,), level + 1, limits)
+            for i in jobs}
+
+
+def _split_forked(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
+                  path: tuple[int, ...], level: int, limits) -> dict:
+    """_split_fronts, with the jobs dealt onto up to the usable CPUs.
+
+    The jobs are dealt, largest front first, each onto the bin with the
+    fewest members so far (``_deal``). This process splits the first bin
+    and a forked worker each other one, which sends back its share of the
+    result, its ``ktmap`` log records and any exception, pickled through a
+    pipe (``_work``). The records are then handled here, after the
+    worker's result, and its exception re-raised. Every worker is reaped
+    before this returns or raises; one whose result was not read yet when
+    this raises is killed first. Without ``os.fork``, or with another
+    thread running (forking then is unsafe), the jobs are split in this
+    process.
+    """
+    bins = _deal(jobs, fronts, _usable_cpus())
+    if len(bins) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _split_fronts(graph, fronts, jobs, path, level, limits)
+    workers: list[list] = []  # [pid or None before the fork, read end]
+    try:
+        for share in bins[1:]:
+            read_fd, write_fd = os.pipe()
+            workers.append([None, open(read_fd, "rb")])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write_fd, graph, fronts, share, path, level, limits)
+                workers[-1][0] = pid
+            finally:  # the worker never gets here
+                os.close(write_fd)
+        split = _split_fronts(graph, fronts, bins[0], path, level, limits)
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            try:
+                records, result, error = pickle.loads(data)
+            except Exception:  # the worker died before it sent it all
+                raise RuntimeError(
+                    f"front worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without a result") from None
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if error is not None:
+                raise error
+            split.update(result)
+        return split
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid is not None:
+                _kill(pid)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so taskset holds."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _deal(jobs: list[int], fronts: list[tuple[int, ...]], n_bins: int) -> list[list[int]]:
+    """The front indices `jobs` on min(n_bins, len(jobs)) bins: largest
+    front first (front order on ties), each onto the bin with the fewest
+    members so far (the first such bin on ties); each bin in front order."""
+    bins: list[list[int]] = [[] for _ in range(min(n_bins, len(jobs)))]
+    loads = [0] * len(bins)
+    for i in sorted(jobs, key=lambda i: -len(fronts[i])):
+        least = loads.index(min(loads))
+        bins[least].append(i)
+        loads[least] += len(fronts[i])
+    return [sorted(share) for share in bins]
+
+
+def _work(write_fd: int, graph, fronts, share, path, level, limits) -> NoReturn:
+    """A forked worker: split its share of the fronts, write (log records,
+    result, exception) pickled to write_fd, and exit, never returning into
+    the forking caller. Records that reach the ``ktmap`` logger are kept
+    for the parent to handle, not handled here.
+    """
+    code = 1
+    try:
+        records: list[logging.LogRecord] = []
+        top = logging.getLogger("ktmap")
+        top.handlers, top.propagate = [_Collector(records)], False
+        try:
+            data = pickle.dumps((records, _split_fronts(graph, fronts, share, path,
+                                                        level, limits), None),
+                                pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((records, None, exc), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _Collector(logging.Handler):
+    """Keeps each record it handles in `records`."""
+
+    def __init__(self, records: list[logging.LogRecord]):
+        super().__init__()
+        self.records = records
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+def _kill(pid: int) -> None:
+    """Kill the worker pid and reap it."""
+    import signal  # only here: `import ktmap.cli` does not load it otherwise
+
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)

@@ -294,7 +294,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report leaves is a few hundred objects, about as many on the toy
     corpus as on 10k documents, and the caller's next collection frees it.
     So no stage may hold its data in a reference cycle, which would keep
-    it alive to the end of the report (see fronts._split).
+    it alive to the end of the report (see fronts._split). The parsed
+    corpus is dropped after the last stage that reads it, and the report
+    keeps only its two counts.
     """
     with collector_paused():
         config.validate_paths()
@@ -302,9 +304,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         out.mkdir(parents=True, exist_ok=True)
 
         artifacts: dict = {}
-        for stage in STAGES:
+        last_net_reader = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
+        for i, stage in enumerate(STAGES):
             run_stage(stage, config, artifacts)
-        net, core, tree = artifacts["net"], artifacts["core"], artifacts["tree"]
+            if i == last_net_reader:
+                net = artifacts.pop("net")
+                corpus = {"n_documents": net.n_docs, "n_edges": net.n_edges}
+                del net
+        core, tree = artifacts["core"], artifacts["tree"]
 
         doc = {
             "tool": {"name": "ktmap", "version": __version__},
@@ -312,8 +319,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "seed": config.seed,
             "config": dataclasses.asdict(config),
             "corpus": {
-                "n_documents": net.n_docs,
-                "n_edges": net.n_edges,
+                **corpus,
                 "n_selected": core.n_docs,
                 "n_selected_edges": core.n_edges,
             },

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -625,6 +626,15 @@ class TestRefineExact:
         stats = assert_refines_like_scan(g, merge_cut(g))
         assert stats["merges"] == 1 and stats["moves_after_merge"] >= 1
 
+    def test_merge_pass_tie_goes_to_the_smaller_pair(self):
+        # pairs (5, 6) and (1, 2) gain exactly alike, and (5, 6) is met
+        # first in node order
+        g = numbered_graph("0-1 2-3", 4)
+        state = fronts._Refinement(g, [5, 6, 1, 2])
+        assert state.merge_pass()
+        assert state.comm == [5, 6, 1, 1]
+        assert_refines_like_scan(g, [5, 6, 1, 2])
+
     def test_pass_cap_logs_warning(self, monkeypatch, caplog):
         g = numbered_graph(MERGE_THEN_MOVES, 9)
         monkeypatch.setattr(fronts, "_REFINE_MAX_PASSES", 1)
@@ -674,3 +684,162 @@ class TestRefineExact:
         with caplog.at_level(logging.WARNING, logger="ktmap.fronts"):
             fast_greedy(g)
         assert not [r for r in caplog.records if r.name == "ktmap.fronts"]
+
+
+def planted_projection() -> UGraph:
+    """Three level-2 blocks of 60 nodes, each of three leaf blocks."""
+    cfg = PlantedConfig(branching=(3, 3), leaf_size=20, p_within=(0.05, 0.3),
+                        p_between=0.01)
+    return gen_planted_kt_network(cfg, 2)[0].projection
+
+
+def planted_cocitation() -> UGraph:
+    cfg = PlantedConfig(branching=(2, 3), leaf_size=25, p_within=(0.03, 0.2),
+                        p_between=0.005)
+    return co_citation_projection(gen_planted_kt_network(cfg, 3)[0])
+
+
+def block_citations(n: int = 800, n_blocks: int = 8, p_in: float = 0.8) -> UGraph:
+    """The projection of n undated documents in n_blocks blocks, each citing
+    two others, inside its own block with probability p_in: the size and
+    shape of a cyclic corpus whose whole graph is the core."""
+    rng = np.random.default_rng(4)
+    size = n // n_blocks
+    ids = [f"c{i:03d}" for i in range(n)]
+    edges = set()
+    for i in range(n):
+        lo = i // size * size
+        targets: set[int] = set()
+        while len(targets) < 2:
+            j = int(rng.integers(lo, lo + size) if rng.random() < p_in
+                    else rng.integers(0, n))
+            if j != i:
+                targets.add(j)
+        edges.update((ids[min(i, j)], ids[max(i, j)]) for j in targets)
+    return ugraph(sorted(edges))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets the usable CPU count hierarchical_fronts sees
+    and returns the list of the pids it forks from then on."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def use(n: int) -> list[int]:
+        monkeypatch.setattr(fronts, "_usable_cpus", lambda: n)
+        pids.clear()
+        return pids
+
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSplit:
+    """The subtrees under level 2 split in forked workers give the tree
+    that splitting them in one process gives."""
+
+    @pytest.mark.parametrize("graph", [planted_projection, planted_cocitation,
+                                       block_citations])
+    def test_same_tree_as_in_process(self, graph, cpus):
+        g = graph()
+        workers = cpus(1)
+        want = hierarchical_fronts(g)
+        assert not workers  # one CPU: nothing forked
+        workers = cpus(3)
+        got = hierarchical_fronts(g)
+        assert len(workers) == 2
+        assert got.depth() >= 3
+        assert repr(got) == repr(want)  # every float to the bit
+        assert_no_child_left()
+
+    def test_deal_largest_first_onto_least_loaded(self):
+        fronts_ = [tuple(range(n)) for n in (30, 50, 10, 40, 20, 5)]
+        assert fronts._deal([0, 1, 2, 3, 4], fronts_, 2) == [[1, 2, 4], [0, 3]]
+        assert fronts._deal([0, 1, 2, 3, 4], fronts_, 8) == [[1], [3], [0], [4], [2]]
+        assert fronts._deal([5], fronts_, 4) == [[5]]
+        assert fronts._deal([], fronts_, 4) == []
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_error_reraised_and_workers_reaped(self, where, cpus, monkeypatch):
+        g = planted_projection()
+        workers = cpus(3)
+        parent = os.getpid()
+        real = fronts.fast_greedy
+
+        def failing(sub):
+            if sub is not g and (os.getpid() == parent) == (where == "parent"):
+                raise InsufficientDataError(f"{where} share failed")
+            return real(sub)
+
+        monkeypatch.setattr(fronts, "fast_greedy", failing)
+        with pytest.raises(InsufficientDataError, match=f"^{where} share failed$"):
+            hierarchical_fronts(g)
+        assert len(workers) == 2
+        assert_no_child_left()
+
+    def test_worker_dying_without_result(self, cpus, monkeypatch):
+        g = planted_projection()
+        cpus(2)
+        parent = os.getpid()
+        real = fronts.fast_greedy
+
+        def dying(sub):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(sub)
+
+        monkeypatch.setattr(fronts, "fast_greedy", dying)
+        with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
+            hierarchical_fronts(g)
+        assert_no_child_left()
+
+    def test_records_handled_once_in_the_parent(self, cpus, monkeypatch, caplog,
+                                                tmp_path):
+        # a handler on the "ktmap" logger writes to a file the workers
+        # inherit, so a record handled in a worker too would show twice
+        g = planted_projection()
+        calls = []
+        real = fronts.fast_greedy
+        monkeypatch.setattr(fronts, "fast_greedy",
+                            lambda sub: calls.append(sub.n_nodes) or real(sub))
+        monkeypatch.setattr(fronts, "_REFINE_MAX_PASSES", 1)
+        handler = logging.FileHandler(tmp_path / "ktmap.log")
+        handler.setLevel(logging.WARNING)
+        logging.getLogger("ktmap").addHandler(handler)
+        try:
+            cpus(1)
+            with caplog.at_level(logging.DEBUG, logger="ktmap"):
+                hierarchical_fronts(g)
+            want = sorted((r.name, r.levelname, r.getMessage()) for r in caplog.records)
+            n_calls = len(calls)
+            caplog.clear()
+            calls.clear()
+            workers = cpus(3)
+            with caplog.at_level(logging.DEBUG, logger="ktmap"):
+                hierarchical_fronts(g)
+        finally:
+            logging.getLogger("ktmap").removeHandler(handler)
+            handler.close()
+        assert len(workers) == 2
+        assert len(calls) < n_calls  # the workers made the other calls
+        assert sorted((r.name, r.levelname, r.getMessage()) for r in caplog.records) == want
+        refine = [r for r in caplog.records if hasattr(r, "refine")]
+        assert len(refine) == n_calls
+        capped = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert {r.process for r in capped} - {os.getpid()}  # some from a worker
+        assert all("1-pass cap" in r.getMessage() for r in capped)
+        lines = (tmp_path / "ktmap.log").read_text().splitlines()
+        assert len(lines) == 2 * len(capped)  # both runs' warnings, each once
