@@ -288,11 +288,20 @@ class UGraph:
     def subgraph(self, nodes: Sequence[int]) -> "UGraph":
         """Induced subgraph on the given distinct node indices, which become
         its nodes 0, 1, ... in the order given; each keeps its neighbours in
-        ascending index order of this graph."""
+        ascending index order of this graph. If this graph's triangle
+        counts are known, the subgraph's are taken from them: a node that
+        keeps all its neighbours keeps its count, and only the others are
+        counted again."""
         new_of = dict(zip(nodes, range(len(nodes))))
         adj = [{new_of[j]: nbrs[j] for j in sorted(nbrs) if j in new_of}
                for nbrs in map(self.adj.__getitem__, nodes)]
-        return UGraph._trusted(list(map(self.ids.__getitem__, nodes)), adj)
+        sub = UGraph._trusted(list(map(self.ids.__getitem__, nodes)), adj)
+        if self._triangles is not None:
+            sub._triangles = tuple(
+                self._triangles[v] if len(nbrs) == len(self.adj[v])
+                else sum(len(nbrs.keys() & adj[u].keys()) for u in nbrs) // 2
+                for v, nbrs in zip(nodes, adj))
+        return sub
 
     @classmethod
     def _trusted(cls, ids: Sequence[str], adj: list[dict[int, float]]) -> "UGraph":

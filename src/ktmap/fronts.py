@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
-import threading
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping, NoReturn, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from . import _kernels
+from . import _fork, _kernels
 from .corpus import UGraph
 from .errors import InsufficientDataError
 
@@ -721,61 +719,23 @@ def _split_forked(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
 
     The jobs are dealt, largest front first, each onto the bin with the
     fewest members so far (``_deal``). This process splits the first bin
-    and a forked worker each other one, which sends back its share of the
-    result, its ``ktmap`` log records and any exception, pickled through a
-    pipe (``_work``). The records are then handled here, after the
-    worker's result, and its exception re-raised. Every worker is reaped
-    before this returns or raises; one whose result was not read yet when
-    this raises is killed first. Without ``os.fork``, or with another
-    thread running (forking then is unsafe), the jobs are split in this
-    process.
+    and a ``_fork.Worker`` each other one. The workers' results are read
+    in bin order, which handles their log records here and raises the
+    first failed worker's exception; every worker is reaped before this
+    returns or raises. Where ``_fork.forks()`` does not hold, the jobs are
+    split in this process.
     """
-    bins = _deal(jobs, fronts, _usable_cpus())
-    if len(bins) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    bins = _deal(jobs, fronts, _fork.usable_cpus())
+    if len(bins) < 2 or not _fork.forks():
         return _split_fronts(graph, fronts, jobs, path, level, limits)
-    workers: list[list] = []  # [pid or None before the fork, read end]
-    try:
-        for share in bins[1:]:
-            read_fd, write_fd = os.pipe()
-            workers.append([None, open(read_fd, "rb")])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(write_fd, graph, fronts, share, path, level, limits)
-                workers[-1][0] = pid
-            finally:  # the worker never gets here
-                os.close(write_fd)
+    with ExitStack() as stack:
+        workers = [stack.enter_context(_fork.Worker(_split_fronts, graph, fronts, share,
+                                                    path, level, limits))
+                   for share in bins[1:]]
         split = _split_fronts(graph, fronts, bins[0], path, level, limits)
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            try:
-                records, result, error = pickle.loads(data)
-            except Exception:  # the worker died before it sent it all
-                raise RuntimeError(
-                    f"front worker {pid} exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} without a result") from None
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            if error is not None:
-                raise error
-            split.update(result)
+        for worker in workers:
+            split.update(worker.result())
         return split
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if pid is not None:
-                _kill(pid)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, so taskset holds."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _deal(jobs: list[int], fronts: list[tuple[int, ...]], n_bins: int) -> list[list[int]]:
@@ -789,46 +749,3 @@ def _deal(jobs: list[int], fronts: list[tuple[int, ...]], n_bins: int) -> list[l
         bins[least].append(i)
         loads[least] += len(fronts[i])
     return [sorted(share) for share in bins]
-
-
-def _work(write_fd: int, graph, fronts, share, path, level, limits) -> NoReturn:
-    """A forked worker: split its share of the fronts, write (log records,
-    result, exception) pickled to write_fd, and exit, never returning into
-    the forking caller. Records that reach the ``ktmap`` logger are kept
-    for the parent to handle, not handled here.
-    """
-    code = 1
-    try:
-        records: list[logging.LogRecord] = []
-        top = logging.getLogger("ktmap")
-        top.handlers, top.propagate = [_Collector(records)], False
-        try:
-            data = pickle.dumps((records, _split_fronts(graph, fronts, share, path,
-                                                        level, limits), None),
-                                pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((records, None, exc), pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class _Collector(logging.Handler):
-    """Keeps each record it handles in `records`."""
-
-    def __init__(self, records: list[logging.LogRecord]):
-        super().__init__()
-        self.records = records
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
-def _kill(pid: int) -> None:
-    """Kill the worker pid and reap it."""
-    import signal  # only here: `import ktmap.cli` does not load it otherwise
-
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)

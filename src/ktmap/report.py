@@ -23,18 +23,19 @@ import re
 import reprlib
 import typing
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 from typing import Literal
 
-from . import __version__
+from . import __version__, _fork
 from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
 from .corpus import (CitationNetwork, Lexicon, co_citation_projection,
                      load_corpus, write_corpus)
+from ._jsonio import write_json
 from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts, level_assignment, path_string
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
@@ -286,17 +287,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the full analysis, write all artifacts to config.out_dir and
     return the report document written to report.json.
 
+    Where calls may run in forked workers (``_fork.forks()``), the stages
+    that fronts neither needs nor feeds, SIDE_STAGES, run in one worker
+    beside the stages this process runs (``_SideStages``); otherwise every
+    stage runs here, in table order. Either way the error raised is that
+    of the first failing stage in table order.
+
     Python's cyclic garbage collector is paused for the whole call
     (collector_paused). A report keeps what it builds until it ends, so a
     collection pass inside it frees nothing that reference counting would
     not, yet rescans every container the report holds: a planted report
-    of 10k documents ran 169 passes in 27-49 ms. The cyclic garbage a
-    report leaves is a few hundred objects, about as many on the toy
-    corpus as on 10k documents, and the caller's next collection frees it.
-    So no stage may hold its data in a reference cycle, which would keep
-    it alive to the end of the report (see fronts._split). The parsed
-    corpus is dropped after the last stage that reads it, and the report
-    keeps only its two counts.
+    of 10k documents ran 169 passes in 27-49 ms. So no stage may hold its
+    data in a reference cycle, which would keep it alive to the end of the
+    report (see fronts._split). The parsed corpus is dropped after the
+    last stage that reads it, and the report keeps only its two counts.
     """
     with collector_paused():
         config.validate_paths()
@@ -305,12 +309,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
         artifacts: dict = {}
         last_net_reader = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
-        for i, stage in enumerate(STAGES):
-            run_stage(stage, config, artifacts)
-            if i == last_net_reader:
-                net = artifacts.pop("net")
-                corpus = {"n_documents": net.n_docs, "n_edges": net.n_edges}
-                del net
+        with _SideStages(config) if _fork.forks() else nullcontext() as side:
+            for i, stage in enumerate(STAGES):
+                if side is None:
+                    run_stage(stage, config, artifacts)
+                elif stage in SIDE_STAGES:
+                    side.start(artifacts)
+                else:
+                    side.run_beside(i, stage, artifacts)
+                if i == last_net_reader:
+                    net = artifacts.pop("net")
+                    corpus = {"n_documents": net.n_docs, "n_edges": net.n_edges}
+                    del net
+            if side is not None:
+                side.collect(artifacts, len(STAGES))
         core, tree = artifacts["core"], artifacts["tree"]
 
         doc = {
@@ -362,6 +374,76 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
     except (KTMapError, ValueError, OSError) as exc:
         raise StageError(stage.name, exc)
     artifacts.update(zip(stage.makes, made))
+
+
+class _SideStages:
+    """SIDE_STAGES run in one forked worker beside the stages this process
+    runs, with the sequential pipeline's error precedence.
+
+    ``start`` forks the worker at the first side stage. It runs the side
+    stages in table order on its copy of the artifacts, writes their stage
+    files and sends back the artifacts they made (``_run_side_stages``).
+    ``collect`` reads them, before the first stage here that reads one of
+    them and before the report is put together; a side stage's error is
+    raised once no stage before it in the table can fail. Leaving the
+    ``with`` block kills and reaps a worker not yet collected.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.worker: _fork.Worker | None = None
+        self.made: dict | None = None
+        self.failed: tuple[int, Exception] | None = None
+
+    def __enter__(self) -> "_SideStages":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.worker is not None:
+            self.worker.kill()
+
+    def start(self, artifacts: dict) -> None:
+        if self.worker is None:
+            self.worker = _fork.Worker(_run_side_stages, self.config, artifacts)
+
+    def run_beside(self, i: int, stage: Stage, artifacts: dict) -> None:
+        """Run STAGES[i], not a side stage, in this process. If it fails,
+        the worker is collected first, and a side stage that failed
+        before it in the table wins."""
+        if not _SIDE_MAKES.isdisjoint(stage.reads):
+            self.collect(artifacts, i)
+        try:
+            run_stage(stage, self.config, artifacts)
+        except Exception:
+            self.collect(artifacts, i)
+            raise
+
+    def collect(self, artifacts: dict, before: int) -> None:
+        """Add the side stages' artifacts to `artifacts`, waiting for the
+        worker once it is started; raise the error of a side stage that
+        failed before table position `before`."""
+        if self.worker is None:
+            return
+        if self.made is None:
+            self.made, self.failed = self.worker.result()
+        artifacts.update(self.made)
+        if self.failed is not None and self.failed[0] < before:
+            raise self.failed[1] from None
+
+
+def _run_side_stages(config: PipelineConfig, artifacts: dict
+                     ) -> tuple[dict, tuple[int, Exception] | None]:
+    """Run SIDE_STAGES in table order on `artifacts` up to the first that
+    fails; return the artifacts they made, and the table position and
+    exception of the failed one (None if none failed)."""
+    made: dict = {}
+    for stage in SIDE_STAGES:
+        try:
+            run_stage(stage, config, artifacts)
+        except Exception as exc:  # handed to the forking process
+            return made, (STAGES.index(stage), exc)
+        made.update((name, artifacts[name]) for name in stage.makes)
+    return made, None
 
 
 # -- stages ------------------------------------------------------------------
@@ -567,6 +649,30 @@ STAGES = (
 )
 
 
+def _independent_of(name: str) -> tuple[Stage, ...]:
+    """The STAGES entries that neither lead to stage `name` nor depend on
+    it through the table's reads and makes; each stage reads only
+    artifacts made before it in the table."""
+    at = [stage.name for stage in STAGES].index(name)
+    linked = {at}
+    needed = set(STAGES[at].reads)
+    for i in range(at - 1, -1, -1):
+        if not needed.isdisjoint(STAGES[i].makes):
+            linked.add(i)
+            needed.update(STAGES[i].reads)
+    made = set(STAGES[at].makes)
+    for i in range(at + 1, len(STAGES)):
+        if not made.isdisjoint(STAGES[i].reads):
+            linked.add(i)
+            made.update(STAGES[i].makes)
+    return tuple(stage for i, stage in enumerate(STAGES) if i not in linked)
+
+
+# fit-degrees, score and mainpath: run_pipeline runs them beside fronts
+SIDE_STAGES = _independent_of("fronts")
+_SIDE_MAKES = frozenset(name for stage in SIDE_STAGES for name in stage.makes)
+
+
 # -- reading stage files back ------------------------------------------------
 
 # artifact -> the stage that writes the files it is read back from, and
@@ -676,12 +782,3 @@ def _stratum(cells: str) -> str:
     """The stratum from the `t,stratum` cells of a scores.csv line."""
     _, stratum = cells.split(",")
     return Stratum(stratum).value
-
-
-# -- helpers -----------------------------------------------------------------
-
-
-def write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -25,7 +26,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ktmap import fronts, hubs
+from ktmap import _fork, fronts, hubs
 from ktmap.corpus import CitationNetwork, Document, UGraph
 from ktmap.errors import (DuplicateIdError, MalformedRecordError,
                           SelfLoopError, UnknownEndpointError)
@@ -479,6 +480,35 @@ def random_dag(n, p, seed):
         if rng.random() < p:
             edges.append((ids[i], ids[j]))
     return ids, edges
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets the usable CPU count ktmap sees (for the fronts
+    split and the side stages) and returns the list of the pids it forks
+    from then on."""
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def use(n: int) -> list[int]:
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: n)
+        pids.clear()
+        return pids
+
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -17,9 +17,9 @@ from ktmap.fronts import (fast_greedy, hierarchical_fronts, level_assignment,
 from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
 import conftest
-from conftest import (_scan_best_move, best_partition_bruteforce,
-                      brute_modularity, graph_edges, id_labels,
-                      scan_refine_moves, ugraph)
+from conftest import (_scan_best_move, assert_no_child_left,
+                      best_partition_bruteforce, brute_modularity, graph_edges,
+                      id_labels, scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -717,34 +717,6 @@ def block_citations(n: int = 800, n_blocks: int = 8, p_in: float = 0.8) -> UGrap
                 targets.add(j)
         edges.update((ids[min(i, j)], ids[max(i, j)]) for j in targets)
     return ugraph(sorted(edges))
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """A function that sets the usable CPU count hierarchical_fronts sees
-    and returns the list of the pids it forks from then on."""
-    pids: list[int] = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-
-    def use(n: int) -> list[int]:
-        monkeypatch.setattr(fronts, "_usable_cpus", lambda: n)
-        pids.clear()
-        return pids
-
-    return use
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkedSplit:

@@ -9,6 +9,7 @@ from ktmap.errors import InsufficientDataError
 from ktmap.fronts import fast_greedy
 from ktmap.hubs import detect_translational_hubs
 from ktmap.metrics import ck_scaling, node_metrics_table
+from ktmap.selection import select_top_cited
 from ktmap.synth import (PlantedConfig, gen_deterministic_hierarchical,
                          gen_planted_kt_network, gen_random_graph)
 
@@ -78,6 +79,50 @@ class TestTriangleCountsShared:
         # a new graph gets its own count
         local_clustering(gen_random_graph(30, 0.2, 1).projection)
         assert calls == [net.n_docs, 30]
+
+    @staticmethod
+    def assert_subgraph_counts(g, kept):
+        """The counts a subgraph takes from g's known counts equal a fresh
+        count of the subgraph, and no fresh count is made for them."""
+        g.triangle_counts()
+        sub = g.subgraph(kept)
+        assert sub._triangles is not None  # derived, not counted on use
+        assert list(sub.triangle_counts()) == _kernels.triangle_counts(
+            sub.adjacency_sorted())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 25), data=st.data())
+    def test_subgraph_counts_on_random_graphs(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=80))
+        names = [f"n{i:02d}" for i in range(n)]
+        g = ugraph({(names[min(p)], names[max(p)]) for p in pairs if p[0] != p[1]},
+                   names)
+        removed = data.draw(st.sets(st.integers(0, n - 1)))
+        self.assert_subgraph_counts(g, [v for v in range(n) if v not in removed])
+
+    def test_subgraph_counts_around_removed_sets(self):
+        g = gen_random_graph(60, 0.15, 3).projection
+        hub = max(range(g.n_nodes), key=lambda v: len(g.adj[v]))
+        near = {hub, *g.adj[hub]}  # adjacent to one another
+        for removed in (set(), near, {hub}, set(range(0, 60, 2))):
+            self.assert_subgraph_counts(g, [v for v in range(60) if v not in removed])
+        # a whole component removed: the rest keep their counts
+        two = ugraph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"),
+                      ("x", "y"), ("y", "z"), ("x", "z")])
+        self.assert_subgraph_counts(two, [two.ids.index(v) for v in "abcd"])
+        assert two.subgraph([0, 1, 2, 3]).triangle_counts() == (1, 1, 1, 0)
+
+    def test_subgraph_counts_of_cocitation_core(self):
+        # the hubs stage's route: the core projection cut to the documents
+        # cited inside the core
+        cfg = PlantedConfig(branching=(3,), leaf_size=30, p_within=(0.2,),
+                            p_between=0.02)
+        net, _ = gen_planted_kt_network(cfg, 0)
+        core = select_top_cited(net, 0.2)
+        cited = [i for i, k in enumerate(core.in_degrees) if k]
+        assert 0 < len(cited) < core.n_docs
+        self.assert_subgraph_counts(core.projection, cited)
 
 
 class TestCkScaling:

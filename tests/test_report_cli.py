@@ -1,7 +1,9 @@
 import argparse
 import gc
 import json
+import logging
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -10,16 +12,19 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ktmap import report
+from ktmap import errors, report
 from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
-from ktmap.errors import StageError
+from ktmap.errors import InsufficientDataError, StageError, StageFileError
 from ktmap.report import (STAGES, PipelineConfig, run_pipeline, run_stage,
                           validate_report)
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
-from conftest import read_graphml
+from conftest import assert_no_child_left, read_graphml
+from test_golden import GOLDEN, config_for
 
 TOY = resources.files("ktmap.data").joinpath("toy")
 
@@ -262,11 +267,11 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
         assert inside == [False, False]
 
-    def test_paused_report_garbage_does_not_grow_with_corpus(self, tmp_path):
+    def test_paused_report_garbage_does_not_grow_with_corpus(self, tmp_path, cpus):
         # the pause frees a report from collection passes; it is safe only
-        # because the cyclic garbage a report leaves stays small: about 300
-        # objects for 40 toy documents and for 2k planted ones, none of them
-        # a ktmap object (a graph left in a cycle would stay alive to the end)
+        # because a report leaves no cyclic garbage, in this process or
+        # forking: none for 40 toy documents nor for 2k planted ones (a
+        # graph left in a cycle would stay alive to the end)
         net, _ = gen_planted_kt_network(PlantedConfig(
             branching=(4, 5), leaf_size=100, p_within=(0.0155, 0.1245),
             p_between=0.00415, homophily=0.5, n_hubs=5), seed=1)
@@ -275,21 +280,25 @@ class TestCollectorPause:
         garbage, held = [], []
         debug = gc.get_debug()
         with collector(False):
-            for config in (toy_config(tmp_path / "toy"),
-                           PipelineConfig(nodes=nodes, edges=edges, mode="cocitation",
-                                          out_dir=str(tmp_path / "planted"))):
-                gc.collect()
-                run_pipeline(config)
-                gc.set_debug(gc.DEBUG_SAVEALL)
-                try:
-                    garbage.append(gc.collect())
-                    held += [type(obj).__name__ for obj in gc.garbage
-                             if type(obj).__module__.startswith("ktmap")]
-                finally:
-                    gc.set_debug(debug)
-                    gc.garbage.clear()
+            for n in (1, 3):
+                workers = cpus(n)
+                for config in (toy_config(tmp_path / f"toy{n}"),
+                               PipelineConfig(nodes=nodes, edges=edges,
+                                              mode="cocitation",
+                                              out_dir=str(tmp_path / f"planted{n}"))):
+                    gc.collect()
+                    run_pipeline(config)
+                    gc.set_debug(gc.DEBUG_SAVEALL)
+                    try:
+                        garbage.append(gc.collect())
+                        held += [type(obj).__name__ for obj in gc.garbage
+                                 if type(obj).__module__.startswith("ktmap")]
+                    finally:
+                        gc.set_debug(debug)
+                        gc.garbage.clear()
+                assert bool(workers) == (n > 1)
         assert net.n_docs == 2005 and held == []
-        assert garbage[1] <= garbage[0] + 10 < net.n_docs // 4
+        assert garbage == [0, 0, 0, 0]
 
 
 class TestReportEdgeStore:
@@ -300,6 +309,177 @@ class TestReportEdgeStore:
             run_stage(stage, config, artifacts)
         assert artifacts["net"].n_docs > artifacts["core"].n_docs
         assert not artifacts["net"]._adjacency and artifacts["core"]._adjacency
+
+
+def run_files(out: Path) -> dict[str, bytes]:
+    """Every file a report wrote to `out`, report.json without its run
+    fields."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    doc = strip_run_fields(json.loads(files.pop("report.json")))
+    files["report.json"] = json.dumps(doc, sort_keys=True).encode()
+    return files
+
+
+# each side stage and a stage on each side of it, failed through the
+# library call it makes
+FAILING = {"fit-degrees": "fit_power_law", "score": "score_documents",
+           "fronts": "hierarchical_fronts", "hubs": "detect_translational_hubs",
+           "mainpath": "main_path"}
+
+
+def fails(stage: str):
+    """A stand-in for a stage's library call that fails as bad data does."""
+    def fail(*args, **kwargs):
+        raise InsufficientDataError(f"{stage} cannot run")
+    return fail
+
+
+class TestSideStages:
+    """fit-degrees, score and mainpath run in one forked worker beside
+    fronts; the report is the same, and fails the same, as on one CPU."""
+
+    def test_side_stages_from_the_table(self):
+        assert [s.name for s in report.SIDE_STAGES] == ["fit-degrees", "score",
+                                                        "mainpath"]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_same_files_on_one_and_three_cpus(self, case, tmp_path, cpus):
+        config = config_for(case, tmp_path)
+        files = []
+        for n in (1, 3):
+            workers = cpus(n)
+            config.out_dir = str(tmp_path / f"cpus{n}")
+            run_pipeline(config)
+            assert bool(workers) == (n > 1)
+            files.append(run_files(Path(config.out_dir)))
+        assert files[0] == files[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, raised", [
+        (["fit-degrees"], "fit-degrees"),
+        (["fit-degrees", "fronts"], "fit-degrees"),
+        (["score", "hubs"], "score"),
+        (["fronts", "mainpath"], "fronts"),
+        (["hubs", "mainpath"], "hubs"),
+        (["mainpath"], "mainpath"),
+    ])
+    def test_first_failing_stage_in_table_order(self, failing, raised, tmp_path,
+                                                 cpus, monkeypatch, capsys):
+        for stage in failing:
+            monkeypatch.setattr(report, FAILING[stage], fails(stage))
+        seen = []
+        for n in (1, 3):
+            workers = cpus(n)
+            with pytest.raises(StageError) as info:
+                run_pipeline(toy_config(tmp_path / f"run{n}"))
+            assert_no_child_left()
+            code = main(["report", "--config", str(TOY / "config.cfg"),
+                         "--out", str(tmp_path / f"cli{n}")])
+            assert_no_child_left()
+            assert bool(workers) == (n > 1)
+            last = capsys.readouterr().err.splitlines()[-1]
+            seen.append((info.value.stage, str(info.value), info.value.exit_code,
+                         code, last))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == raised
+        assert seen[0][3] == 2
+        assert seen[0][4] == (f"ktmap {raised}: stage '{raised}' failed: "
+                              f"{raised} cannot run")
+
+    def test_worker_dying_without_result(self, tmp_path, cpus, monkeypatch):
+        parent = os.getpid()
+        real = report.main_path
+        monkeypatch.setattr(report, "main_path", lambda core: (
+            os._exit(7) if os.getpid() != parent else real(core)))
+        cpus(3)
+        with pytest.raises(RuntimeError, match="exited with status 7 without a result"):
+            run_pipeline(toy_config(tmp_path))
+        assert_no_child_left()
+
+    def test_records_handled_once(self, tmp_path, cpus, caplog):
+        # a handler on the "ktmap" logger writes to a file the worker
+        # inherits, so a record handled in the worker too would show twice
+        handler = logging.FileHandler(tmp_path / "ktmap.log")
+        handler.setLevel(logging.WARNING)
+        logging.getLogger("ktmap").addHandler(handler)
+        config = config_for("cyclic", tmp_path)
+        records = []
+        try:
+            for n in (1, 3):
+                cpus(n)
+                caplog.clear()
+                config.out_dir = str(tmp_path / f"cpus{n}")
+                with caplog.at_level(logging.DEBUG, logger="ktmap"):
+                    run_pipeline(config)
+                records.append(sorted((r.name, r.levelname, r.getMessage())
+                                      for r in caplog.records))
+                if n > 1:
+                    side = {r.getMessage().split(" ")[0] for r in caplog.records
+                            if r.process != os.getpid()}
+        finally:
+            logging.getLogger("ktmap").removeHandler(handler)
+            handler.close()
+        assert records[0] == records[1]
+        assert {"dropping", "broke"} <= side  # fit's and mainpath's warnings
+        warnings = [m for _, level, m in records[1] if level == "WARNING"]
+        assert any(m.startswith("dropping") for m in warnings)
+        assert any(m.startswith("broke citation cycles") for m in warnings)
+        lines = (tmp_path / "ktmap.log").read_text().splitlines()
+        assert sorted(lines) == sorted(2 * warnings)  # both runs', each once
+
+
+@pytest.mark.parametrize("error", [
+    StageError("fit-degrees", InsufficientDataError("too few values")),
+    StageError("select", ValueError("fraction must be in (0, 1]")),
+    StageError("parse", FileNotFoundError(2, "No such file", "nodes.jsonl")),
+    StageError("fronts", RuntimeError("internal")),
+    StageFileError("fronts", "fronts.csv in run: line 4: bad path"),
+    *(cls("a message") for cls in vars(errors).values()
+      if isinstance(cls, type) and issubclass(cls, Exception)
+      and cls not in (StageError, StageFileError)),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    for name in ("stage", "exit_code"):
+        assert getattr(back, name, None) == getattr(error, name, None)
+    cause = getattr(error, "cause", None)
+    assert (type(getattr(back, "cause", None)), str(getattr(back, "cause", None))) == (
+        type(cause), str(cause))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_values)
+    def test_bytes_of_indented_sorted_json_dump(self, doc, tmp_path_factory):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        report.write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True)
+                                     + "\n").encode()
+
+    def test_edge_values(self, tmp_path):
+        doc = {"empty": [[], {}, ()], "nested": {"b": [1, {"c": []}], "a": None},
+               "text": "caf\u00e9 \U0001f600 \"q\"\n\x00", "big": 10 ** 30,
+               "floats": [0.1, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
+               "flags": [True, False]}
+        report.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(
+            doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [{1: "int key"}, {"a": {1, 2}}, [object()],
+                                     {"a": b"bytes"}])
+    def test_other_types_raise_type_error(self, doc, tmp_path):
+        with pytest.raises(TypeError):
+            report.write_json(tmp_path / "doc.json", doc)
 
 
 class TestConfigFile:
