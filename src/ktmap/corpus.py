@@ -366,25 +366,24 @@ class CitationNetwork:
         """
         text = _read_whole(stream)
         found = None if text is None else _edge_text_nodes(text, index)
-        pairs = None
         # a node is its index's int object, so `is` finds the self-loops
-        if found is not None and not any(map(operator.is_, found[0], found[1])):
+        bulk = found is not None and not any(map(operator.is_, found[0], found[1]))
+        if bulk:
             # every field is an id, so the text is plain as iter_edge_records
             # takes it: no blank line, comment, whitespace or empty field
             citing, cited, header = found
             if header is not None and header[0] in index and header[1] in index:
                 _warn_header_names_documents(1, ",".join(header))
             skipped: tuple = ()
-            if _ascending(citing, cited):
-                pairs = citing, cited
         else:
             lines = stream if text is None else io.StringIO(text)
             citing, cited, skipped = _pair_nodes(
                 index, iter_edge_records(lines, index), lenient)
+        pairs = _code_nodes(index, citing, cited, skipped)
         net = cls.__new__(cls)
-        net._store(ids, index, columns,
-                   pairs or _code_nodes(index, citing, cited, skipped), skipped)
-        written = (pairs is not None and text.startswith("citing,cited\n")
+        net._store(ids, index, columns, pairs, skipped)
+        # the text's own node lists come back only if they are ascending
+        written = (bulk and pairs[0] is citing and text.startswith("citing,cited\n")
                    and text.endswith("\n") and not text.endswith("\n\n"))
         return net, text if written else None
 
@@ -608,8 +607,9 @@ def _code_nodes(index: dict[str, int], citing: list[int], cited: list[int],
                 skipped: tuple) -> tuple[list[int], list[int]]:
     """The (citing, cited) node lists of edges in any order, sorted and with
     duplicates dropped, each node the index's int object; with the warnings
-    for collapsed duplicates and skipped edges. Edges out of order are
-    sorted as int codes ``u * n + v``."""
+    for collapsed duplicates and skipped edges. Lists already in strictly
+    ascending order come back as they are; edges out of order are sorted as
+    int codes ``u * n + v``."""
     if not _ascending(citing, cited):
         n = len(index)
         codes = sorted(map(operator.add, map(operator.mul, citing, repeat(n)), cited))

@@ -1,12 +1,14 @@
 """Pipeline orchestration and the KT map report.
 
 run_pipeline runs the stage table STAGES (parse -> select -> fit-degrees ->
-score -> fronts -> metrics -> hubs -> mainpath) and assembles a single
+score -> mainpath -> fronts -> metrics -> hubs) and assembles a single
 self-contained JSON report: the map of where the corpus sits on the
 basic-clinical axis, how its research fronts nest, and which nodes bridge
-them. Each stage writes its files to the output directory and
-load_artifacts reads them back, so every CLI stage can also run its table
-entry standalone from the previous stage's files.
+them. The table lists the analyses of the directed citation network
+(fit-degrees, score, mainpath) before those of its undirected projection
+(fronts, metrics, hubs). Each stage writes its files to the output
+directory and load_artifacts reads them back, so every CLI stage can also
+run its table entry standalone from the previous stage's files.
 
 All numeric content is deterministic for a fixed config and input; the only
 run-dependent field is generated_at.
@@ -23,7 +25,7 @@ import re
 import reprlib
 import typing
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -289,9 +291,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Where calls may run in forked workers (``_fork.forks()``), the stages
     that fronts neither needs nor feeds, SIDE_STAGES, run in one worker
-    beside the stages this process runs (``_SideStages``); otherwise every
-    stage runs here, in table order. Either way the error raised is that
-    of the first failing stage in table order.
+    forked at the first of them, beside the stages this process runs;
+    otherwise every stage runs here, in table order. The worker is
+    collected before the first stage that reads what it made, before the
+    report is put together, and when a stage here fails. The side stages
+    are one block of the table, before every stage run here after the
+    fork, so a side stage's error comes first: either way the error raised
+    is that of the first failing stage in table order.
 
     Python's cyclic garbage collector is paused for the whole call
     (collector_paused). A report keeps what it builds until it ends, so a
@@ -302,27 +308,36 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report (see fronts._split). The parsed corpus is dropped after the
     last stage that reads it, and the report keeps only its two counts.
     """
-    with collector_paused():
+    with collector_paused(), ExitStack() as workers:
         config.validate_paths()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
         artifacts: dict = {}
         last_net_reader = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
-        with _SideStages(config) if _fork.forks() else nullcontext() as side:
+        forks = _fork.forks()
+        side = None  # the side worker, until its result is read
+        try:
             for i, stage in enumerate(STAGES):
-                if side is None:
-                    run_stage(stage, config, artifacts)
-                elif stage in SIDE_STAGES:
-                    side.start(artifacts)
+                if forks and stage in SIDE_STAGES:
+                    if stage is SIDE_STAGES[0]:
+                        side = workers.enter_context(
+                            _fork.Worker(_run_stages, SIDE_STAGES, config, artifacts))
                 else:
-                    side.run_beside(i, stage, artifacts)
+                    if side is not None and not _SIDE_MAKES.isdisjoint(stage.reads):
+                        side, worker = None, side  # its pipe is read once
+                        artifacts.update(worker.result())
+                    run_stage(stage, config, artifacts)
                 if i == last_net_reader:
                     net = artifacts.pop("net")
                     corpus = {"n_documents": net.n_docs, "n_edges": net.n_edges}
                     del net
-            if side is not None:
-                side.collect(artifacts, len(STAGES))
+        except Exception:
+            if side is not None:  # a side stage's error comes first in the table
+                side.result()
+            raise
+        if side is not None:
+            artifacts.update(side.result())
         core, tree = artifacts["core"], artifacts["tree"]
 
         doc = {
@@ -376,74 +391,13 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
     artifacts.update(zip(stage.makes, made))
 
 
-class _SideStages:
-    """SIDE_STAGES run in one forked worker beside the stages this process
-    runs, with the sequential pipeline's error precedence.
-
-    ``start`` forks the worker at the first side stage. It runs the side
-    stages in table order on its copy of the artifacts, writes their stage
-    files and sends back the artifacts they made (``_run_side_stages``).
-    ``collect`` reads them, before the first stage here that reads one of
-    them and before the report is put together; a side stage's error is
-    raised once no stage before it in the table can fail. Leaving the
-    ``with`` block kills and reaps a worker not yet collected.
-    """
-
-    def __init__(self, config: PipelineConfig):
-        self.config = config
-        self.worker: _fork.Worker | None = None
-        self.made: dict | None = None
-        self.failed: tuple[int, Exception] | None = None
-
-    def __enter__(self) -> "_SideStages":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.worker is not None:
-            self.worker.kill()
-
-    def start(self, artifacts: dict) -> None:
-        if self.worker is None:
-            self.worker = _fork.Worker(_run_side_stages, self.config, artifacts)
-
-    def run_beside(self, i: int, stage: Stage, artifacts: dict) -> None:
-        """Run STAGES[i], not a side stage, in this process. If it fails,
-        the worker is collected first, and a side stage that failed
-        before it in the table wins."""
-        if not _SIDE_MAKES.isdisjoint(stage.reads):
-            self.collect(artifacts, i)
-        try:
-            run_stage(stage, self.config, artifacts)
-        except Exception:
-            self.collect(artifacts, i)
-            raise
-
-    def collect(self, artifacts: dict, before: int) -> None:
-        """Add the side stages' artifacts to `artifacts`, waiting for the
-        worker once it is started; raise the error of a side stage that
-        failed before table position `before`."""
-        if self.worker is None:
-            return
-        if self.made is None:
-            self.made, self.failed = self.worker.result()
-        artifacts.update(self.made)
-        if self.failed is not None and self.failed[0] < before:
-            raise self.failed[1] from None
-
-
-def _run_side_stages(config: PipelineConfig, artifacts: dict
-                     ) -> tuple[dict, tuple[int, Exception] | None]:
-    """Run SIDE_STAGES in table order on `artifacts` up to the first that
-    fails; return the artifacts they made, and the table position and
-    exception of the failed one (None if none failed)."""
-    made: dict = {}
-    for stage in SIDE_STAGES:
-        try:
-            run_stage(stage, config, artifacts)
-        except Exception as exc:  # handed to the forking process
-            return made, (STAGES.index(stage), exc)
-        made.update((name, artifacts[name]) for name in stage.makes)
-    return made, None
+def _run_stages(stages: Sequence[Stage], config: PipelineConfig,
+                artifacts: dict) -> dict:
+    """Run `stages` in order on `artifacts` and return the artifacts they
+    made; the first that fails raises its error (see run_stage)."""
+    for stage in stages:
+        run_stage(stage, config, artifacts)
+    return {name: artifacts[name] for stage in stages for name in stage.makes}
 
 
 # -- stages ------------------------------------------------------------------
@@ -626,6 +580,9 @@ STAGES = (
               f"scored {sum(t is not None for t in a['scores'].values())}/"
               f"{len(a['scores'])} documents; assortativity r="
               f"{'undefined' if a['assort'] is None else round(a['assort'], 4)}")),
+    Stage("mainpath", "extract the SPC main path",
+          reads=("core",), makes=("main_path",), run=_mainpath_stage, flags=(),
+          summary=lambda a, out: " -> ".join(a["main_path"]["nodes"])),
     Stage("fronts", "detect nested research fronts",
           reads=("core",), makes=("tree", "partition"), run=_fronts_stage,
           flags=("max_depth", "min_front_size", "min_q_gain", "mode"),
@@ -643,9 +600,6 @@ STAGES = (
           run=_hubs_stage, flags=("degree_pct", "c_max", "p_min", "t_spread_min"),
           summary=lambda a, out: (f"{len(a['hubs']['candidates'])} hub candidate(s) "
                                   f"in {len(a['hubs']['regions'])} region(s)")),
-    Stage("mainpath", "extract the SPC main path",
-          reads=("core",), makes=("main_path",), run=_mainpath_stage, flags=(),
-          summary=lambda a, out: " -> ".join(a["main_path"]["nodes"])),
 )
 
 
@@ -668,7 +622,8 @@ def _independent_of(name: str) -> tuple[Stage, ...]:
     return tuple(stage for i, stage in enumerate(STAGES) if i not in linked)
 
 
-# fit-degrees, score and mainpath: run_pipeline runs them beside fronts
+# fit-degrees, score and mainpath, the block after select: run_pipeline
+# runs them beside fronts
 SIDE_STAGES = _independent_of("fronts")
 _SIDE_MAKES = frozenset(name for stage in SIDE_STAGES for name in stage.makes)
 

@@ -113,6 +113,10 @@ def fit_power_law(values: Sequence[int], xmin: int | None = None,
     only the exponent. bootstrap > 0 adds a semiparametric goodness-of-fit
     p-value with that many replicates.
     """
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap must be >= 0, got {bootstrap}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     arr = np.asarray(list(values), dtype=np.int64)
     if arr.size and (arr < 0).any():
         raise ValueError("values must be non-negative integers")

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import pickle
+import runpy
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -320,11 +321,29 @@ def run_files(out: Path) -> dict[str, bytes]:
     return files
 
 
-# each side stage and a stage on each side of it, failed through the
-# library call it makes
+def test_same_run_tool(tmp_path, capsys):
+    same_run = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "same_run.py"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        run_pipeline(toy_config(out))
+    assert same_run["main"]([str(a), str(b)]) == 0
+    # out_dir is left out only by default
+    assert same_run["main"]([str(a), str(b), "--ignore-config", "nodes"]) == 1
+    assert capsys.readouterr().err == "report.json differs\n"
+    with open(b / "fronts.csv", "a", encoding="utf-8") as fh:
+        fh.write("x\n")
+    assert same_run["main"]([str(a), str(b)]) == 1
+    assert capsys.readouterr().err == "fronts.csv differs\n"
+    (b / "fronts.csv").unlink()
+    assert same_run["main"]([str(a), str(b)]) == 1
+    assert capsys.readouterr().err == f"{a} and {b} list different files\n"
+
+
+# each side stage and the stages run beside them, failed through the
+# library call each makes
 FAILING = {"fit-degrees": "fit_power_law", "score": "score_documents",
-           "fronts": "hierarchical_fronts", "hubs": "detect_translational_hubs",
-           "mainpath": "main_path"}
+           "mainpath": "main_path", "fronts": "hierarchical_fronts",
+           "metrics": "node_metrics_table", "hubs": "detect_translational_hubs"}
 
 
 def fails(stage: str):
@@ -341,6 +360,13 @@ class TestSideStages:
     def test_side_stages_from_the_table(self):
         assert [s.name for s in report.SIDE_STAGES] == ["fit-degrees", "score",
                                                         "mainpath"]
+
+    def test_side_stages_one_block_before_the_stages_run_beside_them(self):
+        # so a side stage's error comes first in the table whatever fails
+        # in the report process after the fork
+        first = STAGES.index(report.SIDE_STAGES[0])
+        after = [stage in report.SIDE_STAGES for stage in STAGES[first:]]
+        assert after == sorted(after, reverse=True)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_same_files_on_one_and_three_cpus(self, case, tmp_path, cpus):
@@ -359,9 +385,10 @@ class TestSideStages:
         (["fit-degrees"], "fit-degrees"),
         (["fit-degrees", "fronts"], "fit-degrees"),
         (["score", "hubs"], "score"),
-        (["fronts", "mainpath"], "fronts"),
-        (["hubs", "mainpath"], "hubs"),
+        (["fronts", "mainpath"], "mainpath"),
+        (["hubs", "mainpath"], "mainpath"),
         (["mainpath"], "mainpath"),
+        (["mainpath", "metrics"], "mainpath"),
     ])
     def test_first_failing_stage_in_table_order(self, failing, raised, tmp_path,
                                                  cpus, monkeypatch, capsys):
@@ -385,6 +412,20 @@ class TestSideStages:
         assert seen[0][3] == 2
         assert seen[0][4] == (f"ktmap {raised}: stage '{raised}' failed: "
                               f"{raised} cannot run")
+
+    def test_edgeless_core_fails_at_mainpath(self, tmp_path, cpus, capsys):
+        # the core of the top 1% has no citation edge: mainpath and fronts
+        # both fail, and mainpath comes first in the table
+        seen = []
+        for n in (1, 3):
+            cpus(n)
+            code = main(["report", "--config", str(TOY / "config.cfg"),
+                         "--fraction", "0.01", "--out", str(tmp_path / f"cpus{n}")])
+            assert_no_child_left()
+            seen.append((code, capsys.readouterr().err.splitlines()[-1]))
+        assert seen[0] == seen[1] == (
+            2, "ktmap mainpath: stage 'mainpath' failed: "
+               "main path undefined: graph has no edges")
 
     def test_worker_dying_without_result(self, tmp_path, cpus, monkeypatch):
         parent = os.getpid()
@@ -512,7 +553,7 @@ class TestConfigFile:
         "fraction = none", "lenient = maybe", "max_depth = 2.5",
         # values of the right type that the stage using them rejects
         "min_q_gain = nan", "c_max = nan", "c_max = -1", "t_spread_min = nan",
-        "t_spread_min = inf"])
+        "t_spread_min = inf", "bootstrap = -3", "seed = -1"])
     def test_bad_value_names_key_exit_1(self, tmp_path, capsys, line):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text((TOY / "config.cfg").read_text() + line + "\n")
@@ -526,7 +567,8 @@ class TestConfigFile:
         if err[0].startswith("ktmap: "):
             assert err[0].startswith(f"ktmap: invalid parameter: {cfg_file}: {key}: ")
         else:
-            stage = "fronts" if key == "min_q_gain" else "hubs"
+            stage = {"min_q_gain": "fronts", "bootstrap": "fit-degrees",
+                     "seed": "fit-degrees"}.get(key, "hubs")
             assert err[0].startswith(f"ktmap {stage}: stage '{stage}' failed: {key} ")
         assert not (tmp_path / "o" / "report.json").exists()
         assert not (tmp_path / "o" / "hubs.json").exists()
@@ -534,7 +576,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv", [["hubs", "--c-max", "nan"],
                                       ["hubs", "--c-max", "1.5"],
                                       ["hubs", "--t-spread", "inf"],
-                                      ["fronts", "--min-q", "nan"]],
+                                      ["fronts", "--min-q", "nan"],
+                                      ["fit-degrees", "--bootstrap", "-3"]],
                              ids=" ".join)
     def test_non_finite_or_out_of_range_flag_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
