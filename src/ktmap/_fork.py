@@ -1,16 +1,17 @@
-"""Calls run in forked workers, on the CPUs this process may use.
+"""Calls run side by side in forked workers, on the CPUs this process may use.
 
-A ``Worker`` runs one call in a child made by ``os.fork``. The child sends
-back its ``ktmap`` log records, what the call returned and the exception
-it raised, pickled through a pipe, and leaves by ``os._exit``, never
-returning into the forking caller. ``Worker.result`` handles the records
-in this process, once each, and raises the exception again; a worker that
-died without a result raises an error naming its exit status. Leaving a
-worker's ``with`` block kills and reaps it unless its result was read.
-
-Callers fork only where ``forks()`` holds, and otherwise make the same
-calls in this process. ``multiprocessing`` is not used: ``import
-multiprocessing.pool`` took about 20 ms, which every report would pay.
+``run(calls)`` returns ``[fn(*args) for fn, *args in calls]``. Where
+``forks()`` holds, every call but the last runs in a child made by
+``os.fork``, which sends back its ``ktmap`` log records, what the call
+returned and the exception it raised, pickled through a pipe, and leaves
+by ``os._exit``; the last call runs in this process. Otherwise every call
+runs here, in order. The workers are read in call order, which handles
+their records here, once each. The exception raised is that of the first
+call, in call order, that failed, and only after every worker has been
+reaped; a worker that died without a result fails naming its exit status.
+A ``BaseException`` here, such as ``KeyboardInterrupt``, kills the workers
+at once. ``multiprocessing`` is not used: ``import multiprocessing.pool``
+took about 20 ms, which every report would pay.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import logging
 import os
 import pickle
 import threading
-from typing import Callable, NoReturn
+from collections.abc import Callable, Sequence
+from typing import NoReturn
 
 
 def usable_cpus() -> int:
@@ -37,7 +39,34 @@ def forks() -> bool:
             and threading.active_count() == 1)
 
 
-class Worker:
+def processes() -> int:
+    """How many calls ``run`` may run side by side: the usable CPUs where
+    ``forks()`` holds, else 1."""
+    return usable_cpus() if forks() else 1
+
+
+def run(calls: Sequence[tuple]) -> list:
+    """``[fn(*args) for fn, *args in calls]``, run as described above."""
+    if not calls or not forks():
+        return [fn(*args) for fn, *args in calls]
+    *forked, (fn, *args) = calls
+    workers: list[_Worker] = []
+    try:
+        for call in forked:
+            workers.append(_Worker(*call))
+        try:
+            last = fn(*args)
+        except Exception:
+            for worker in workers:  # an earlier call's error comes first
+                worker.result()
+            raise
+        return [worker.result() for worker in workers] + [last]
+    finally:
+        for worker in workers:
+            worker.kill()
+
+
+class _Worker:
     """``fn(*args)`` running in a forked worker."""
 
     def __init__(self, fn: Callable, *args):
@@ -54,12 +83,6 @@ class Worker:
             raise
         finally:  # the worker never gets here
             os.close(write_fd)
-
-    def __enter__(self) -> "Worker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.kill()
 
     def result(self):
         """Wait for the worker and reap it, handle its log records here,

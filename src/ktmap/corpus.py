@@ -80,6 +80,7 @@ from itertools import compress, count, islice, repeat
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
+from ._jsonio import written
 from .errors import (
     DuplicateIdError,
     LexiconOverlapError,
@@ -936,9 +937,9 @@ def write_corpus(net: CitationNetwork, nodes_path, edges_path,
         edges = "citing,cited\n" + "".join([
             f"{citing},{cited}\n" for citing, cited in
             zip(map(id_of, net.citing), map(id_of, net.cited))])
-    with open(nodes_path, "w", encoding="utf-8") as fh:
+    with written(nodes_path) as fh:
         fh.write(nodes)
-    with open(edges_path, "w", encoding="utf-8") as fh:
+    with written(edges_path) as fh:
         fh.write(edges)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ._jsonio import written
 from .corpus import CitationNetwork
 
 FORMATS = ("graphml", "dot")
@@ -27,7 +28,7 @@ def export_graph(net: CitationNetwork, path, fmt: str,
         text = to_dot(net, front_paths, scores, strata, hub_ids)
     else:
         raise ValueError(f"unknown format {fmt!r}; supported: {', '.join(FORMATS)}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with written(path) as fh:
         fh.write(text)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from contextlib import ExitStack
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -659,9 +658,9 @@ def hierarchical_fronts(graph: UGraph, max_depth: int = 4,
     min_q_gain. Recursion stops at max_depth levels (the root counts as
     level 1). Isolated nodes become singleton leaf fronts.
 
-    The subtrees under level 2 are independent, so they are split on up to
-    the CPUs this process may use, in forked workers (``_split_forked``);
-    the tree is the same whichever process split what.
+    The subtrees under level 2 are independent, so they are dealt onto
+    ``_fork.processes()`` bins and split side by side (``_fork.run``); the
+    tree is the same whichever process split what.
     """
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
@@ -699,8 +698,14 @@ def _split(graph: UGraph, members: Sequence[int], path: tuple[int, ...],
               for front in part.fronts()]
     jobs = [i for i, front in enumerate(fronts)
             if len(front) >= min_front_size and level + 1 < max_depth]
-    split = (_split_fronts if path else _split_forked)(graph, fronts, jobs, path,
-                                                        level, limits)
+    if path:
+        split = _split_fronts(graph, fronts, jobs, path, level, limits)
+    else:  # the bin with the largest front, the first, is split in this process
+        bins = _deal(jobs, fronts, _fork.processes())
+        split = {}
+        for subtrees in _fork.run([(_split_fronts, graph, fronts, share, path, level,
+                                    limits) for share in bins[1:] + bins[:1]]):
+            split.update(subtrees)
     return part.q, tuple(FrontNode(path + (i + 1,), front, *split.get(i, (None, ())))
                          for i, front in enumerate(fronts))
 
@@ -708,34 +713,9 @@ def _split(graph: UGraph, members: Sequence[int], path: tuple[int, ...],
 def _split_fronts(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
                   path: tuple[int, ...], level: int, limits) -> dict:
     """{i: (q_split, children)} of each child front fronts[i], i in `jobs`,
-    of the front at `path` and `level`, split in this process."""
+    of the front at `path` and `level`, split one after another."""
     return {i: _split(graph, fronts[i], path + (i + 1,), level + 1, limits)
             for i in jobs}
-
-
-def _split_forked(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
-                  path: tuple[int, ...], level: int, limits) -> dict:
-    """_split_fronts, with the jobs dealt onto up to the usable CPUs.
-
-    The jobs are dealt, largest front first, each onto the bin with the
-    fewest members so far (``_deal``). This process splits the first bin
-    and a ``_fork.Worker`` each other one. The workers' results are read
-    in bin order, which handles their log records here and raises the
-    first failed worker's exception; every worker is reaped before this
-    returns or raises. Where ``_fork.forks()`` does not hold, the jobs are
-    split in this process.
-    """
-    bins = _deal(jobs, fronts, _fork.usable_cpus())
-    if len(bins) < 2 or not _fork.forks():
-        return _split_fronts(graph, fronts, jobs, path, level, limits)
-    with ExitStack() as stack:
-        workers = [stack.enter_context(_fork.Worker(_split_fronts, graph, fronts, share,
-                                                    path, level, limits))
-                   for share in bins[1:]]
-        split = _split_fronts(graph, fronts, bins[0], path, level, limits)
-        for worker in workers:
-            split.update(worker.result())
-        return split
 
 
 def _deal(jobs: list[int], fronts: list[tuple[int, ...]], n_bins: int) -> list[list[int]]:

@@ -1,14 +1,15 @@
 """Pipeline orchestration and the KT map report.
 
 run_pipeline runs the stage table STAGES (parse -> select -> fit-degrees ->
-score -> mainpath -> fronts -> metrics -> hubs) and assembles a single
-self-contained JSON report: the map of where the corpus sits on the
-basic-clinical axis, how its research fronts nest, and which nodes bridge
-them. The table lists the analyses of the directed citation network
-(fit-degrees, score, mainpath) before those of its undirected projection
-(fronts, metrics, hubs). Each stage writes its files to the output
-directory and load_artifacts reads them back, so every CLI stage can also
-run its table entry standalone from the previous stage's files.
+score -> mainpath -> fronts -> metrics -> hubs), phase by phase (PHASES),
+and assembles a single self-contained JSON report: the map of where the
+corpus sits on the basic-clinical axis, how its research fronts nest, and
+which nodes bridge them. The table lists the analyses of the directed
+citation network (fit-degrees, score, mainpath) before those of its
+undirected projection (fronts, metrics, hubs). Each stage writes its files
+to the output directory and load_artifacts reads them back, so every CLI
+stage can also run its table entry standalone from the previous stage's
+files.
 
 All numeric content is deterministic for a fixed config and input; the only
 run-dependent field is generated_at.
@@ -25,7 +26,7 @@ import re
 import reprlib
 import typing
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
@@ -37,7 +38,7 @@ from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
 from .corpus import (CitationNetwork, Lexicon, co_citation_projection,
                      load_corpus, write_corpus)
-from ._jsonio import write_json
+from ._jsonio import write_json, written
 from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts, level_assignment, path_string
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
@@ -289,15 +290,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the full analysis, write all artifacts to config.out_dir and
     return the report document written to report.json.
 
-    Where calls may run in forked workers (``_fork.forks()``), the stages
-    that fronts neither needs nor feeds, SIDE_STAGES, run in one worker
-    forked at the first of them, beside the stages this process runs;
-    otherwise every stage runs here, in table order. The worker is
-    collected before the first stage that reads what it made, before the
-    report is put together, and when a stage here fails. The side stages
-    are one block of the table, before every stage run here after the
-    fork, so a side stage's error comes first: either way the error raised
-    is that of the first failing stage in table order.
+    The stages run phase by phase (PHASES), each phase one ``_fork.run``
+    call with one call per group of stages: where calls may run in forked
+    workers, a phase's groups run side by side, and otherwise one after
+    another, in table order. Either way the error raised is that of the
+    first failing stage in table order.
 
     Python's cyclic garbage collector is paused for the whole call
     (collector_paused). A report keeps what it builds until it ends, so a
@@ -306,38 +303,20 @@ def run_pipeline(config: PipelineConfig) -> dict:
     of 10k documents ran 169 passes in 27-49 ms. So no stage may hold its
     data in a reference cycle, which would keep it alive to the end of the
     report (see fronts._split). The parsed corpus is dropped after the
-    last stage that reads it, and the report keeps only its two counts.
+    last stage that reads it (_run_stages); the report keeps its counts.
     """
-    with collector_paused(), ExitStack() as workers:
+    with collector_paused():
         config.validate_paths()
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
         artifacts: dict = {}
-        last_net_reader = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
-        forks = _fork.forks()
-        side = None  # the side worker, until its result is read
-        try:
-            for i, stage in enumerate(STAGES):
-                if forks and stage in SIDE_STAGES:
-                    if stage is SIDE_STAGES[0]:
-                        side = workers.enter_context(
-                            _fork.Worker(_run_stages, SIDE_STAGES, config, artifacts))
-                else:
-                    if side is not None and not _SIDE_MAKES.isdisjoint(stage.reads):
-                        side, worker = None, side  # its pipe is read once
-                        artifacts.update(worker.result())
-                    run_stage(stage, config, artifacts)
-                if i == last_net_reader:
-                    net = artifacts.pop("net")
-                    corpus = {"n_documents": net.n_docs, "n_edges": net.n_edges}
-                    del net
-        except Exception:
-            if side is not None:  # a side stage's error comes first in the table
-                side.result()
-            raise
-        if side is not None:
-            artifacts.update(side.result())
+        for phase in PHASES:
+            # a comprehension: a name left holding a phase's results would
+            # keep the parsed corpus alive through fronts
+            artifacts.update({name: value for made in _fork.run(
+                [(_run_stages, group, config, artifacts) for group in phase])
+                for name, value in made.items()})
         core, tree = artifacts["core"], artifacts["tree"]
 
         doc = {
@@ -346,7 +325,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "seed": config.seed,
             "config": dataclasses.asdict(config),
             "corpus": {
-                **corpus,
+                "n_documents": artifacts["corpus"]["n_documents"],
+                "n_edges": artifacts["corpus"]["n_edges"],
                 "n_selected": core.n_docs,
                 "n_selected_edges": core.n_edges,
             },
@@ -394,8 +374,12 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
 def _run_stages(stages: Sequence[Stage], config: PipelineConfig,
                 artifacts: dict) -> dict:
     """Run `stages` in order on `artifacts` and return the artifacts they
-    made; the first that fails raises its error (see run_stage)."""
+    made; the first that fails raises its error (see run_stage). The
+    parsed corpus is dropped before a stage that comes after every stage
+    that reads it."""
     for stage in stages:
+        if STAGES.index(stage) > _LAST_NET_READER:
+            artifacts.pop("net", None)
         run_stage(stage, config, artifacts)
     return {name: artifacts[name] for stage in stages for name in stage.makes}
 
@@ -414,12 +398,13 @@ def _parse_stage(config: PipelineConfig, out: Path):
     if net is not parsed:  # the nodes text no longer describes the documents
         text = text._replace(nodes=None)
     write_corpus(net, out / "corpus.nodes.jsonl", out / "corpus.edges.csv", text)
-    write_json(out / "corpus.summary.json", {
+    summary = {
         "n_documents": net.n_docs,
         "n_edges": net.n_edges,
         "n_skipped_edges": len(net.skipped_edges),
-    })
-    return (net,)
+    }
+    write_json(out / "corpus.summary.json", summary)
+    return net, summary
 
 
 def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwork:
@@ -453,7 +438,7 @@ def _fit_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
 
 def _score_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
     scores = score_documents(core)
-    with open(out / "scores.csv", "w", encoding="utf-8") as fh:
+    with written(out / "scores.csv") as fh:
         fh.write("id,t,stratum\n")
         for doc_id in core.ids:
             t = scores[doc_id]
@@ -475,7 +460,7 @@ def _fronts_stage(config: PipelineConfig, out: Path, core: CitationNetwork):
                                min_front_size=config.min_front_size,
                                min_q_gain=config.min_q_gain)
     paths = tree.node_paths()
-    with open(out / "fronts.csv", "w", encoding="utf-8") as fh:
+    with written(out / "fronts.csv") as fh:
         fh.write("id,path\n")
         for node in sorted(paths):
             fh.write(f"{node},{path_string(paths[node])}\n")
@@ -494,7 +479,7 @@ def _metrics_stage(config: PipelineConfig, out: Path, core: CitationNetwork,
     graph = core.projection
     rows = node_metrics_table(graph, partition if set(partition) == set(graph.ids)
                               else None)
-    with open(out / "metrics.csv", "w", encoding="utf-8") as fh:
+    with written(out / "metrics.csv") as fh:
         fh.write("id,k,c,p,z\n")
         for row in rows:
             cells = [row.id, str(row.k)]
@@ -559,7 +544,7 @@ class Stage:
 
 STAGES = (
     Stage("parse", "validate a corpus and normalize it into --out",
-          reads=(), makes=("net",), run=_parse_stage,
+          reads=(), makes=("net", "corpus"), run=_parse_stage,
           flags=("nodes", "edges", "lenient"),
           summary=lambda a, out: (f"parsed {a['net'].n_docs} documents, "
                                   f"{a['net'].n_edges} edges -> {out}")),
@@ -603,29 +588,22 @@ STAGES = (
 )
 
 
-def _independent_of(name: str) -> tuple[Stage, ...]:
-    """The STAGES entries that neither lead to stage `name` nor depend on
-    it through the table's reads and makes; each stage reads only
-    artifacts made before it in the table."""
-    at = [stage.name for stage in STAGES].index(name)
-    linked = {at}
-    needed = set(STAGES[at].reads)
-    for i in range(at - 1, -1, -1):
-        if not needed.isdisjoint(STAGES[i].makes):
-            linked.add(i)
-            needed.update(STAGES[i].reads)
-    made = set(STAGES[at].makes)
-    for i in range(at + 1, len(STAGES)):
-        if not made.isdisjoint(STAGES[i].reads):
-            linked.add(i)
-            made.update(STAGES[i].makes)
-    return tuple(stage for i, stage in enumerate(STAGES) if i not in linked)
+_LAST_NET_READER = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
 
 
-# fit-degrees, score and mainpath, the block after select: run_pipeline
-# runs them beside fronts
-SIDE_STAGES = _independent_of("fronts")
-_SIDE_MAKES = frozenset(name for stage in SIDE_STAGES for name in stage.makes)
+def _group(*names: str) -> tuple[Stage, ...]:
+    """The STAGES entries named, in table order."""
+    return tuple(stage for stage in STAGES if stage.name in names)
+
+
+# run_pipeline's phases, in table order, each one _fork.run call with one
+# call per group: the directed-network stages run beside fronts and
+# metrics, which neither read what they make nor make what they read
+PHASES = (
+    (_group("parse", "select"),),
+    (_group("fit-degrees", "score", "mainpath"), _group("fronts", "metrics")),
+    (_group("hubs"),),
+)
 
 
 # -- reading stage files back ------------------------------------------------
@@ -706,13 +684,16 @@ def _check_covers_core(rows: dict, core: CitationNetwork, cited_only: bool) -> N
 
 def _read_rows(path: Path, parse: Callable[[str], object]) -> dict:
     """{id: parse(rest of the line)} from a stage CSV whose first cell is the
-    id; a line that `parse` rejects raises a ValueError naming the line."""
+    id; a line that `parse` rejects, or that repeats an id, raises a
+    ValueError naming the line."""
     rows = {}
     with open(path, encoding="utf-8") as fh:
         next(fh, None)  # header
         for lineno, line in enumerate(fh, start=2):
             node, _, rest = line.rstrip("\n").partition(",")
             try:
+                if node in rows:
+                    raise ValueError(f"id {node!r} repeated")
                 rows[node] = parse(rest)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
@@ -728,8 +709,13 @@ def _front_key(path: str) -> tuple[int, ...]:
 
 
 def _score(cells: str) -> float | None:
-    """t from the `t,stratum` cells of a scores.csv line; None if unscored."""
-    t, _ = cells.split(",")
+    """t from the `t,stratum` cells of a scores.csv line, a finite number
+    in [0, 1]; None, and only then, if the stratum is unscored."""
+    t, stratum = cells.split(",")
+    if (not t) != (stratum == Stratum.UNSCORED.value):
+        raise ValueError(f"t {t!r} does not fit stratum {stratum!r}")
+    if t and not 0.0 <= float(t) <= 1.0:  # NaN fails it too
+        raise ValueError(f"t {t!r} is not a number in [0, 1]")
     return float(t) if t else None
 
 

@@ -940,7 +940,7 @@ class TestWrittenCorpus:
                                 edges=str(paths["edges.csv"]),
                                 lexicon_basic=str(paths["basic.txt"]),
                                 lexicon_clinical=str(paths["clinical.txt"]))
-        (net,) = _parse_stage(config, tmp_path)
+        net, _ = _parse_stage(config, tmp_path)
         assert list(zip(net.basic_terms, net.clinical_terms)) == [(1, 0), (0, 1), (0, 0)]
         reference_write_corpus(net, tmp_path / "ref.n.jsonl", tmp_path / "ref.e.csv")
         for part, ref in (("nodes.jsonl", "ref.n.jsonl"), ("edges.csv", "ref.e.csv")):

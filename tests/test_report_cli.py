@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import gc
 import json
 import logging
@@ -7,6 +8,7 @@ import pickle
 import runpy
 import subprocess
 import sys
+import weakref
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
@@ -358,15 +360,36 @@ class TestSideStages:
     fronts; the report is the same, and fails the same, as on one CPU."""
 
     def test_side_stages_from_the_table(self):
-        assert [s.name for s in report.SIDE_STAGES] == ["fit-degrees", "score",
-                                                        "mainpath"]
+        side = [[s.name for s in group] for phase in report.PHASES
+                for group in phase[:-1]]
+        assert side == [["fit-degrees", "score", "mainpath"]]
 
     def test_side_stages_one_block_before_the_stages_run_beside_them(self):
         # so a side stage's error comes first in the table whatever fails
-        # in the report process after the fork
-        first = STAGES.index(report.SIDE_STAGES[0])
-        after = [stage in report.SIDE_STAGES for stage in STAGES[first:]]
-        assert after == sorted(after, reverse=True)
+        # in the report process after the fork: the phases' groups are the
+        # table in order, and no group reads what another group of its
+        # phase makes
+        assert [s for phase in report.PHASES for group in phase
+                for s in group] == list(STAGES)
+        for phase in report.PHASES:
+            for group in phase:
+                others = {name for other in phase if other is not group
+                          for s in other for name in s.makes}
+                assert others.isdisjoint(name for s in group for name in s.reads)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_corpus_dropped_before_fronts(self, n, tmp_path, cpus, monkeypatch):
+        # the report process's peak memory depends on it
+        refs, alive = [], []
+        select, fronts_ = report.select_top_cited, report.hierarchical_fronts
+        monkeypatch.setattr(report, "select_top_cited", lambda net, *args, **kwargs: (
+            refs.append(weakref.ref(net)), select(net, *args, **kwargs))[1])
+        monkeypatch.setattr(report, "hierarchical_fronts", lambda *args, **kwargs: (
+            alive.append(refs[0]() is not None), fronts_(*args, **kwargs))[1])
+        workers = cpus(n)
+        run_pipeline(toy_config(tmp_path, fraction=0.5))
+        assert alive == [False]
+        assert bool(workers) == (n > 1)
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_same_files_on_one_and_three_cpus(self, case, tmp_path, cpus):
@@ -522,6 +545,48 @@ class TestWriteJson:
         with pytest.raises(TypeError):
             report.write_json(tmp_path / "doc.json", doc)
 
+    def test_ints_beyond_the_str_digit_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        big = [7 ** 9000, -(10 ** 4300), 10 ** 4299]
+        report.write_json(tmp_path / "doc.json", {"spc": big})
+        assert sys.get_int_max_str_digits() == limit
+        text = (tmp_path / "doc.json").read_text()
+        digits = [str(decimal.Decimal(n)) for n in big]
+        assert text == '{\n  "spc": [\n    ' + ",\n    ".join(digits) + "\n  ]\n}\n"
+        back = json.loads(text, parse_int=decimal.Decimal)["spc"]
+        assert back == [decimal.Decimal(n) for n in big]
+
+    @pytest.mark.parametrize("old", [None, "{}\n"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, old):
+        # the document fails half way through, after "a" was written
+        path = tmp_path / "doc.json"
+        if old is not None:
+            path.write_text(old)
+        with pytest.raises(TypeError):
+            report.write_json(path, {"a": list(range(10_000)), "b": object()})
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["doc.json"])
+        if old is not None:
+            assert path.read_text() == old
+
+    def test_stage_csv_written_whole(self, tmp_path, monkeypatch):
+        # fronts.csv fails after its header and first rows are written
+        config = toy_config(tmp_path)
+        run_pipeline(config)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        written = []
+
+        def failing(path):
+            if len(written) == 3:
+                raise ValueError("no path string")
+            written.append(path)
+            return ".".join(map(str, path))
+
+        monkeypatch.setattr(report, "path_string", failing)
+        fronts = next(stage for stage in STAGES if stage.name == "fronts")
+        with pytest.raises(StageError, match="no path string"):
+            run_stage(fronts, config, report.load_artifacts(fronts.reads, config))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestConfigFile:
     def test_round_trip_and_overrides(self, tmp_path):
@@ -649,6 +714,32 @@ class TestCliStages:
             if name not in differ:
                 assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
+    def test_mainpath_spc_beyond_the_str_digit_limit(self, tmp_path, capsys):
+        # a dated ladder of 9,100 layers of 3 documents, each citing every
+        # document of the layer before: every main path edge lies on
+        # 3 ** 9098 source-sink paths, 4,341 digits, more than the
+        # interpreter's default int to str limit of 4,300
+        layers, width = 9100, 3
+        names = [[f"d{i:04d}{s}" for s in "abc"[:width]] for i in range(layers)]
+        (tmp_path / "nodes.jsonl").write_text("".join(
+            f'{{"id": "{v}", "year": {i}}}\n' for i, layer in enumerate(names)
+            for v in layer))
+        (tmp_path / "edges.csv").write_text("citing,cited\n" + "".join(
+            f"{u},{v}\n" for i in range(1, layers) for u in names[i]
+            for v in names[i - 1]))
+        out = str(tmp_path / "o")
+        limit = sys.get_int_max_str_digits()
+        assert self.run_cli("parse", "--nodes", str(tmp_path / "nodes.jsonl"),
+                            "--edges", str(tmp_path / "edges.csv"), "--out", out) == 0
+        assert self.run_cli("select", "--fraction", "1", "--out", out) == 0
+        assert self.run_cli("mainpath", "--out", out) == 0
+        assert sys.get_int_max_str_digits() == limit
+        with open(tmp_path / "o" / "main_path.json", encoding="utf-8") as fh:
+            doc = json.load(fh, parse_int=decimal.Decimal)
+        assert len(doc["nodes"]) == layers
+        assert doc["spc"] == [decimal.Decimal(width ** (layers - 2))] * (layers - 1)
+        capsys.readouterr()
+
     def test_missing_stage_inputs_exit_2(self, tmp_path):
         assert self.run_cli("select", "--out", str(tmp_path)) == 2
         assert self.run_cli("hubs", "--out", str(tmp_path)) == 2
@@ -675,6 +766,22 @@ class TestCliStages:
         pytest.param("scores.csv", "score",
                      lambda rows: [r for r in rows if not r.startswith("a01,")],
                      "no row for core document 'a01'", id="scores-id-missing"),
+        # a repeated id, which would otherwise win over the row before it
+        pytest.param("fronts.csv", "fronts", lambda rows: rows + ["a00,9"],
+                     "line 42: id 'a00' repeated", id="fronts-repeated-id"),
+        pytest.param("scores.csv", "score", lambda rows: rows + ["a02,1.0,clinical"],
+                     "line 42: id 'a02' repeated", id="scores-repeated-id"),
+        # a T that is not a score, or that disagrees with the stratum on
+        # whether the document was scored
+        pytest.param("scores.csv", "score", "a02,7.5,clinical",
+                     "line 4: t '7.5' is not a number in [0, 1]", id="scores-t-above-1"),
+        pytest.param("scores.csv", "score", "a02,nan,basic",
+                     "line 4: t 'nan' is not a number in [0, 1]", id="scores-t-nan"),
+        pytest.param("scores.csv", "score", "a02,,basic",
+                     "line 4: t '' does not fit stratum 'basic'", id="scores-no-t-scored"),
+        pytest.param("scores.csv", "score", "a02,0.5,unscored",
+                     "line 4: t '0.5' does not fit stratum 'unscored'",
+                     id="scores-t-unscored"),
         pytest.param("hubs.json", "hubs", lambda rows: rows[:len(rows) // 2],
                      "Expecting", id="hubs-truncated"),
         pytest.param("hubs.json", "hubs",
