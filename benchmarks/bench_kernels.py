@@ -195,16 +195,17 @@ def bench_parse(leaf: int) -> None:
         edges = os.path.join(tmp, "edges.csv")
         write_corpus(net, nodes, edges)
         t0 = time.perf_counter()
-        with open(nodes, encoding="utf-8") as fh:
-            _, index, columns = corpus._read_columns(fh)
+        with open(nodes, encoding="utf-8-sig") as fh:
+            index, columns = corpus._read_columns(corpus._read_text(fh, "nodes"))
             ids, index, columns = corpus._in_id_order(index, columns)
         t1 = time.perf_counter()
-        with open(edges, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(edges, encoding="utf-8-sig") as fh:
+            text = corpus._read_text(fh, "edges")
         corpus._edge_text_nodes(text, net.index)
         t2 = time.perf_counter()
-        with open(edges, encoding="utf-8") as fh:
-            CitationNetwork._from_edges(ids, index, columns, fh, lenient=False)
+        with open(edges, encoding="utf-8-sig") as fh:
+            CitationNetwork._from_edges(ids, index, columns,
+                                        corpus._read_text(fh, "edges"), lenient=False)
         t3 = time.perf_counter()
         parsed, text = load_corpus(nodes, edges, keep_text=True)
         t4 = time.perf_counter()

@@ -24,7 +24,8 @@ from .errors import KTMapError
 from .export import FORMATS, export_graph
 from .fronts import path_string
 from .report import (STAGE_FILES, STAGES, PipelineConfig, collector_paused,
-                     field_type, load_artifacts, run_pipeline, run_stage)
+                     field_type, load_artifacts, out_directory, run_pipeline,
+                     run_stage)
 from .synth import (PlantedConfig, gen_deterministic_hierarchical,
                     gen_planted_kt_network, gen_random_graph,
                     write_ground_truth)
@@ -146,9 +147,7 @@ def _configure_logging() -> None:
 
 
 def _dispatch(args) -> int:
-    out = Path(args.out_dir) if getattr(args, "out_dir", None) else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
+    out = out_directory(args.out_dir) if getattr(args, "out_dir", None) else None
     fields = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
 
     for stage in STAGES:

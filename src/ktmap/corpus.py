@@ -15,7 +15,8 @@ edges file : two-column delimited text ``citing,cited`` (tab or whitespace
     document ids, so an edge between documents with those ids must come
     after a header line; a WARNING gives the line number when a line is
     read as a header although both fields name documents.
-lexicon files : one term per line, UTF-8, lowercased on load.
+lexicon files : one term per line, lowercased on load.
+Every input is UTF-8; a leading byte-order mark is not part of its text.
 
 Interned ids and document columns
 ---------------------------------
@@ -34,23 +35,22 @@ back where something is written or reported: ``ids[i]``, and the
 
 Whole-file reading
 ------------------
-``parse_corpus`` (and ``load_corpus``) read each seekable stream in one
-piece; a stream that cannot seek is read by the line loops. Both texts
-are then read a block of lines at a time, so that only one block's
-strings and records are alive at once. The nodes text, split on "\n"
-alone, is decoded by one json.loads over each block's non-blank lines
-where that provably gives one object per line, and that block a line at a
-time otherwise. Either way each record is checked in line order by
-``_check_fields``, the one statement of the ``Document`` rules, and its
-values are appended to the columns; an id seen on an earlier line is an
-error at its line. The columns are put into id order once, and only when
-the file is out of order. When every line of the edges text is ``a,b`` (as
-``write_corpus`` writes it, optionally under its header) with two known
-ids and no self-loop, its ids are looked up straight to node numbers, and
-no copy of the text is made. Any other edges text, down to one line the
-line loop would read differently, is read line by line, and only that loop
-reports malformed lines, so errors, warnings and their line numbers do not
-depend on the path taken.
+Each input is read whole (``_read_text``): a byte that is not UTF-8 fails
+at its line before any record is read. The nodes and edges texts are read a
+block of lines at a time, so only one block's strings and records are alive
+at once. The nodes text, split on "\n" alone, is decoded by one json.loads
+over each block's non-blank lines where that provably gives one object per
+line, and that block a line at a time otherwise. Either way each record is
+checked in line order by ``_check_fields``, the one statement of the
+``Document`` rules, and its values are appended to the columns; an id seen
+on an earlier line is an error at its line. The columns are put into id
+order once, and only when the file is out of order. When every line of the
+edges text is ``a,b`` (as ``write_corpus`` writes it, optionally under its
+header) with two known ids and no self-loop, its ids are looked up straight
+to node numbers, and no copy of the text is made. Any other edges text,
+down to one line the line loop would read differently, is read line by
+line, and only that loop reports malformed lines, so errors, warnings and
+their line numbers do not depend on the path taken.
 
 ``parse_corpus(..., keep_text=True)`` also returns the input texts that
 are exactly what ``write_corpus`` would write for the network: the edges
@@ -190,17 +190,16 @@ class Lexicon:
 
     @classmethod
     def load(cls, basic_path, clinical_path) -> "Lexicon":
-        return cls(basic=_read_terms(basic_path), clinical=_read_terms(clinical_path))
+        return cls(basic=_read_terms(basic_path, "lexicon_basic"),
+                   clinical=_read_terms(clinical_path, "lexicon_clinical"))
 
 
-def _read_terms(path) -> frozenset[str]:
-    terms = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.strip().lower()
-            if term:
-                terms.add(term)
-    return frozenset(terms)
+def _read_terms(path, name: str) -> frozenset[str]:
+    """Lexicon `name`'s terms: its lines, split on "\\n" alone (not at \\x85
+    or \\u2028), stripped and lowercased; blank lines left out."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = _read_text(fh, name)
+    return frozenset(filter(None, [line.strip().lower() for line in text.split("\n")]))
 
 
 def count_terms(raw_terms: Sequence[str], lexicon: Lexicon) -> tuple[int, int]:
@@ -351,22 +350,20 @@ class CitationNetwork:
 
     @classmethod
     def _from_edges(cls, ids: tuple[str, ...], index: dict[str, int],
-                    columns: tuple[list, ...], stream: Iterable[str], lenient: bool
+                    columns: tuple[list, ...], text: str, lenient: bool
                     ) -> tuple["CitationNetwork", str | None]:
         """The network of documents in id order (as _in_id_order returns
-        them) and an edges stream, and the stream's whole text if
-        write_corpus would write it back byte for byte (else None).
+        them) and an edges text, and the text if write_corpus would write
+        it back byte for byte (else None).
 
-        A seekable stream is read whole. When every line is ``a,b`` with
-        both fields known ids and no self-loop, the fields are looked up in
-        the index in bulk, straight to node numbers; as no document id holds
-        whitespace or a comma or starts with '#', each is read as the line
-        loop reads it. Any other stream or text goes through
-        iter_edge_records and the per-pair loop, so its errors and warnings
-        are those of __init__.
+        When every line is ``a,b`` with both fields known ids and no
+        self-loop, the fields are looked up in the index in bulk, straight
+        to node numbers; as no document id holds whitespace or a comma or
+        starts with '#', each is read as the line loop reads it. Any other
+        text goes through iter_edge_records and the per-pair loop, so its
+        errors and warnings are those of __init__.
         """
-        text = _read_whole(stream)
-        found = None if text is None else _edge_text_nodes(text, index)
+        found = _edge_text_nodes(text, index)
         # a node is its index's int object, so `is` finds the self-loops
         bulk = found is not None and not any(map(operator.is_, found[0], found[1]))
         if bulk:
@@ -377,9 +374,8 @@ class CitationNetwork:
                 _warn_header_names_documents(1, ",".join(header))
             skipped: tuple = ()
         else:
-            lines = stream if text is None else io.StringIO(text)
             citing, cited, skipped = _pair_nodes(
-                index, iter_edge_records(lines, index), lenient)
+                index, iter_edge_records(io.StringIO(text), index), lenient)
         pairs = _code_nodes(index, citing, cited, skipped)
         net = cls.__new__(cls)
         net._store(ids, index, columns, pairs, skipped)
@@ -648,68 +644,57 @@ def parse_corpus(nodes_stream: Iterable[str], edges_stream: Iterable[str],
     write_corpus, that are exactly what it would write for this network
     (see the module docstring).
     """
-    nodes_text, read_index, columns = _read_columns(nodes_stream)
+    nodes_text = _read_text(nodes_stream, "nodes")
+    read_index, columns = _read_columns(nodes_text)
     ids, index, columns = _in_id_order(read_index, columns)
-    net, edges_text = CitationNetwork._from_edges(ids, index, columns, edges_stream,
-                                                  lenient)
+    net, edges_text = CitationNetwork._from_edges(
+        ids, index, columns, _read_text(edges_stream, "edges"), lenient)
     if not keep_text:
         return net
     # the reader's own index is kept only where the file came in id order
-    nodes_written = (nodes_text is not None and index is read_index
-                     and _is_written_nodes(nodes_text))
+    nodes_written = index is read_index and _is_written_nodes(nodes_text)
     return net, CorpusText(nodes_text if nodes_written else None, edges_text)
 
 
 def load_corpus(nodes_path, edges_path, lenient: bool = False, keep_text: bool = False
                 ) -> CitationNetwork | tuple[CitationNetwork, CorpusText]:
-    with open(nodes_path, encoding="utf-8") as nf, \
-            open(edges_path, encoding="utf-8") as ef:
+    with open(nodes_path, encoding="utf-8-sig") as nf, \
+            open(edges_path, encoding="utf-8-sig") as ef:
         return parse_corpus(nf, ef, lenient=lenient, keep_text=keep_text)
 
 
-def _read_whole(stream) -> str | None:
-    """All the text of a seekable stream; None, the stream rewound, for any
-    other stream or an undecodable one (the line loops raise it at its
-    line)."""
-    try:
-        if not stream.seekable():
-            return None
-        start = stream.tell()
-    except (AttributeError, OSError):
-        return None
+def _read_text(stream: Iterable[str], name: str) -> str:
+    """All the text of a stream, by its read(), or of an iterable of lines.
+    A byte that is not UTF-8 raises MalformedRecordError naming `name` and
+    the byte's line, lines ending as text mode reads them."""
+    if not hasattr(stream, "read"):
+        return "".join(stream)
     try:
         return stream.read()
-    except ValueError:
-        stream.seek(start)
-        return None
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedRecordError(
+            f"{name} line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def iter_node_records(stream: Iterable[str]) -> Iterator[Document]:
     """The documents of a nodes stream, in file order; as in parse_corpus,
     an id repeated on a later line raises DuplicateIdError at that line."""
-    _, index, columns = _read_columns(stream)
+    index, columns = _read_columns(_read_text(stream, "nodes"))
     yield from map(Document._trusted, zip(index, *columns))
 
 
-def _read_columns(stream: Iterable[str]
-                  ) -> tuple[str | None, dict[str, int], tuple[list, ...]]:
-    """(whole text, or None if not read whole; index id -> position; the
-    columns of _COLUMNS) of the documents of a nodes stream, in file order.
-
-    A seekable stream is read in one piece and decoded by _decoded_blocks;
-    any other stream is decoded a line at a time. Either way, every record
-    is checked, and its values appended to the columns, in line order, so
-    errors and their line numbers do not depend on the path. An id seen on
-    an earlier line raises DuplicateIdError.
-    """
-    text = _read_whole(stream)
-    numbered = _decoded_lines(stream) if text is None else _decoded_blocks(text)
+def _read_columns(text: str) -> tuple[dict[str, int], tuple[list, ...]]:
+    """(index id -> position, the columns of _COLUMNS) of the documents of
+    a nodes text, in file order, decoded by _decoded_blocks and checked in
+    line order; an id seen on an earlier line raises DuplicateIdError."""
     index: dict[str, int] = {}
     columns = tuple([] for _ in _COLUMNS)
     years, kinds, basic_terms, clinical_terms, raw_terms, ext_citations = columns
     # json.loads makes an int object per value; a corpus has few years
     year_of: dict[int | None, int | None] = {}
-    for lineno, rec in numbered:
+    for lineno, rec in _decoded_blocks(text):
         try:
             doc_id, year, kind, basic, clinical, terms, ext = _record_values(rec)
         except (ValueError, TypeError) as exc:
@@ -724,7 +709,7 @@ def _read_columns(stream: Iterable[str]
         clinical_terms.append(clinical)
         raw_terms.append(terms)
         ext_citations.append(ext)
-    return text, index, columns
+    return index, columns
 
 
 def _decoded_lines(lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, dict]]:

@@ -106,18 +106,23 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
-        """Read key=value lines (# comments allowed), then apply overrides."""
+        """Read key=value lines (# comments allowed), then apply overrides.
+        A file that cannot be opened is a bad parameter (ValueError)."""
         raw: dict = {}
         base = Path(path).parent
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"config file {path}: {exc.strerror}") from None
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            raw[key.strip()] = value.strip()
         cfg: dict = {}
         for key, value in raw.items():
             if key not in _FIELD_TYPES:
@@ -307,8 +312,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """
     with collector_paused():
         config.validate_paths()
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = out_directory(config.out_dir)
 
         artifacts: dict = {}
         for phase in PHASES:
@@ -345,6 +349,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
         validate_report(doc)
         write_json(out / "report.json", doc)
     return doc
+
+
+def out_directory(path) -> Path:
+    """`path` as an output directory, made with its parents if missing; a
+    path that cannot be one (a file, say) is a bad parameter."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output directory {path}: {exc.strerror}") from None
+    return out
 
 
 @contextmanager
@@ -626,9 +641,9 @@ def load_artifacts(names, config: PipelineConfig) -> dict:
     a corpus gets the config's lexicon, as `ktmap score --lexicon-*` asks.
     Besides the stage artifacts, "strata" is the stratum column `score`
     wrote with its thresholds and "paths" the front path tuple per node. A
-    missing or malformed file, hubs.json off the report schema's `hubs`,
-    or rows that do not cover the core read with them, raises a
-    StageFileError tagged with the stage that writes it."""
+    missing, unreadable or malformed file, hubs.json off the report
+    schema's `hubs`, or rows that do not cover the core read with them,
+    raises a StageFileError tagged with the stage that writes it."""
     out = Path(config.out_dir)
     artifacts = {}
     for name in names:
@@ -642,7 +657,7 @@ def load_artifacts(names, config: PipelineConfig) -> dict:
             if name in ("scores", "strata", "paths", "partition") and "core" in artifacts:
                 _check_covers_core(artifacts[name], artifacts["core"],
                                    cited_only=maker == "fronts")
-        except (KTMapError, ValueError, ReportSchemaError) as exc:
+        except (KTMapError, ValueError, ReportSchemaError, OSError) as exc:
             raise StageFileError(maker, f"{where}: {exc}") from None
         if name in ("net", "core"):
             artifacts[name] = _with_lexicon(config, artifacts[name])

@@ -38,9 +38,10 @@ class _UnseekableBytes(io.BytesIO):
 
 
 def pipe(text):
-    """A text stream of `text` that cannot seek, decoded as a pipe is."""
-    return io.TextIOWrapper(_UnseekableBytes(text.encode("utf-8", "surrogatepass")),
-                            encoding="utf-8")
+    """A text stream of `text` (str, or bytes as they are) that cannot seek,
+    decoded as a pipe is."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    return io.TextIOWrapper(_UnseekableBytes(data), encoding="utf-8")
 
 
 class TestDocument:
@@ -84,6 +85,24 @@ class TestLexicon:
         lex = Lexicon.load(tmp_path / "basic.txt", tmp_path / "clin.txt")
         assert "apoptosis" in lex.basic  # lowercased on load
         assert lex.clinical == {"survival", "trial"}
+
+    def test_load_lines_split_at_newlines_alone(self, tmp_path):
+        # a leading BOM is no part of the first term; \x85 and \u2028 end
+        # no line, and are stripped only at a line's ends
+        (tmp_path / "basic.txt").write_bytes(
+            "\ufeffApoptosis\r\nki\x85nase\rx\u2028y\n\u2028\n".encode("utf-8"))
+        (tmp_path / "clin.txt").write_bytes("\ufefftrial\x85\n".encode("utf-8"))
+        lex = Lexicon.load(tmp_path / "basic.txt", tmp_path / "clin.txt")
+        assert lex.basic == {"apoptosis", "ki\x85nase", "x\u2028y"}
+        assert lex.clinical == {"trial"}
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_undecodable_line_named(self, tmp_path, newline):
+        (tmp_path / "basic.txt").write_bytes(b"kinase\n")
+        (tmp_path / "clin.txt").write_bytes(newline.join([b"trial", b"", b"x\xffy", b""]))
+        with pytest.raises(MalformedRecordError) as exc:
+            Lexicon.load(tmp_path / "basic.txt", tmp_path / "clin.txt")
+        assert str(exc.value) == "lexicon_clinical line 3: not UTF-8 (invalid start byte)"
 
 
 class TestCountTerms:
@@ -581,21 +600,20 @@ class TestAgainstStringOracle:
         with pytest.raises(ValueError, match="lone surrogate"):
             Document(id="\ud800")
 
-    def test_undecodable_text_read_by_lines(self, tmp_path):
-        # the bad byte lies past the first block the text layer decodes, so
-        # the line loop meets the unknown endpoint on line 1 first
-        path = tmp_path / "edges.csv"
-        path.write_bytes(b"a,ghost\n" + b"a,b\n" * 5000 + b"\xff,b\n")
-        docs = [Document(id="a"), Document(id="b")]
+    def test_undecodable_text_reported_first(self, tmp_path):
+        # the text is read whole before any edge is, so the bad byte, far
+        # past the first block the text layer decodes, is reported at its
+        # line, lenient or not, and not the unknown endpoint on line 1; a
+        # file and a pipe, with any line ends, name the same line
         nodes = '{"id": "a"}\n{"id": "b"}\n'
-        for lenient, error in ((False, UnknownEndpointError),
-                               (True, UnicodeDecodeError)):
-            for build in (
-                    lambda fh: parse_corpus(io.StringIO(nodes), fh, lenient=lenient),
-                    lambda fh: CitationNetwork(docs, line_edge_records(fh, {"a", "b"}),
-                                               lenient=lenient)):
-                with open(path, encoding="utf-8") as fh, pytest.raises(error):
-                    build(fh)
+        path = tmp_path / "edges.csv"
+        for newline, lenient in itertools.product((b"\n", b"\r\n", b"\r"), (False, True)):
+            data = (b"a,ghost\n" + b"a,b\n" * 5000 + b"\xff,b\n").replace(b"\n", newline)
+            path.write_bytes(data)
+            for opener in (lambda: open(path, encoding="utf-8"), lambda: pipe(data)):
+                with opener() as fh, pytest.raises(MalformedRecordError) as exc:
+                    parse_corpus(io.StringIO(nodes), fh, lenient=lenient)
+                assert str(exc.value) == "edges line 5002: not UTF-8 (invalid start byte)"
 
     def test_unseekable_stream_read_by_lines(self):
         net, text = parse_corpus(io.StringIO('{"id": "a"}\n{"id": "b"}\n'),
@@ -697,9 +715,9 @@ def _records(text, stream, reader):
 
 
 class TestNodesAgainstLineOracle:
-    """iter_node_records, which reads a seekable stream whole where it can,
-    against the line loop of conftest on generated nodes files, read from a
-    StringIO, a file and a stream that cannot seek."""
+    """iter_node_records, which reads its stream whole, against the line
+    loop of conftest on generated nodes files, read from a StringIO, a file
+    and a stream that cannot seek."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=node_texts())
@@ -761,13 +779,19 @@ class TestNodesAgainstLineOracle:
         else:
             assert _documents(got[0]) == [ref[0].docs[v] for v in ref[0].ids]
 
-    def test_undecodable_text_read_by_lines(self, tmp_path):
-        # the line loop meets the malformed record on line 2 first
+    def test_undecodable_text_reported_first(self, tmp_path):
+        # the text is read whole before any record is, so the bad byte is
+        # reported at its line, and not the malformed record on line 2; a
+        # file and a pipe, with any line ends, name the same line
         path = tmp_path / "nodes.jsonl"
-        path.write_bytes(b'{"id": "a"}\n{oops\n' + b'{"id": "b"}\n' * 5000 + b"\xff\n")
-        with open(path, encoding="utf-8") as fh, \
-                pytest.raises(MalformedRecordError, match="line 2"):
-            list(iter_node_records(fh))
+        for newline in (b"\n", b"\r\n", b"\r"):
+            data = (b'{"id": "a"}\n{oops\n' + b'{"id": "b"}\n' * 5000
+                    + b"\xff\n").replace(b"\n", newline)
+            path.write_bytes(data)
+            for opener in (lambda: open(path, encoding="utf-8"), lambda: pipe(data)):
+                with opener() as fh, pytest.raises(MalformedRecordError) as exc:
+                    list(iter_node_records(fh))
+                assert str(exc.value) == "nodes line 5003: not UTF-8 (invalid start byte)"
 
     def test_unseekable_stream_read_by_lines(self):
         docs = list(iter_node_records(iter(['{"id": "b"}\n', '{"id": "a"}'])))

@@ -1,6 +1,7 @@
 import argparse
 import decimal
 import gc
+import itertools
 import json
 import logging
 import os
@@ -9,7 +10,7 @@ import runpy
 import subprocess
 import sys
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktmap import errors, report
+from ktmap import corpus, errors, report
 from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import InsufficientDataError, StageError, StageFileError
@@ -50,6 +51,29 @@ def write_lexicon_toy(tmp_path) -> tuple[str, str, str]:
     for path, text in zip(paths, ("\n".join(lines), "kinase", "trial")):
         path.write_text(text + "\n")
     return tuple(str(p) for p in paths)
+
+
+@contextmanager
+def os_pipe(data: bytes):
+    """A path whose reader gets `data` through an OS pipe that cannot seek,
+    as bash's `<(cat file)` gives; `data` must fit the pipe's buffer."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+
+
+def count_node_records(monkeypatch) -> list:
+    """A list that gains an entry per document write_corpus encodes from
+    now on."""
+    calls = []
+    encode = corpus._node_record
+    monkeypatch.setattr(corpus, "_node_record",
+                        lambda *values: calls.append(values) or encode(*values))
+    return calls
 
 
 def strip_run_fields(doc: dict) -> dict:
@@ -867,6 +891,130 @@ class TestCliStages:
                             "--edges", str(tmp_path / "e.csv"),
                             "--out", str(tmp_path / "o")) == 2
         assert "nodes line 3: duplicate document id 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, line, command", [
+        ("nodes", 4, "parse"), ("edges", 5, "parse"), ("lexicon_basic", 2, "score")])
+    def test_undecodable_input_exit_2(self, tmp_path, capsys, bad, line, command):
+        # a byte that is not UTF-8, in a file with LF or CRLF line ends or
+        # read from a pipe: each command reading the input exits 2 with the
+        # same last stderr line, which names the input and the byte's line
+        nodes, basic, clinical = write_lexicon_toy(tmp_path)
+        good = {"nodes": nodes, "edges": str(TOY / "edges.csv"),
+                "lexicon_basic": basic, "lexicon_clinical": clinical}
+        lines = Path(good[bad]).read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        data = b"\n".join(lines)
+        core = str(tmp_path / "core")
+        if command == "score":
+            assert self.run_cli("parse", "--nodes", nodes, "--edges", good["edges"],
+                                "--out", core) == 0
+            assert self.run_cli("select", "--out", core) == 0
+
+        def source(how):
+            if how == "pipe":
+                return os_pipe(data)
+            path = tmp_path / f"{how}-{bad}"
+            path.write_bytes(data.replace(b"\n", b"\r\n") if how == "crlf" else data)
+            return nullcontext(str(path))
+
+        def argv(command, path):
+            paths = {**good, bad: path}
+            if command == "report":
+                config = tmp_path / "bad.cfg"
+                config.write_text("".join(f"{k} = {v}\n" for k, v in paths.items()))
+                return ["report", "--config", str(config), "--out", str(tmp_path / "r")]
+            if command == "score":
+                return ["score", "--lexicon-basic", path, "--lexicon-clinical",
+                        clinical, "--out", core]
+            return ["parse", "--nodes", paths["nodes"], "--edges", paths["edges"],
+                    "--out", str(tmp_path / "p")]
+
+        last = {"report": set(), command: set()}
+        for how, run in itertools.product(("file", "crlf", "pipe"), last):
+            capsys.readouterr()
+            with source(how) as path:
+                assert self.run_cli(*argv(run, path)) == 2
+            last[run].add(capsys.readouterr().err.splitlines()[-1])
+        message = f"{bad} line {line}: not UTF-8 (invalid start byte)"
+        in_parse = f"ktmap parse: stage 'parse' failed: {message}"
+        assert last == {"report": {in_parse}, command: {
+            f"ktmap error: {message}" if command == "score" else in_parse}}
+
+    def test_written_corpus_from_pipes_copied(self, tmp_path, monkeypatch):
+        # the toy fixture is in the written form: read through pipes, it is
+        # copied to corpus.*, not encoded again
+        toy = {name: (TOY / name).read_bytes() for name in ("nodes.jsonl", "edges.csv")}
+        out = tmp_path / "o"
+        encoded = count_node_records(monkeypatch)
+        with os_pipe(toy["nodes.jsonl"]) as nodes, os_pipe(toy["edges.csv"]) as edges:
+            assert self.run_cli("parse", "--nodes", nodes, "--edges", edges,
+                                "--out", str(out)) == 0
+        assert encoded == []
+        for name, data in toy.items():
+            assert (out / f"corpus.{name}").read_bytes() == data
+
+    def test_byte_order_mark_not_part_of_the_text(self, tmp_path, monkeypatch):
+        # a leading UTF-8 BOM, as a "CSV UTF-8" export writes it: the toy
+        # fixture is still copied to corpus.* (without the BOM), and a
+        # report from a config and lexicons with one is that without
+        bom = "\ufeff".encode("utf-8")
+        toy = {name: (TOY / name).read_bytes() for name in ("nodes.jsonl", "edges.csv")}
+        for name, data in toy.items():
+            (tmp_path / name).write_bytes(bom + data)
+        out = tmp_path / "o"
+        encoded = count_node_records(monkeypatch)
+        assert self.run_cli("parse", "--nodes", str(tmp_path / "nodes.jsonl"),
+                            "--edges", str(tmp_path / "edges.csv"), "--out", str(out)) == 0
+        assert encoded == []
+        for name, data in toy.items():
+            assert (out / f"corpus.{name}").read_bytes() == data
+        files = write_lexicon_toy(tmp_path)
+        config = tmp_path / "lex.cfg"
+        config.write_text((TOY / "config.cfg").read_text().replace(
+            "nodes.jsonl", "lex.nodes.jsonl")
+            + "lexicon_basic = basic.txt\nlexicon_clinical = clinical.txt\n")
+        docs = []
+        for run, prefix in enumerate((b"", bom)):
+            for path in (*files, config, tmp_path / "edges.csv"):
+                data = Path(path).read_bytes().removeprefix(bom)
+                Path(path).write_bytes(prefix + data)
+            assert self.run_cli("report", "--config", str(config),
+                                "--out", str(tmp_path / f"r{run}")) == 0
+            docs.append(strip_run_fields(json.loads(
+                (tmp_path / f"r{run}" / "report.json").read_text())))
+        assert docs[0] == docs[1]
+        net = load_corpus(tmp_path / "r1" / "corpus.nodes.jsonl",
+                          tmp_path / "r1" / "corpus.edges.csv")
+        assert sum(net.basic_terms) > 0 and sum(net.clinical_terms) > 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse", "--nodes", "{toy}/nodes.jsonl", "--edges", "{toy}/edges.csv",
+          "--out", "{tmp}/file"], "output directory {tmp}/file: File exists"),
+        (["report", "--config", "{toy}/config.cfg", "--out", "{tmp}/file"],
+         "output directory {tmp}/file: File exists"),
+        (["report", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/o"],
+         "config file {tmp}/missing.cfg: No such file or directory"),
+        (["report", "--config", "{tmp}", "--out", "{tmp}/o"],
+         "config file {tmp}: Is a directory"),
+    ], ids=["parse-out-is-a-file", "report-out-is-a-file", "config-missing",
+            "config-is-a-directory"])
+    def test_unusable_out_or_config_exit_1(self, tmp_path, capsys, argv, message):
+        (tmp_path / "file").write_text("")
+        assert self.run_cli(*[arg.format(toy=TOY, tmp=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ktmap: invalid parameter: {message.format(tmp=tmp_path)}"]
+
+    def test_unreadable_stage_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run_pipeline(toy_config(out))
+        (out / "fronts.csv").unlink()
+        (out / "fronts.csv").mkdir()
+        capsys.readouterr()
+        for command in ("metrics", "hubs", "export"):
+            assert self.run_cli(command, "--out", str(out)) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"ktmap fronts: fronts.csv in {out}: [Errno 21] ")
 
     def test_invalid_log_level_exit_1(self):
         # in a child: under pytest the root logger has handlers already, so
