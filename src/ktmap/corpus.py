@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import io
 import json
 import logging
 import math
@@ -196,9 +195,13 @@ class Lexicon:
 
 def _read_terms(path, name: str) -> frozenset[str]:
     """Lexicon `name`'s terms: its lines, split on "\\n" alone (not at \\x85
-    or \\u2028), stripped and lowercased; blank lines left out."""
-    with open(path, encoding="utf-8-sig") as fh:
-        text = _read_text(fh, name)
+    or \\u2028), stripped and lowercased; blank lines left out. A file that
+    cannot be opened or read is a bad parameter (ValueError)."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = _read_text(fh, name)
+    except OSError as exc:
+        raise ValueError(f"{name} file {path}: {exc.strerror}") from None
     return frozenset(filter(None, [line.strip().lower() for line in text.split("\n")]))
 
 
@@ -375,7 +378,7 @@ class CitationNetwork:
             skipped: tuple = ()
         else:
             citing, cited, skipped = _pair_nodes(
-                index, iter_edge_records(io.StringIO(text), index), lenient)
+                index, iter_edge_records(_lines(text), index), lenient)
         pairs = _code_nodes(index, citing, cited, skipped)
         net = cls.__new__(cls)
         net._store(ids, index, columns, pairs, skipped)
@@ -830,6 +833,13 @@ def _blocks(text: str, stop: int) -> Iterator[str]:
         end = stop if end < 0 else end
         yield text[start:end]
         start = end + 1
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text`, split on "\\n" alone and without it, a block of
+    lines at a time (_blocks), so no copy of the whole text is made."""
+    for block in _blocks(text, len(text)):
+        yield from block.split("\n")
 
 
 def _edge_text_nodes(text: str, index: dict[str, int]

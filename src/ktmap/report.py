@@ -18,6 +18,7 @@ run-dependent field is generated_at.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -38,7 +39,7 @@ from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
 from .corpus import (CitationNetwork, Lexicon, co_citation_projection,
                      load_corpus, write_corpus)
-from ._jsonio import write_json, written
+from ._jsonio import JSONFile, copy_file, write_json, written
 from .errors import KTMapError, ReportSchemaError, StageError, StageFileError
 from .fronts import FrontTree, hierarchical_fronts, level_assignment, path_string
 from .hubs import HubConfig, detect_translational_hubs, hub_regions, main_path
@@ -99,10 +100,13 @@ class PipelineConfig:
                             for f in dataclasses.fields(HubConfig)})
 
     def validate_paths(self) -> None:
+        """Each input file given exists and is no directory; a pipe passes."""
         for label in INPUT_FILES:
             p = getattr(self, label)
             if p is not None and not Path(p).exists():
                 raise ValueError(f"{label} file not found: {p}")
+            if p is not None and Path(p).is_dir():
+                raise ValueError(f"{label} file is a directory: {p}")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -172,15 +176,16 @@ def load_report_schema() -> dict:
 
 
 def validate_report(doc: dict) -> None:
-    """Check a report against the shipped report.schema.json; raise
-    ReportSchemaError at the first violation (see validate_json)."""
-    validate_json(doc, load_report_schema())
+    """Check a report against the shipped report.schema.json, compiled on
+    the first call; raise ReportSchemaError at the first violation (see
+    validate_json)."""
+    _checked(_report_check(), doc)
 
 
-# keyword -> the only JSON type it constrains; other instances pass it
-_APPLIES_TO = {"required": "object", "properties": "object", "items": "array",
-               "minItems": "array", "minimum": "number", "maximum": "number",
-               "exclusiveMinimum": "number", "pattern": "string"}
+@functools.cache
+def _report_check() -> Callable[[object], None]:
+    return _compiled(load_report_schema(), "$")
+
 
 # JSON types as jsonschema 4.x's draft-07 type checker defines them: a bool
 # is neither integer nor number, an integral float is an integer, and only a
@@ -191,65 +196,121 @@ _IS_TYPE = {
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: (type(v) is float or type(v) is int
+                         or (isinstance(v, numbers.Number) and not isinstance(v, bool))),
     "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
                           or (isinstance(v, float) and v.is_integer())),
 }
+_IS_NUMBER = _IS_TYPE["number"]
 
 
-def validate_json(instance, schema: dict, path: str = "$") -> None:
+def _type_test(arg) -> Callable[[object], bool]:
+    tests = [_IS_TYPE[t] for t in (arg if isinstance(arg, list) else [arg])]
+    return tests[0] if len(tests) == 1 else lambda v: any(test(v) for test in tests)
+
+
+# keyword -> the test its argument makes: whether a value passes it. A
+# keyword that constrains one JSON type passes every other value.
+_KEYWORD_TESTS = {
+    "type": _type_test,
+    "minItems": lambda arg: lambda v: not isinstance(v, list) or len(v) >= arg,
+    "minimum": lambda arg: lambda v: not _IS_NUMBER(v) or not v < arg,
+    "maximum": lambda arg: lambda v: not _IS_NUMBER(v) or not v > arg,
+    "exclusiveMinimum": lambda arg: lambda v: not _IS_NUMBER(v) or not v <= arg,
+    "pattern": lambda arg: lambda v, search=re.compile(arg).search: (
+        not isinstance(v, str) or search(v) is not None),
+    "const": lambda arg: lambda v: _json_equal(v, arg),
+    "enum": lambda arg: lambda v: any(_json_equal(each, v) for each in arg),
+}
+
+
+def validate_json(instance, schema: dict) -> None:
     """Check `instance` against a JSON Schema that uses only the draft-07
     keywords type, required, properties, items (one schema for every
     item), minItems, minimum, maximum, exclusiveMinimum, const, enum and
     pattern, with jsonschema 4.x's verdicts: a bound fails only on <, > or
     <=, so NaN passes it, and pattern uses re.search. $schema and title are
     ignored. Any other keyword, or a schema that is not an object, raises
-    ReportSchemaError, as does the first violation; its message names the
-    JSON path, the keyword and the value."""
+    ReportSchemaError when the schema is compiled, before any value is
+    checked, as does the first violation; its message names the JSON path,
+    the keyword and the value."""
+    _checked(_compiled(schema, "$"), instance)
+
+
+class _Violation(Exception):
+    """A value that fails a compiled check. `steps` is its JSON path from
+    the value up, a step added by each container as the error passes it."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.steps: list[str] = []
+
+
+def _checked(check: Callable[[object], None], instance) -> None:
+    """Run a compiled check on a document, its violation a ReportSchemaError."""
+    try:
+        check(instance)
+    except _Violation as exc:
+        raise ReportSchemaError(
+            f"${''.join(reversed(exc.steps))}: {exc.args[0]}") from None
+
+
+def _compiled(schema, where: str) -> Callable[[object], None]:
+    """`schema` as one function that raises _Violation at a value's first
+    violation; `where` names the schema in the errors of compiling it."""
     if not isinstance(schema, dict):
-        raise ReportSchemaError(f"{path}: unsupported schema {schema!r}")
-    for key, arg in schema.items():
-        if key in ("$schema", "title"):
-            continue
-        if key in _APPLIES_TO and not _IS_TYPE[_APPLIES_TO[key]](instance):
-            continue
-        if key == "properties":
-            for name, sub in arg.items():
-                if name in instance:
-                    validate_json(instance[name], sub, f"{path}.{name}")
-            continue
-        if key == "items":
-            for i, item in enumerate(instance):
-                validate_json(item, arg, f"{path}[{i}]")
-            continue
-        if key == "required":
-            for name in arg:
-                if name not in instance:
-                    raise ReportSchemaError(
-                        f"{path}: required property {name!r} is missing")
-            continue
-        if key == "type":
-            ok = any(_IS_TYPE[t](instance)
-                     for t in (arg if isinstance(arg, list) else [arg]))
-        elif key == "minItems":
-            ok = len(instance) >= arg
-        elif key == "minimum":
-            ok = not instance < arg
-        elif key == "maximum":
-            ok = not instance > arg
-        elif key == "exclusiveMinimum":
-            ok = not instance <= arg
-        elif key == "pattern":
-            ok = re.search(arg, instance) is not None
-        elif key == "const":
-            ok = _json_equal(instance, arg)
-        elif key == "enum":
-            ok = any(_json_equal(each, instance) for each in arg)
-        else:
-            raise ReportSchemaError(f"{path}: unsupported schema keyword {key!r}")
-        if not ok:
-            raise ReportSchemaError(
-                f"{path}: {reprlib.repr(instance)} fails {key} {arg!r}")
+        raise ReportSchemaError(f"{where}: unsupported schema {schema!r}")
+    tests = [(key, arg, _keyword_test(key, arg, where))
+             for key, arg in schema.items() if key not in ("$schema", "title")]
+
+    def check(value):
+        for key, arg, passes in tests:
+            if not passes(value):
+                raise _Violation(f"{reprlib.repr(value)} fails {key} {arg!r}")
+    return check
+
+
+def _keyword_test(key: str, arg, where: str) -> Callable[[object], bool]:
+    """Whether a value passes schema keyword `key`; required, properties and
+    items raise their own violations, or those of the values they hold."""
+    if key == "properties":
+        subs = [(name, _compiled(sub, f"{where}.{name}")) for name, sub in arg.items()]
+
+        def passes(value):
+            if isinstance(value, dict):
+                for name, sub in subs:
+                    if name in value:
+                        try:
+                            sub(value[name])
+                        except _Violation as exc:
+                            exc.steps.append("." + name)
+                            raise
+            return True
+        return passes
+    if key == "items":
+        sub = _compiled(arg, where + "[]")
+
+        def passes(value):
+            if isinstance(value, list):
+                try:
+                    for i, item in enumerate(value):
+                        sub(item)
+                except _Violation as exc:
+                    exc.steps.append(f"[{i}]")
+                    raise
+            return True
+        return passes
+    if key == "required":
+        def passes(value):
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        raise _Violation(f"required property {name!r} is missing")
+            return True
+        return passes
+    if key not in _KEYWORD_TESTS:
+        raise ReportSchemaError(f"{where}: unsupported schema keyword {key!r}")
+    return _KEYWORD_TESTS[key](arg)
 
 
 def _json_equal(a, b) -> bool:
@@ -347,8 +408,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "main_path": artifacts["main_path"],
         }
         validate_report(doc)
-        write_json(out / "report.json", doc)
+        write_json(out / "report.json", {**doc, **{
+            section: JSONFile(out / name) for section, name in _SECTION_FILES.items()}})
     return doc
+
+
+# report.json's sections that a stage wrote to a file of their own, as
+# write_json writes them: report.json copies their text
+_SECTION_FILES = {"power_law": "powerlaw.json", "ck_scaling": "ck_fit.json",
+                  "hubs": "hubs.json", "main_path": "main_path.json"}
 
 
 def out_directory(path) -> Path:
@@ -432,8 +500,14 @@ def _with_lexicon(config: PipelineConfig, net: CitationNetwork) -> CitationNetwo
 
 
 def _select_stage(config: PipelineConfig, out: Path, net: CitationNetwork):
+    """A core of every document is the network parse wrote to corpus.*, so
+    core.* are copies of those files: what write_corpus writes for it."""
     core = select_top_cited(net, config.fraction, rank_by=config.rank_by)
-    write_corpus(core, out / "core.nodes.jsonl", out / "core.edges.csv")
+    if core.n_docs == net.n_docs:
+        for name in ("nodes.jsonl", "edges.csv"):
+            copy_file(out / f"corpus.{name}", out / f"core.{name}")
+    else:
+        write_corpus(core, out / "core.nodes.jsonl", out / "core.edges.csv")
     write_json(out / "selection.json", {
         "fraction": config.fraction,
         "rank_by": config.rank_by,

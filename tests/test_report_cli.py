@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktmap import corpus, errors, report
+from ktmap import _jsonio, corpus, errors, report
 from ktmap.cli import build_parser, main
 from ktmap.corpus import load_corpus, write_corpus
 from ktmap.errors import InsufficientDataError, StageError, StageFileError
 from ktmap.report import (STAGES, PipelineConfig, run_pipeline, run_stage,
                           validate_report)
+from ktmap.selection import select_top_cited
 from ktmap.synth import PlantedConfig, gen_planted_kt_network
 
 from conftest import assert_no_child_left, read_graphml
@@ -234,6 +235,51 @@ class TestPipeline:
         # counting terms keeps the edges the lenient parse skipped
         summary = json.loads((tmp_path / "out" / "corpus.summary.json").read_text())
         assert summary["n_skipped_edges"] == 1
+
+
+class TestCopiedOutput:
+    """Files the report writes as copies of files it wrote before."""
+
+    @pytest.mark.parametrize("route", ["pipeline", "stages", "lexicon"])
+    def test_whole_core_is_the_corpus_files(self, tmp_path, monkeypatch, route):
+        # the toy config keeps every document (fraction = 1.0)
+        nodes, edges = str(TOY / "nodes.jsonl"), str(TOY / "edges.csv")
+        config = toy_config(tmp_path / "o")
+        if route == "lexicon":
+            nodes, basic, clinical = write_lexicon_toy(tmp_path)
+            config = toy_config(tmp_path / "o", nodes=nodes, lexicon_basic=basic,
+                                lexicon_clinical=clinical)
+        encoded = count_node_records(monkeypatch)
+        if route == "stages":
+            for argv in (["parse", "--nodes", nodes, "--edges", edges],
+                         ["select", "--fraction", "1.0"]):
+                assert main([*argv, "--out", config.out_dir]) == 0
+        else:
+            run_pipeline(config)
+        # parse copies the toy fixture and encodes the counted lexicon
+        # corpus; select encodes nothing
+        assert len(encoded) == (40 if route == "lexicon" else 0)
+        core = select_top_cited(
+            report._with_lexicon(config, load_corpus(nodes, edges)), 1.0)
+        assert core.n_docs == 40
+        write_corpus(core, tmp_path / "nodes.jsonl", tmp_path / "edges.csv")
+        out = Path(config.out_dir)
+        for name in ("nodes.jsonl", "edges.csv"):
+            assert ((out / f"core.{name}").read_bytes()
+                    == (out / f"corpus.{name}").read_bytes()
+                    == (tmp_path / name).read_bytes()), name
+
+    @pytest.mark.parametrize("case", ["toy-citation", "toy-cocitation", "planted",
+                                      "no-ck-fit"])
+    def test_report_json_is_the_returned_doc(self, tmp_path, case):
+        # power_law, ck_scaling, hubs and main_path are copied from their
+        # stage files, the rest encoded
+        config = (toy_config(tmp_path, fraction=0.3) if case == "no-ck-fit"
+                  else config_for(case, tmp_path))
+        doc = run_pipeline(config)
+        assert (doc["ck_scaling"] is None) == (case == "no-ck-fit")
+        assert (Path(config.out_dir) / "report.json").read_text() == json.dumps(
+            doc, indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager
@@ -569,6 +615,17 @@ class TestWriteJson:
         with pytest.raises(TypeError):
             report.write_json(tmp_path / "doc.json", doc)
 
+    def test_equal_ints_converted_once_per_file(self, tmp_path, monkeypatch):
+        converted = []
+        monkeypatch.setattr(_jsonio, "_int_text",
+                            lambda n: converted.append(n) or int.__repr__(n))
+        big = 7 ** 900
+        report.write_json(tmp_path / "a.json", {"spc": [big, big * 1, 3, 3]})
+        report.write_json(tmp_path / "b.json", [big])
+        assert converted == [big, 3, big]
+        assert (tmp_path / "a.json").read_text() == json.dumps(
+            {"spc": [big, big, 3, 3]}, indent=2) + "\n"
+
     def test_ints_beyond_the_str_digit_limit(self, tmp_path):
         limit = sys.get_int_max_str_digits()
         big = [7 ** 9000, -(10 ** 4300), 10 ** 4299]
@@ -875,6 +932,24 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert "nodes file not found" in err
         assert "lexicon_basic file not found" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse", "--nodes", "{tmp}", "--edges", "{toy}/edges.csv"],
+         "nodes file is a directory: {tmp}"),
+        (["score", "--lexicon-basic", "{tmp}", "--lexicon-clinical", "{tmp}"],
+         "lexicon_basic file is a directory: {tmp}"),
+        (["report", "--config", "{tmp}/dir.cfg"], "nodes file is a directory: {tmp}"),
+    ], ids=["parse-nodes", "score-lexicon", "report-nodes"])
+    def test_directory_input_exit_1(self, tmp_path, capsys, argv, message):
+        (tmp_path / "dir.cfg").write_text(f"nodes = .\nedges = {TOY / 'edges.csv'}\n")
+        argv = [arg.format(toy=TOY, tmp=tmp_path) for arg in argv]
+        assert self.run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ktmap: invalid parameter: {message.format(tmp=tmp_path)}"]
+
+    def test_unreadable_lexicon_is_a_bad_parameter(self, tmp_path):
+        with pytest.raises(ValueError, match=f"^lexicon_basic file {tmp_path}: "):
+            corpus.Lexicon.load(tmp_path, tmp_path)
 
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
         (tmp_path / "n.jsonl").write_text("")

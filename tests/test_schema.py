@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ktmap import report
 from ktmap.errors import ReportSchemaError
 from ktmap.hubs import HubConfig
 from ktmap.report import (PipelineConfig, load_report_schema, run_pipeline,
@@ -262,10 +263,31 @@ def test_named_rejections(reports, edit, message):
     ({"properties": {"a": {"format": "date"}}}, {"a": "x"}),
     ({"items": [{"type": "string"}]}, ["a"]),  # tuple-form items
     ({"properties": {"a": True}}, {"a": 1}),  # boolean schema
+    # the schema is compiled whole before any value is checked, so a
+    # keyword raises also in a branch the instance never reaches (an
+    # intended change: before, these passed or failed on type)
+    ({"properties": {"a": {"format": "date"}}}, {}),
+    ({"items": {"multipleOf": 2}}, []),
+    ({"type": "integer", "properties": {"a": True}}, "x"),
 ])
 def test_unsupported_keyword_raises(schema, instance):
     with pytest.raises(ReportSchemaError, match="unsupported schema"):
         validate_json(instance, schema)
+
+
+def test_shipped_schema_loaded_and_compiled_once(reports, monkeypatch):
+    loads, compiled = [], []
+    load, compile_ = report._report_check.__wrapped__, report._compiled
+    read = report.load_report_schema
+    monkeypatch.setattr(report, "_report_check", functools.cache(load))
+    monkeypatch.setattr(report, "load_report_schema",
+                        lambda: loads.append(1) or read())
+    monkeypatch.setattr(report, "_compiled", lambda schema, where: (
+        compiled.append(where) or compile_(schema, where)))
+    validate_report(reports[0])
+    validate_report(reports[1])
+    assert len(loads) == 1
+    assert compiled.count("$") == 1
 
 
 def subschemas(schema):
