@@ -2,9 +2,9 @@
 
 ``fronts`` and ``corpus`` call these through the module attribute
 (``_kernels.greedy_merge_seq``), so a wrapper installed on this module sees
-every call made in this process. A forked worker (``_fork.run``, as in the
-fronts split) calls its own copy of the wrapper, and what that copy records
-stays in the worker.
+every call made in this process. A forked worker of the fronts split
+(``_fork.run``) calls its own copy of the wrapper, and what that copy
+records stays in the worker.
 """
 
 from __future__ import annotations

@@ -50,9 +50,6 @@ class StageError(KTMapError):
         elif isinstance(cause, ValueError):
             self.exit_code = 1
 
-    def __reduce__(self):  # a forked worker sends it back pickled
-        return type(self), (self.stage, self.cause)
-
 
 class StageFileError(KTMapError):
     """A stage file read back is missing or malformed; `stage` names the
@@ -61,9 +58,6 @@ class StageFileError(KTMapError):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-
-    def __reduce__(self):
-        return type(self), (self.stage, self.args[0])
 
 
 class ReportSchemaError(Exception):

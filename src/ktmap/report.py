@@ -1,15 +1,15 @@
 """Pipeline orchestration and the KT map report.
 
 run_pipeline runs the stage table STAGES (parse -> select -> fit-degrees ->
-score -> mainpath -> fronts -> metrics -> hubs), phase by phase (PHASES),
-and assembles a single self-contained JSON report: the map of where the
-corpus sits on the basic-clinical axis, how its research fronts nest, and
-which nodes bridge them. The table lists the analyses of the directed
-citation network (fit-degrees, score, mainpath) before those of its
-undirected projection (fronts, metrics, hubs). Each stage writes its files
-to the output directory and load_artifacts reads them back, so every CLI
-stage can also run its table entry standalone from the previous stage's
-files.
+score -> mainpath -> fronts -> metrics -> hubs) in table order, in one
+process but for the fronts split, and assembles a single self-contained
+JSON report: the map of where the corpus sits on the basic-clinical axis,
+how its research fronts nest, and which nodes bridge them. The table
+lists the analyses of the directed citation network (fit-degrees, score,
+mainpath) before those of its undirected projection (fronts, metrics,
+hubs). Each stage writes its files to the output directory and
+load_artifacts reads them back, so every CLI stage can also run its table
+entry standalone from the previous stage's files.
 
 All numeric content is deterministic for a fixed config and input; the only
 run-dependent field is generated_at.
@@ -34,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Literal
 
-from . import __version__, _fork
+from . import __version__
 from .axis import (DEFAULT_HIGH, DEFAULT_LOW, Stratum, classify, front_mean,
                    homophily_assortativity, score_documents)
 from .corpus import (CitationNetwork, Lexicon, co_citation_projection,
@@ -356,11 +356,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the full analysis, write all artifacts to config.out_dir and
     return the report document written to report.json.
 
-    The stages run phase by phase (PHASES), each phase one ``_fork.run``
-    call with one call per group of stages: where calls may run in forked
-    workers, a phase's groups run side by side, and otherwise one after
-    another, in table order. Either way the error raised is that of the
-    first failing stage in table order.
+    The stages run in table order in this process, so the error raised is
+    that of the first failing stage in the table (see run_stage); only the
+    fronts stage forks, to split its level-2 fronts (fronts._split).
 
     Python's cyclic garbage collector is paused for the whole call
     (collector_paused). A report keeps what it builds until it ends, so a
@@ -369,19 +367,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
     of 10k documents ran 169 passes in 27-49 ms. So no stage may hold its
     data in a reference cycle, which would keep it alive to the end of the
     report (see fronts._split). The parsed corpus is dropped after the
-    last stage that reads it (_run_stages); the report keeps its counts.
+    last stage that reads it; the report keeps its counts.
     """
     with collector_paused():
         config.validate_paths()
         out = out_directory(config.out_dir)
 
         artifacts: dict = {}
-        for phase in PHASES:
-            # a comprehension: a name left holding a phase's results would
-            # keep the parsed corpus alive through fronts
-            artifacts.update({name: value for made in _fork.run(
-                [(_run_stages, group, config, artifacts) for group in phase])
-                for name, value in made.items()})
+        for i, stage in enumerate(STAGES):
+            if i > _LAST_NET_READER:
+                artifacts.pop("net", None)
+            run_stage(stage, config, artifacts)
         core, tree = artifacts["core"], artifacts["tree"]
 
         doc = {
@@ -452,19 +448,6 @@ def run_stage(stage: Stage, config: PipelineConfig, artifacts: dict) -> None:
     except (KTMapError, ValueError, OSError) as exc:
         raise StageError(stage.name, exc)
     artifacts.update(zip(stage.makes, made))
-
-
-def _run_stages(stages: Sequence[Stage], config: PipelineConfig,
-                artifacts: dict) -> dict:
-    """Run `stages` in order on `artifacts` and return the artifacts they
-    made; the first that fails raises its error (see run_stage). The
-    parsed corpus is dropped before a stage that comes after every stage
-    that reads it."""
-    for stage in stages:
-        if STAGES.index(stage) > _LAST_NET_READER:
-            artifacts.pop("net", None)
-        run_stage(stage, config, artifacts)
-    return {name: artifacts[name] for stage in stages for name in stage.makes}
 
 
 # -- stages ------------------------------------------------------------------
@@ -678,21 +661,6 @@ STAGES = (
 
 
 _LAST_NET_READER = max(i for i, stage in enumerate(STAGES) if "net" in stage.reads)
-
-
-def _group(*names: str) -> tuple[Stage, ...]:
-    """The STAGES entries named, in table order."""
-    return tuple(stage for stage in STAGES if stage.name in names)
-
-
-# run_pipeline's phases, in table order, each one _fork.run call with one
-# call per group: the directed-network stages run beside fronts and
-# metrics, which neither read what they make nor make what they read
-PHASES = (
-    (_group("parse", "select"),),
-    (_group("fit-degrees", "score", "mainpath"), _group("fronts", "metrics")),
-    (_group("hubs"),),
-)
 
 
 # -- reading stage files back ------------------------------------------------

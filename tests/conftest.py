@@ -485,8 +485,8 @@ def random_dag(n, p, seed):
 @pytest.fixture
 def cpus(monkeypatch):
     """A function that sets the usable CPU count ktmap sees (for the fronts
-    split and the side stages) and returns the list of the pids it forks
-    from then on."""
+    split, the only code that forks) and returns the list of the pids it
+    forks from then on."""
     pids: list[int] = []
     fork = os.fork
 

@@ -6,12 +6,14 @@
 Both directories must list the same file names, every file but report.json
 must be byte-identical, and the two report.json documents must be equal
 without `generated_at` and the named keys of their `config` (by default
-`out_dir`). Exits 0 if so; otherwise prints each difference and exits 1.
+`out_dir`); their ints are compared exactly, however many digits they have.
+Exits 0 if so; otherwise prints each difference and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from pathlib import Path
@@ -26,7 +28,9 @@ def differences(a: Path, b: Path, ignore_config: list[str]) -> list[str]:
              and (a / name).read_bytes() != (b / name).read_bytes()]
     docs = []
     for out in (a, b):
-        doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        # int() refuses text of more than 4,300 digits, and an SPC can be longer
+        doc = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                         parse_int=decimal.Decimal)
         del doc["generated_at"]
         for key in ignore_config:
             del doc["config"][key]
