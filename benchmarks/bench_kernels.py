@@ -3,7 +3,8 @@
 
 Runs the greedy modularity merge (on citation projections, one of them the
 size of a 50k-doc report's top level, and on one weighted co-citation
-graph, printing the counts of its DEBUG record), front refinement and
+graph, printing the counts of its DEBUG record), front refinement, the
+whole front tree (in one process and with its level-2 split forked) and
 triangle counting on synthetic graphs, cycle breaking plus search path
 counts (SPC) on undated random citation digraphs, and corpus parsing,
 writing and core selection on written planted corpora, at increasing
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ktmap import _kernels, corpus, fronts, hubs
+from ktmap import _fork, _kernels, corpus, fronts, hubs
 from ktmap.corpus import (CitationNetwork, Document, co_citation_projection,
                           load_corpus, write_corpus)
 from ktmap.selection import select_top_cited
@@ -86,14 +87,17 @@ def bench_greedy_50k_top() -> None:
                gen_planted_kt_network(cfg, 42)[0].projection)
 
 
-def bench_greedy_cocitation() -> None:
+def cocitation_graph():
     """Weighted co-citation projection of a 4x5 nested planted corpus with
     the settings of perfbench's ``cocitation`` workload (1.4k docs)."""
     cfg = PlantedConfig(branching=(4, 5), leaf_size=70,
                         p_within=(0.012, 0.1), p_between=0.003,
                         homophily=0.5, n_hubs=0)
-    time_merge("greedy merge (co-citation)",
-               co_citation_projection(gen_planted_kt_network(cfg, 42)[0]))
+    return co_citation_projection(gen_planted_kt_network(cfg, 42)[0])
+
+
+def bench_greedy_cocitation() -> None:
+    time_merge("greedy merge (co-citation)", cocitation_graph())
 
 
 def bench_refine(leaf: int) -> None:
@@ -126,6 +130,39 @@ def bench_refine(leaf: int) -> None:
     print(f"refinement    n={g.n_nodes:5d} m={g.n_edges:6d}  {t - merge_s[0]:8.3f}s"
           f"  (merge {merge_s[0]:.3f}s; {counts['evaluations']} evaluations,"
           f" {counts['skips']} skips)")
+
+
+def time_tree(label: str, g, repeat: int = 3) -> None:
+    """Best of `repeat` times of ``hierarchical_fronts`` on g with the
+    report's default limits, with forking off (one process) and on (the
+    level-2 fronts dealt onto the usable CPUs), and of the root split,
+    ``fast_greedy`` on all of g, alone."""
+    root = min(time_call(fronts.fast_greedy, g) for _ in range(repeat))
+    forks = _fork.forks
+    _fork.forks = lambda: False
+    try:
+        alone = min(time_call(fronts.hierarchical_fronts, g) for _ in range(repeat))
+    finally:
+        _fork.forks = forks
+    procs = _fork.processes()
+    forked = min(time_call(fronts.hierarchical_fronts, g) for _ in range(repeat))
+    print(f"fronts tree   n={g.n_nodes:5d} m={g.n_edges:6d}  {alone:8.3f}s"
+          f"  (root split {root:.3f}s; {forked:.3f}s on {procs} processes) {label}")
+
+
+def bench_fronts_tree(leaf: int) -> None:
+    """The front tree of ``cocitation_graph()`` and of the core projection
+    (top 20% cited) of a planted corpus with the ``planted`` workload's
+    settings; leaf=500 is that workload's size (10k docs, a core of about
+    2.2k)."""
+    time_tree("co-citation", cocitation_graph())
+    scale = 500 / leaf  # same expected degree at every size
+    cfg = PlantedConfig(branching=(4, 5), leaf_size=leaf,
+                        p_within=(0.0031 * scale, 0.0249 * scale),
+                        p_between=0.00083 * scale, homophily=0.5, n_hubs=5,
+                        hub_degree=40)
+    core = select_top_cited(gen_planted_kt_network(cfg, 42)[0], 0.2)
+    time_tree("planted core", core.projection)
 
 
 def bench_triangles(n: int, p: float) -> None:
@@ -240,6 +277,7 @@ def main() -> None:
     bench_greedy_cocitation()
     for leaf in [100] if args.quick else [100, 250, 500, 1000]:
         bench_refine(leaf)
+    bench_fronts_tree(100 if args.quick else 500)
     for n, p in ([(1000, 0.01)] if args.quick else [(1000, 0.01), (3000, 0.01), (5000, 0.008)]):
         bench_triangles(n, p)
     for n in [800] if args.quick else [800, 1600, 3200, 6400]:

@@ -14,12 +14,18 @@ from heapq import heapify, heappop, heappush, heapreplace
 
 log = logging.getLogger("ktmap.kernels")
 
+# the merge's lazy heap is rebuilt once it holds more than this many entries
+# per live pair
+_REBUILD_RATIO = 4
+
 
 def _exact_heap(nbr, a):
     """One entry ``(-dq, r, s)`` per live pair r < s, keyed by its current
-    gain with the same expression as a pop."""
-    heap = [(-(w - 2.0 * a[r] * a[s]), r, s)
-            for r, row in enumerate(nbr) for s, w in row.items() if r < s]
+    gain with the same expression as a pop (``2.0 * a[r] * a[s]`` is
+    ``(2.0 * a[r]) * a[s]``, so the doubled mass is taken once per row)."""
+    heap = [(-(w - two_a_r * a[s]), r, s)
+            for r, row in enumerate(nbr) for two_a_r in (2.0 * a[r],)
+            for s, w in row.items() if r < s]
     heapify(heap)
     return heap
 
@@ -62,11 +68,14 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
     the tie-break of a full scan.
 
     Dead and stale entries are also dropped in bulk: once the heap holds
-    more than twice as many entries as there are live pairs, it is rebuilt
-    from the rows with one entry per live pair, keyed by that pair's
-    current gain with the same expression as a pop. A rebuilt heap thus
-    meets the invariant exactly, so a rebuild changes only which dead or
-    stale entries are popped, never which pair is merged.
+    more than _REBUILD_RATIO (4) times as many entries as there are live
+    pairs, it is rebuilt from the rows with one entry per live pair, keyed
+    by that pair's current gain with the same expression as a pop. A
+    rebuilt heap thus meets the invariant exactly, so a rebuild changes
+    only which dead or stale entries are popped, never which pair is
+    merged. A rebuild re-creates every live entry: over the 23 merge calls
+    of the fronts of one 1.4k-doc co-citation report, a ratio of 2 made 218
+    rebuilds and 4 makes 98, for a few more dead pops.
 
     The merge sequence and every Q are therefore bit-identical to rescanning
     all pairs at each step (O(n m) in total), which the tests keep as the
@@ -104,12 +113,10 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
 
     a = [0.0] * n_nodes
     nbr: list[dict[int, float]] = [{} for _ in range(n_nodes)]
-    for k in range(len(edge_u)):
-        u = edge_u[k]
-        v = edge_v[k]
-        w = edge_w[k]
-        a[u] += w / two_m
-        a[v] += w / two_m
+    for u, v, w in zip(edge_u, edge_v, edge_w):
+        end = w / two_m
+        a[u] += end
+        a[v] += end
         nbr[u][v] = nbr[v][u] = w / m
     live = sum(map(len, nbr)) // 2
 
@@ -144,20 +151,23 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         a[s] = 0.0
         live -= 1
         size = len(heap)
+        # 2.0 * x * y is (2.0 * x) * y: the same bits with the doubling hoisted
+        two_a_r = 2.0 * a_r
+        two_a_r_old = 2.0 * a_r_old
         for t, w_st in row_s.items():
             row_t = nbr[t]
             del row_t[s]
             w_rt = row_r.get(t)
             if w_rt is None:
                 row_r[t] = row_t[r] = w_st
-                dq_rt = w_st - 2.0 * a_r * a[t]
+                dq_rt = w_st - two_a_r * a[t]
             else:
                 live -= 1
                 a_t = a[t]
-                before = w_rt - 2.0 * a_r_old * a_t
+                before = w_rt - two_a_r_old * a_t
                 w_rt += w_st
                 row_r[t] = row_t[r] = w_rt
-                dq_rt = w_rt - 2.0 * a_r * a_t
+                dq_rt = w_rt - two_a_r * a_t
                 if dq_rt <= before:  # the pair's entry still bounds its gain
                     continue
             if r < t:
@@ -167,7 +177,7 @@ def greedy_merge_seq(n_nodes, edge_u, edge_v, edge_w):
         moved += len(row_s)
         pushed += len(heap) - size
         row_s.clear()
-        if len(heap) > 2 * live:
+        if len(heap) > _REBUILD_RATIO * live:
             heap.clear()  # free the dead entries before building the new heap
             heap = _exact_heap(nbr, a)
             rebuilds += 1

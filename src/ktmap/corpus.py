@@ -681,13 +681,6 @@ def _read_text(stream: Iterable[str], name: str) -> str:
             f"{name} line {line}: not UTF-8 ({exc.reason})") from None
 
 
-def iter_node_records(stream: Iterable[str]) -> Iterator[Document]:
-    """The documents of a nodes stream, in file order; as in parse_corpus,
-    an id repeated on a later line raises DuplicateIdError at that line."""
-    index, columns = _read_columns(_read_text(stream, "nodes"))
-    yield from map(Document._trusted, zip(index, *columns))
-
-
 def _read_columns(text: str) -> tuple[dict[str, int], tuple[list, ...]]:
     """(index id -> position, the columns of _COLUMNS) of the documents of
     a nodes text, in file order, decoded by _decoded_blocks and checked in

@@ -49,35 +49,40 @@ def modularity(graph: UGraph, labels: Sequence[int]) -> float:
 
     e_ss is the fraction of edge weight inside front s and a_s the fraction
     of edge ends attached to s. Requires at least one edge and one front
-    label per node index.
+    label per node index; the labels are renumbered 1..K in sorted order.
     """
     m = graph.total_weight
     if m <= 0.0:
         raise InsufficientDataError("modularity undefined on a graph with no edges")
     if len(labels) != graph.n_nodes:
         raise ValueError(f"{len(labels)} front labels for {graph.n_nodes} nodes")
-    return _modularity(m, labels, *graph.edge_arrays())
+    dense = {label: k for k, label in enumerate(sorted(set(labels)), start=1)}
+    return _modularity(m, list(map(dense.__getitem__, labels)), len(dense),
+                       *graph.edge_arrays())
 
 
-def _modularity(m, labels, edge_u, edge_v, edge_w) -> float:
-    """Q of the front labels (one per node index) over the edge arrays.
+def _modularity(m, labels, n_fronts, edge_u, edge_v, edge_w) -> float:
+    """Q of the front labels 1..n_fronts (one per node index) over the
+    edge arrays.
 
-    Sums in edge-array order and then in sorted front order, so the same
-    labels give the same bits whichever caller computes them.
+    Sums in edge-array order and then in front order, so the same labels
+    give the same bits whichever caller computes them. A front without
+    edges adds 0.0, which leaves Q's bits alone.
     """
-    internal: dict[int, float] = {}
-    ends: dict[int, float] = {}
+    internal = [0.0] * (n_fronts + 1)
+    ends = [0.0] * (n_fronts + 1)
     for u, v, w in zip(edge_u, edge_v, edge_w):
-        cu, cv = labels[u], labels[v]
-        ends[cu] = ends.get(cu, 0.0) + w
-        ends[cv] = ends.get(cv, 0.0) + w
+        cu = labels[u]
+        cv = labels[v]
+        ends[cu] += w
+        ends[cv] += w
         if cu == cv:
-            internal[cu] = internal.get(cu, 0.0) + w
+            internal[cu] += w
     q = 0.0
-    for fid in sorted(ends):
-        e_ss = internal.get(fid, 0.0) / m
-        a_s = ends[fid] / (2.0 * m)
-        q += e_ss - a_s * a_s
+    two_m = 2.0 * m
+    for fid in range(1, n_fronts + 1):
+        a_s = ends[fid] / two_m
+        q += internal[fid] / m - a_s * a_s
     return q
 
 
@@ -116,7 +121,7 @@ def fast_greedy(graph: UGraph) -> Partition:
         raise InsufficientDataError("cannot cluster an empty graph")
     if not any(graph.adj):
         raise InsufficientDataError("cannot cluster a graph with no edges")
-    graph = _in_range(graph)
+    graph, m = _in_range(graph)
     edge_u, edge_v, edge_w = graph.edge_arrays()
 
     comm = _refine_moves(graph, _merge_cut(graph.n_nodes, edge_u, edge_v, edge_w))
@@ -125,14 +130,14 @@ def fast_greedy(graph: UGraph) -> Partition:
     labels = [relabel.setdefault(label, len(relabel) + 1) for label in comm]
     # report the exactly recomputed Q rather than the incrementally
     # accumulated one
-    q = _modularity(graph.total_weight, labels, edge_u, edge_v, edge_w)
+    q = _modularity(m, labels, len(relabel), edge_u, edge_v, edge_w)
     return Partition(labels=labels, q=q)
 
 
-def _in_range(graph: UGraph) -> UGraph:
-    """graph, or a copy with every weight scaled by the same power of two
-    when its total weight m overflows or its binary exponent is beyond
-    +-_SCALE_EXP.
+def _in_range(graph: UGraph) -> tuple[UGraph, float]:
+    """(graph, its total weight m), or a copy with every weight scaled by
+    the same power of two, and the copy's m, when graph's m overflows or
+    its binary exponent is beyond +-_SCALE_EXP.
 
     The copy's largest weight is in [1/2, 1), so its m lies between 1/2 and
     the edge count. Scaling by a power of two is exact, and the merge
@@ -142,10 +147,11 @@ def _in_range(graph: UGraph) -> UGraph:
     """
     m = graph.total_weight
     if m < _INF and abs(math.frexp(m)[1]) <= _SCALE_EXP:
-        return graph
+        return graph, m
     exp = -math.frexp(max(max(nbrs.values(), default=0.0) for nbrs in graph.adj))[1]
-    return UGraph._trusted(graph.ids, [{j: math.ldexp(w, exp) for j, w in nbrs.items()}
-                                       for nbrs in graph.adj])
+    scaled = UGraph._trusted(graph.ids, [{j: math.ldexp(w, exp) for j, w in nbrs.items()}
+                                         for nbrs in graph.adj])
+    return scaled, scaled.total_weight
 
 
 def _merge_cut(n_nodes, edge_u, edge_v, edge_w) -> list[int]:
@@ -303,20 +309,22 @@ class _Refinement:
                  "drift", "evals", "skips")
 
     def __init__(self, graph: UGraph, comm: list[int]):
-        adj, m = graph.adj, graph.total_weight
-        self.adj = adj
-        self.m = m
+        adj = self.adj = graph.adj
+        wdeg = self.wdeg = [sum(nbrs.values()) for nbrs in adj]
+        # graph.total_weight, summed from the degrees in the same order
+        m = self.m = sum(wdeg) / 2.0
         self.two_m2 = 2.0 * m * m
-        self.wdeg = [sum(nbrs.values()) for nbrs in adj]
         self.comm = comm
-        self.deg_sum: dict[int, float] = {}
-        for idx in range(len(comm)):
-            self.deg_sum[comm[idx]] = self.deg_sum.get(comm[idx], 0.0) + self.wdeg[idx]
+        deg_sum: dict[int, float] = {}
+        for c, k in zip(comm, wdeg):
+            deg_sum[c] = deg_sum.get(c, 0.0) + k
+        self.deg_sum = deg_sum
         self.w_to: list[dict[int, float] | None] = [None] * len(comm)
-        self.n_out = [sum(1 for j in nbrs if comm[j] != comm[i])
-                      for i, nbrs in enumerate(adj)]
+        front_of = comm.__getitem__
+        self.n_out = [len(nbrs) - list(map(front_of, nbrs)).count(c)
+                      for nbrs, c in zip(adj, comm)]
         m2 = m * m
-        self.ks = array("d", [k / m2 for k in self.wdeg])
+        self.ks = array("d", [k / m2 for k in wdeg])
         self.ks_max = max(self.ks, default=0.0)
         self.slack_m = _GAIN_SLACK * m
         self.quantum = math.ldexp(1.0, math.frexp(m)[1] + _DRIFT_QUANTUM_EXP)
@@ -534,29 +542,36 @@ class _Refinement:
         their neighbors, and counts deg_sum[s] as moved weight for the rest.
         """
         comm, adj, m, n_out = self.comm, self.adj, self.m, self.n_out
-        w_between: dict[tuple[int, int], float] = {}
+        deg_sum = self.deg_sum
+        # front labels are ints >= 0, so with base above every label the
+        # pair (r, s), r < s, keyed r * base + s, orders as the pairs do
+        base = max(deg_sum) + 1
+        w_between: dict[int, float] = {}
         for i in range(len(comm)):
             if not n_out[i]:
                 continue
             ci = comm[i]
             for j, w in adj[i].items():
-                if j > i and comm[j] != ci:
-                    key = (min(ci, comm[j]), max(ci, comm[j]))
-                    w_between[key] = w_between.get(key, 0.0) + w
+                if j > i:
+                    cj = comm[j]
+                    if cj != ci:
+                        key = ci * base + cj if ci < cj else cj * base + ci
+                        w_between[key] = w_between.get(key, 0.0) + w
 
         best_gain = _REFINE_TOL
-        best_pair = None
-        deg_sum = self.deg_sum
+        best_key = None
+        two_m = 2.0 * m
         # ties go to the smaller pair, so the visiting order does not matter
-        for (r, s), w in w_between.items():
-            gain = w / m - 2.0 * (deg_sum[r] / (2.0 * m)) * (deg_sum[s] / (2.0 * m))
-            if gain > best_gain or (gain == best_gain and best_pair is not None
-                                    and (r, s) < best_pair):
+        for key, w in w_between.items():
+            r, s = divmod(key, base)
+            gain = w / m - 2.0 * (deg_sum[r] / two_m) * (deg_sum[s] / two_m)
+            if gain > best_gain or (gain == best_gain and best_key is not None
+                                    and key < best_key):
                 best_gain = gain
-                best_pair = (r, s)
-        if best_pair is None:
+                best_key = key
+        if best_key is None:
             return False
-        r, s = best_pair
+        r, s = divmod(best_key, base)
         w_to, gain = self.w_to, self.gain
         members = [idx for idx in range(len(comm)) if comm[idx] == s]
         for idx in members:
@@ -613,11 +628,6 @@ class FrontTree:
 
     def depth(self) -> int:
         return max(node.level for node in self.root.walk())
-
-    def fronts_at(self, level: int) -> list[FrontNode]:
-        """Fronts exactly at a level; nodes in shallower leaves stay in those
-        leaves, so levels > 2 need not cover the corpus."""
-        return [node for node in self.root.walk() if node.level == level]
 
     def node_paths(self) -> dict[str, tuple[int, ...]]:
         """Deepest front path per node id (components are level 2..d front
@@ -700,8 +710,12 @@ def _split(graph: UGraph, members: Sequence[int], path: tuple[int, ...],
             if len(front) >= min_front_size and level + 1 < max_depth]
     if path:
         split = _split_fronts(graph, fronts, jobs, path, level, limits)
-    else:  # the bin with the largest front, the first, is split in this process
-        bins = _deal(jobs, fronts, _fork.processes())
+    else:  # the bin with the heaviest front, the first, is split in this process
+        # a front weighs its members' edge ends: its split's merge and
+        # refinement scale with its edges, and the count costs one len per
+        # member, where counting its internal edges would read every end
+        ends = [sum(map(len, map(graph.adj.__getitem__, front))) for front in fronts]
+        bins = _deal(jobs, ends, _fork.processes())
         split = {}
         for subtrees in _fork.run([(_split_fronts, graph, fronts, share, path, level,
                                     limits) for share in bins[1:] + bins[:1]]):
@@ -718,14 +732,15 @@ def _split_fronts(graph: UGraph, fronts: list[tuple[int, ...]], jobs: list[int],
             for i in jobs}
 
 
-def _deal(jobs: list[int], fronts: list[tuple[int, ...]], n_bins: int) -> list[list[int]]:
-    """The front indices `jobs` on min(n_bins, len(jobs)) bins: largest
-    front first (front order on ties), each onto the bin with the fewest
-    members so far (the first such bin on ties); each bin in front order."""
+def _deal(jobs: list[int], weights: list[int], n_bins: int) -> list[list[int]]:
+    """The front indices `jobs` on min(n_bins, len(jobs)) bins: heaviest
+    front first by `weights` (front order on ties), each onto the bin with
+    the least weight so far (the first such bin on ties); each bin in front
+    order."""
     bins: list[list[int]] = [[] for _ in range(min(n_bins, len(jobs)))]
     loads = [0] * len(bins)
-    for i in sorted(jobs, key=lambda i: -len(fronts[i])):
+    for i in sorted(jobs, key=lambda i: -weights[i]):
         least = loads.index(min(loads))
         bins[least].append(i)
-        loads[least] += len(fronts[i])
+        loads[least] += weights[i]
     return [sorted(share) for share in bins]

@@ -93,13 +93,6 @@ class GroundTruth:
     config: dict
     seed: int
 
-    def leaf_labels(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.front_paths)
-
-    def level_labels(self, level: int) -> dict[str, tuple[int, ...]]:
-        """Truncate planted paths to the first `level` components."""
-        return {node: path[:level] for node, path in self.front_paths.items()}
-
     def to_json_dict(self) -> dict:
         return {
             "front_paths": {k: list(v) for k, v in sorted(self.front_paths.items())},

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ktmap import _fork, fronts, hubs
+from ktmap import _fork, corpus, fronts, hubs
 from ktmap.corpus import CitationNetwork, Document, UGraph
 from ktmap.errors import (DuplicateIdError, MalformedRecordError,
                           SelfLoopError, UnknownEndpointError)
@@ -179,6 +179,23 @@ def enumerate_spc(nodes, edges) -> dict[tuple[str, str], int]:
     for s in sources:
         walk(s, [])
     return counts
+
+
+def fronts_at(tree, level: int) -> list:
+    """The FrontNodes of a FrontTree exactly at a level; nodes in shallower
+    leaves stay in those leaves, so levels > 2 need not cover the corpus."""
+    return [node for node in tree.root.walk() if node.level == level]
+
+
+def leaf_labels(truth) -> dict[str, tuple[int, ...]]:
+    """Planted leaf path per node of a synth GroundTruth."""
+    return dict(truth.front_paths)
+
+
+def level_labels(truth, level: int) -> dict[str, tuple[int, ...]]:
+    """Planted paths of a synth GroundTruth truncated to their first
+    `level` components."""
+    return {node: path[:level] for node, path in truth.front_paths.items()}
 
 
 def scan_merge_seq(n_nodes, edge_u, edge_v, edge_w):
@@ -625,6 +642,14 @@ def line_edge_records(stream, doc_ids):
                         "must follow a header line", lineno, line)
                 continue
         yield parts[0], parts[1]
+
+
+def iter_node_records(stream):
+    """The documents of a nodes stream, read whole as ``parse_corpus`` reads
+    it, in file order; an id seen on an earlier line raises
+    DuplicateIdError at its line."""
+    index, columns = corpus._read_columns(corpus._read_text(stream, "nodes"))
+    yield from map(Document._trusted, zip(index, *columns))
 
 
 def line_node_records(stream):

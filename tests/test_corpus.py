@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from ktmap import corpus
 from ktmap.corpus import (CitationNetwork, CorpusText, Document, Lexicon,
                           UGraph, co_citation_projection, count_terms,
-                          iter_edge_records, iter_node_records, load_corpus,
-                          parse_corpus, write_corpus)
+                          iter_edge_records, load_corpus, parse_corpus,
+                          write_corpus)
 from ktmap.errors import (DuplicateIdError, LexiconOverlapError,
                           MalformedRecordError, SelfLoopError,
                           UnknownEndpointError)
 from ktmap.report import PipelineConfig, _parse_stage
 from ktmap.selection import select_top_cited
 
-from conftest import (StringCitationNetwork, graph_edges, line_edge_records,
-                      line_node_records, make_net, reference_write_corpus)
+from conftest import (StringCitationNetwork, graph_edges, iter_node_records,
+                      line_edge_records, line_node_records, make_net,
+                      reference_write_corpus)
 
 
 def parse(nodes_text, edges_text, **kwargs):

@@ -18,8 +18,9 @@ from ktmap.synth import PlantedConfig, gen_planted_kt_network, nmi
 
 import conftest
 from conftest import (_scan_best_move, assert_no_child_left,
-                      best_partition_bruteforce, brute_modularity, graph_edges,
-                      id_labels, scan_refine_moves, ugraph)
+                      best_partition_bruteforce, brute_modularity, fronts_at,
+                      graph_edges, id_labels, leaf_labels, level_labels,
+                      scan_refine_moves, ugraph)
 
 
 def random_ugraph(rng, n_min=4, n_max=8):
@@ -150,7 +151,7 @@ class TestFastGreedy:
         for seed in range(5):
             net, truth = gen_planted_kt_network(cfg, seed)
             part = fast_greedy(net.projection)
-            hits += nmi(id_labels(net.projection, part), truth.leaf_labels()) >= 0.9
+            hits += nmi(id_labels(net.projection, part), leaf_labels(truth)) >= 0.9
         assert hits >= 4
 
     @pytest.mark.parametrize("weight", [5e-324, 1e-170, 1e160, 1e308])
@@ -230,21 +231,21 @@ class TestHierarchicalFronts:
         tree = hierarchical_fronts(g, max_depth=4, min_front_size=4,
                                    min_q_gain=0.05)
         assert tree.depth() == 3
-        level2 = tree.fronts_at(2)
+        level2 = fronts_at(tree, 2)
         assert sorted(len(f.members) for f in level2) == [12, 12]
-        leaves = {tuple(member_ids(g, f)) for f in tree.fronts_at(3)}
+        leaves = {tuple(member_ids(g, f)) for f in fronts_at(tree, 3)}
         assert leaves == {tuple(sorted(b)) for b in blocks}
 
     def test_min_front_size_floor(self, two_triangles):
         tree = hierarchical_fronts(two_triangles, min_front_size=4)
         assert tree.depth() == 2  # triangles too small to re-split
-        assert len(tree.fronts_at(2)) == 2
+        assert len(fronts_at(tree, 2)) == 2
 
     def test_max_depth_two_equals_flat(self, two_triangles):
         tree = hierarchical_fronts(two_triangles, max_depth=2, min_front_size=2)
         flat = fast_greedy(two_triangles)
-        assert [f.members for f in tree.fronts_at(2)] == flat.fronts()
-        assert [member_ids(two_triangles, f) for f in tree.fronts_at(2)] == [
+        assert [f.members for f in fronts_at(tree, 2)] == flat.fronts()
+        assert [member_ids(two_triangles, f) for f in fronts_at(tree, 2)] == [
             ["a", "b", "c"], ["d", "e", "f"]]
 
     def test_refinement_property(self):
@@ -293,8 +294,8 @@ class TestHierarchicalFronts:
         tree = hierarchical_fronts(net.projection, max_depth=3,
                                    min_front_size=10, min_q_gain=0.05)
         paths = tree.node_paths()
-        assert nmi(level_assignment(paths, 2), truth.level_labels(1)) >= 0.9
-        assert nmi(level_assignment(paths, 3), truth.leaf_labels()) >= 0.9
+        assert nmi(level_assignment(paths, 2), level_labels(truth, 1)) >= 0.9
+        assert nmi(level_assignment(paths, 3), leaf_labels(truth)) >= 0.9
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -384,7 +385,8 @@ def assert_refines_like_scan(g: UGraph, comm: list[int], scale: float = 1.0) -> 
     stats: dict = {}
     want = scan_refine_moves(g, list(comm), stats)
     with checked_skips():
-        in_range = fronts._in_range(scaled(g, scale))
+        in_range, m = fronts._in_range(scaled(g, scale))
+        assert m == in_range.total_weight
         assert fronts._refine_moves(in_range, list(comm)) == want
     return stats
 
@@ -738,11 +740,27 @@ class TestForkedSplit:
         assert_no_child_left()
 
     def test_deal_largest_first_onto_least_loaded(self):
-        fronts_ = [tuple(range(n)) for n in (30, 50, 10, 40, 20, 5)]
-        assert fronts._deal([0, 1, 2, 3, 4], fronts_, 2) == [[1, 2, 4], [0, 3]]
-        assert fronts._deal([0, 1, 2, 3, 4], fronts_, 8) == [[1], [3], [0], [4], [2]]
-        assert fronts._deal([5], fronts_, 4) == [[5]]
-        assert fronts._deal([], fronts_, 4) == []
+        ends = [30, 50, 10, 40, 20, 5]  # edge ends of each front's members
+        assert fronts._deal([0, 1, 2, 3, 4], ends, 2) == [[1, 2, 4], [0, 3]]
+        assert fronts._deal([0, 1, 2, 3, 4], ends, 8) == [[1], [3], [0], [4], [2]]
+        assert fronts._deal([5], ends, 4) == [[5]]
+        assert fronts._deal([], ends, 4) == []
+
+    def test_level2_dealt_by_edge_ends(self, cpus, monkeypatch):
+        g = planted_cocitation()
+        cpus(2)
+        dealt = []
+        real = fronts._deal
+
+        def spy(jobs, weights, n_bins):
+            dealt.append(weights)
+            return real(jobs, weights, n_bins)
+
+        monkeypatch.setattr(fronts, "_deal", spy)
+        tree = hierarchical_fronts(g)
+        assert dealt == [[sum(len(g.adj[i]) for i in front.members)
+                          for front in tree.root.children]]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_error_reraised_and_workers_reaped(self, where, cpus, monkeypatch):

@@ -144,10 +144,11 @@ class TestMergeExact:
             assert_same_merge(g.n_nodes, eu, ev, ew)
             assert len(sizes) > 1  # the heap was rebuilt
 
-    @pytest.mark.parametrize("rows,cols", [(5, 2), (6, 2), (6, 5), (4, 7)])
+    @pytest.mark.parametrize("rows,cols", [(5, 2), (6, 2), (6, 6), (5, 7), (4, 7)])
     def test_rebuilt_heap_grid(self, monkeypatch, rows, cols):
         # exact ties between entries from a rebuild and entries pushed after
         # it: a rebuilt key one ulp below the pair's gain changes the merges
+        # on the 6x2, 6x6 and 5x7 grids
         right = [(i * cols + j, i * cols + j + 1)
                  for i in range(rows) for j in range(cols - 1)]
         down = [(i * cols + j, (i + 1) * cols + j)

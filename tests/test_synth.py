@@ -8,7 +8,7 @@ from ktmap.fronts import fast_greedy
 from ktmap.synth import (PlantedConfig, gen_deterministic_hierarchical,
                          gen_planted_kt_network, gen_random_graph, nmi)
 
-from conftest import id_labels
+from conftest import id_labels, leaf_labels
 
 
 class TestPlantedGenerator:
@@ -27,7 +27,7 @@ class TestPlantedGenerator:
         cfg = PlantedConfig(branching=(3,), leaf_size=15, p_within=(0.5,),
                             p_between=0.0)
         net, truth = gen_planted_kt_network(cfg, 1)
-        labels = truth.leaf_labels()
+        labels = leaf_labels(truth)
         for citing, cited in net.edges:
             assert labels[citing] == labels[cited]
 
@@ -36,7 +36,7 @@ class TestPlantedGenerator:
                             p_between=0.4, homophily=1.0,
                             t_targets=(0.0, 1.0), term_noise=0.0)
         net, truth = gen_planted_kt_network(cfg, 2)
-        labels = truth.leaf_labels()
+        labels = leaf_labels(truth)
         assert net.n_edges > 0
         for citing, cited in net.edges:
             assert labels[citing] == labels[cited]  # cross-block prob hit 0
@@ -47,7 +47,7 @@ class TestPlantedGenerator:
         net, truth = gen_planted_kt_network(cfg, 7)
         scores = score_documents(net)
         targets = cfg.leaf_targets()
-        labels = truth.leaf_labels()
+        labels = leaf_labels(truth)
         for leaf in range(4):
             members = [i for i, p in labels.items() if p[0] == leaf]
             mean_t = np.mean([scores[i] for i in members])
@@ -79,7 +79,7 @@ class TestPlantedGenerator:
                                     p_within=(0.25,), p_between=p_between)
                 net, truth = gen_planted_kt_network(cfg, seed)
                 part = fast_greedy(net.projection)
-                vals.append(nmi(id_labels(net.projection, part), truth.leaf_labels()))
+                vals.append(nmi(id_labels(net.projection, part), leaf_labels(truth)))
             means.append(np.mean(vals))
         assert means[0] <= means[1] + 1e-9 <= means[2] + 2e-9
 
